@@ -75,4 +75,7 @@ echo "== recorder-off read fast-path benches (flight recorder must not tax disab
 go test -run '^$' -bench 'BenchmarkEnterExit' -benchtime 100x -timeout 120s .
 go test -run '^$' -bench 'BenchmarkGuardedRead' -benchtime 100x -timeout 120s ./hashtable
 
+echo "== benchmark driver entry: engine_sweep poison litmus (non-zero exit if any of the nine engines frees early) =="
+bash benchmark/run.sh --workload engine_sweep --seed 1 --seconds 15 --trace 0
+
 echo "CI PASS"

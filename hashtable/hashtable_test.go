@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,15 +13,33 @@ import (
 )
 
 func mapVariants(maxReaders, buckets int) map[string]func() *Map[uint64, uint64] {
-	return map[string]func() *Map[uint64, uint64]{
-		"EER":  func() *Map[uint64, uint64] { return NewModulo(prcu.NewEER(prcu.Options{MaxReaders: maxReaders}), buckets) },
-		"D":    func() *Map[uint64, uint64] { return NewModulo(prcu.NewD(prcu.Options{MaxReaders: maxReaders}), buckets) },
-		"DEER": func() *Map[uint64, uint64] { return NewModulo(prcu.NewDEER(prcu.Options{MaxReaders: maxReaders}), buckets) },
-		"Time": func() *Map[uint64, uint64] { return NewModulo(prcu.NewTimeRCU(prcu.Options{MaxReaders: maxReaders}), buckets) },
-		"URCU": func() *Map[uint64, uint64] { return NewModulo(prcu.NewURCU(prcu.Options{MaxReaders: maxReaders}), buckets) },
-		"Tree": func() *Map[uint64, uint64] { return NewModulo(prcu.NewTreeRCU(prcu.Options{MaxReaders: maxReaders}), buckets) },
-		"Dist": func() *Map[uint64, uint64] { return NewModulo(prcu.NewDistRCU(prcu.Options{MaxReaders: maxReaders}), buckets) },
+	return mapVariantsOn(maxReaders, buckets, func(r prcu.RCU) prcu.RCU { return r })
+}
+
+// mapVariantsOn is mapVariants with every engine passed through wrap.
+func mapVariantsOn(maxReaders, buckets int, wrap func(prcu.RCU) prcu.RCU) map[string]func() *Map[uint64, uint64] {
+	out := map[string]func() *Map[uint64, uint64]{}
+	for name, mk := range map[string]func(prcu.Options) prcu.RCU{
+		"EER": prcu.NewEER, "D": prcu.NewD, "DEER": prcu.NewDEER, "Time": prcu.NewTimeRCU,
+		"URCU": prcu.NewURCU, "Tree": prcu.NewTreeRCU, "Dist": prcu.NewDistRCU,
+	} {
+		out[name] = func() *Map[uint64, uint64] {
+			return NewModulo(wrap(mk(prcu.Options{MaxReaders: maxReaders})), buckets)
+		}
 	}
+	return out
+}
+
+// hookedWaits is an engine that runs before ahead of every grace period
+// (used by pointer: engines are compared for identity).
+type hookedWaits struct {
+	prcu.RCU
+	before func()
+}
+
+func (h *hookedWaits) WaitForReaders(p prcu.Predicate) {
+	h.before()
+	h.RCU.WaitForReaders(p)
 }
 
 func mustHandle(t *testing.T, m *Map[uint64, uint64]) *Handle[uint64, uint64] {
@@ -208,27 +227,61 @@ func TestQuickInsertDeleteSet(t *testing.T) {
 // TestLookupsDuringExpansion is the Figure 3 anomaly test: while the table
 // expands, concurrent lookups must never miss a key that is permanently
 // present. A missing wait before any unzip pointer change makes this fail.
+//
+// Readers yield outside the section after each lookup. Without that, six
+// never-yielding readers on fewer Ps are descheduled inside 100-node chain
+// walks, and on the wait-for-everyone engines every unzip step's grace
+// period has to outlast a full run-queue rotation of 10 ms preemption
+// slices — minutes per variant, which says something about plain RCU but
+// nothing about the anomaly. With yielding readers the opposite failure is
+// possible: five expansions over quiescent readers finish before a reader
+// is even scheduled, and the test passes having tested nothing. So the
+// first Expand is held until every reader has completed a lookup, every
+// unzip step's wait first hands the readers a turn — and does not start
+// until every reader has completed a lookup with an Expand in flight.
 func TestLookupsDuringExpansion(t *testing.T) {
-	for name, mk := range mapVariants(16, 4) {
+	const readers = 6
+	// minDuring is the least total of lookups completed during the five
+	// expansions, under a tenth of the smallest total (5807) seen in 130
+	// runs of every variant on a 2-CPU host: each of the ~2000 waits yields
+	// once and each reader completes about one lookup per yield.
+	const minDuring = 500
+	var beforeWait func()
+	variants := mapVariantsOn(16, 4, func(r prcu.RCU) prcu.RCU {
+		return &hookedWaits{r, func() { beforeWait() }}
+	})
+	for name, mk := range variants {
 		t.Run(name, func(t *testing.T) {
-			m := mk()
 			const n = 400 // load factor 100 on 4 buckets: long chains, many unzip steps
+			var stop, expanding atomic.Bool
+			var during [readers]atomic.Int64
+			var warm atomic.Int32 // readers that have completed a lookup
+			beforeWait = func() {
+				runtime.Gosched()
+				for g := 0; g < readers && expanding.Load(); g++ {
+					for during[g].Load() == 0 && !stop.Load() {
+						runtime.Gosched()
+					}
+				}
+			}
+			m := mk()
 			for k := uint64(0); k < n; k++ {
 				m.Insert(k, k)
 			}
-			var stop atomic.Bool
 			var wg sync.WaitGroup
-			for g := 0; g < 6; g++ {
+			for g := 0; g < readers; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
 					h, err := m.NewHandle()
 					if err != nil {
 						t.Error(err)
+						stop.Store(true)
 						return
 					}
 					defer h.Close()
 					rng := rand.New(rand.NewSource(int64(g)))
+					warmed := false
 					for !stop.Load() {
 						k := uint64(rng.Intn(n))
 						if v, ok := h.Get(k); !ok || v != k {
@@ -236,12 +289,24 @@ func TestLookupsDuringExpansion(t *testing.T) {
 							stop.Store(true)
 							return
 						}
+						if expanding.Load() {
+							during[g].Add(1)
+						} else if !warmed {
+							warmed = true
+							warm.Add(1)
+						}
+						runtime.Gosched()
 					}
 				}(g)
 			}
+			for warm.Load() < readers && !stop.Load() {
+				runtime.Gosched()
+			}
+			expanding.Store(true)
 			for i := 0; i < 5 && !stop.Load(); i++ {
 				m.Expand()
 			}
+			expanding.Store(false)
 			stop.Store(true)
 			wg.Wait()
 			if err := m.Validate(); err != nil {
@@ -249,6 +314,20 @@ func TestLookupsDuringExpansion(t *testing.T) {
 			}
 			if m.Buckets() != 4*32 && !t.Failed() {
 				t.Fatalf("Buckets = %d, want %d", m.Buckets(), 4*32)
+			}
+			var total int64
+			for g := range during {
+				d := during[g].Load()
+				if d == 0 && !t.Failed() {
+					t.Errorf("reader %d completed no lookup while the table expanded", g)
+				}
+				total += d
+			}
+			if total < minDuring && !t.Failed() {
+				t.Errorf("%d lookups completed while the table expanded, want at least %d", total, minDuring)
+			}
+			if testing.Verbose() {
+				t.Logf("lookups during expansion: %d", total)
 			}
 		})
 	}

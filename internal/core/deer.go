@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"prcu/internal/obs"
-	"prcu/internal/spin"
 	"prcu/internal/tsc"
 )
 
@@ -22,14 +21,11 @@ const DefaultNodesPerReader = 16
 // conflict semantically do not conflict at the memory level either — the
 // coherence ping-pong fix of §4.3.
 type DEER struct {
-	metered
-	resilient
-	tunable
-	reg   *registry
-	clock Clock
-	// Each segment's state is one flat []timeNode allocation, carved into
-	// per-reader windows of nodesPer entries; each timeNode is cache-line
-	// padded already.
+	// A reader's slot state is its node table: a nodesPer-entry window of
+	// one flat per-segment []timeNode allocation (each timeNode is
+	// cache-line padded already).
+	base[[]timeNode]
+	clock    Clock
 	nodesPer int
 	mask     uint64
 }
@@ -53,8 +49,13 @@ func NewDEER(maxReaders, nodesPerReader int, clock Clock) *DEER {
 		nodesPer: nodesPerReader,
 		mask:     uint64(nodesPerReader - 1),
 	}
-	d.reg = newRegistry(maxReaders, func(base, size int) any {
-		return newTimeNodeSeg(size * nodesPerReader)
+	d.setup(d, maxReaders, func(n int) [][]timeNode {
+		flat := newTimeNodeSeg(n * nodesPerReader)
+		tables := make([][]timeNode, n)
+		for i := range tables {
+			tables[i] = flat[i*nodesPerReader : (i+1)*nodesPerReader]
+		}
+		return tables
 	})
 	return d
 }
@@ -62,22 +63,8 @@ func NewDEER(maxReaders, nodesPerReader int, clock Clock) *DEER {
 // Name implements RCU.
 func (d *DEER) Name() string { return "DEER-PRCU" }
 
-// MaxReaders implements RCU.
-func (d *DEER) MaxReaders() int { return d.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (d *DEER) LiveReaders() int { return d.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (d *DEER) SlotCapacity() int { return d.reg.capacity() }
-
 // NodesPerReader returns the per-reader node-array size.
 func (d *DEER) NodesPerReader() int { return d.nodesPer }
-
-// readerTable returns the node window of the reader at in-segment index i.
-func (d *DEER) readerTable(sg *segment, i int) []timeNode {
-	return sg.state.([]timeNode)[i*d.nodesPer : (i+1)*d.nodesPer]
-}
 
 type deerReader struct {
 	readerGuard
@@ -89,11 +76,11 @@ type deerReader struct {
 
 // Register implements RCU.
 func (d *DEER) Register() (Reader, error) {
-	slot, sg, err := d.reg.acquire()
+	slot, tbl, err := d.reg.acquire()
 	if err != nil {
 		return nil, err
 	}
-	t := d.readerTable(sg, slot-sg.base)
+	t := *tbl
 	for i := range t {
 		t[i].time.Store(tsc.Infinity)
 	}
@@ -137,197 +124,74 @@ func (r *deerReader) Unregister() {
 	r.table = nil
 }
 
-// WaitForReaders implements RCU (Algorithm 3 lines 9–18). For an enumerable
-// predicate it scans, per reader, only the nodes covered values hash to;
-// for a general predicate it scans all nodes of each reader's (small)
-// array, evaluating P on the posted value, as §4.3 describes.
+// WaitForReaders implements RCU.
+func (d *DEER) WaitForReaders(p Predicate) { d.WaitForReadersCtx(nil, p) }
+
+// WaitForReadersCtx implements RCU: wait-for-readers (Algorithm 3 lines
+// 9–18), bounded by ctx when it is non-nil. For an enumerable predicate it
+// scans, per reader, only the nodes covered values hash to; for a general
+// predicate it scans all nodes of each reader's (small) array, evaluating
+// P on the posted value, as §4.3 describes. The scan is read-only, so an
+// abandoned wait leaves nothing behind.
 //
-// Per-node waiting uses EER's termination rule: stop once time > t0. The
-// pseudo code's lines 16–18 as printed (break on t > t0, then break on
+// Per-node waiting uses EER's blocking test, covered: stop once time > t0.
+// The pseudo code's lines 16–18 as printed (break on t > t0, then break on
 // t != Infinity) would never wait; the per-node single-writer argument of
 // Proposition 1 applies verbatim here — a pre-existing covered critical
 // section stored t <= t0 in its node, and the node's time can only move
 // past t0 via that section's exit or a later re-entry, both of which mean
-// the pre-existing section has exited.
-func (d *DEER) WaitForReaders(p Predicate) {
-	if st := d.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		d.waitReaders(p, newControl(nil, st, p, d))
-		return
-	}
-	// Unarmed fast path: the pre-resilience wait, verbatim, so an unarmed
-	// wait costs exactly what it did before the watchdog existed. Keep in
-	// sync with waitReaders, its wc.step-controlled twin.
-	m := d.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	t0 := d.clock.Now()
-	w := d.waiter()
-	var scanned, waited, parked uint64
-	d.reg.forEachActive(func(sg *segment, i int) {
-		scanned++
-		readerWaited, readerParked := false, false
-		// The blame sample brackets the whole per-reader table scan — the
-		// per-node waits dominate it — and is only charged if the scan
-		// actually blocked on one of this reader's nodes.
-		bs := m.BlameStart(&start)
-		table := d.readerTable(sg, i)
-		if p.Enumerable() {
-			var visited uint64 // nodesPer <= 64 covered by one word
-			p.ForEach(func(v Value) bool {
-				idx := hashValue(v) & d.mask
-				if visited&(1<<idx) != 0 {
-					return true
-				}
-				visited |= 1 << idx
-				if looped, _ := d.waitAtNode(&table[idx], t0, p, &w, nil); looped {
-					readerWaited = true
-					readerParked = readerParked || w.Yielded()
-				}
-				return true
-			})
-		} else {
-			for i := range table {
-				if looped, _ := d.waitAtNode(&table[i], t0, p, &w, nil); looped {
-					readerWaited = true
-					readerParked = readerParked || w.Yielded()
-				}
-			}
-		}
-		if readerWaited {
-			waited++
-			m.BlameSample(&start, sg.base+i, bs)
-			if readerParked {
-				parked++
-			}
-		}
-	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-}
-
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx.
+// the pre-existing section has exited. A node found on an uncovered
+// (hash-colliding) value does not block either: any covered pre-existing
+// section on it has already exited.
 func (d *DEER) WaitForReadersCtx(ctx context.Context, p Predicate) error {
-	wc := d.control(ctx, p, d)
-	if err := wc.pre(); err != nil {
+	s := waitSession{e: &d.hooks}
+	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	return d.waitReaders(p, wc)
-}
-
-func (d *DEER) waitReaders(p Predicate, wc *waitControl) error {
-	m := d.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
 	t0 := d.clock.Now()
-	w := d.waiter()
-	var scanned, waited, parked uint64
-	var werr error
-	d.reg.forEachActive(func(sg *segment, i int) {
-		if werr != nil {
-			return
+	d.reg.forEachActive(func(tbl *[]timeNode, slot int) bool {
+		s.scanned++
+		table := *tbl
+		visit := func(n *timeNode) bool {
+			return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
 		}
-		scanned++
-		readerWaited, readerParked := false, false
-		// See the fast path: the sample brackets the reader's table scan.
-		bs := m.BlameStart(&start)
-		table := d.readerTable(sg, i)
-		if p.Enumerable() {
-			var visited uint64 // nodesPer <= 64 covered by one word
-			p.ForEach(func(v Value) bool {
-				idx := hashValue(v) & d.mask
-				if visited&(1<<idx) != 0 {
-					return true
-				}
-				visited |= 1 << idx
-				looped, err := d.waitAtNode(&table[idx], t0, p, &w, wc)
-				if looped {
-					readerWaited = true
-					readerParked = readerParked || w.Yielded()
-				}
-				if err != nil {
-					werr = err
+		if !p.Enumerable() {
+			for i := range table {
+				if !visit(&table[i]) {
 					return false
 				}
-				return true
-			})
-		} else {
-			for i := range table {
-				looped, err := d.waitAtNode(&table[i], t0, p, &w, wc)
-				if looped {
-					readerWaited = true
-					readerParked = readerParked || w.Yielded()
-				}
-				if err != nil {
-					werr = err
-					break
-				}
 			}
+			return true
 		}
-		if readerWaited {
-			waited++
-			m.BlameSample(&start, sg.base+i, bs)
-			if readerParked {
-				parked++
+		ok := true
+		var visited uint64 // nodesPer <= 64 covered by one word
+		p.ForEach(func(v Value) bool {
+			if idx := hashValue(v) & d.mask; visited&(1<<idx) == 0 {
+				visited |= 1 << idx
+				ok = visit(&table[idx])
 			}
-		}
+			return ok
+		})
+		return ok
 	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-	return werr
+	return s.end()
 }
 
-// waitAtNode blocks until node n's pre-existing covered critical section
-// (if any) has exited; it reports whether it had to wait at all, and
-// surfaces cancellation from wc.
-func (d *DEER) waitAtNode(n *timeNode, t0 int64, p Predicate, w *spin.Waiter, wc *waitControl) (bool, error) {
-	w.Reset()
-	looped := false
-	for {
-		t := n.time.Load()
-		if t > t0 {
-			return looped, nil
-		}
-		if !p.Holds(n.value.Load()) {
-			// The critical section currently using this node is on an
-			// uncovered (hash-colliding) value; any covered pre-existing
-			// section on this node has already exited.
-			return looped, nil
-		}
-		looped = true
-		if err := wc.step(w); err != nil {
-			return looped, err
-		}
-	}
-}
-
-// stalledReaders implements stallProber: for each active reader, the
-// covered open nodes in its table (one entry per open node, since
-// distinct values can occupy distinct nodes of the same reader).
+// stalledReaders implements engine: for each active reader, the covered
+// nodes open now (distinct values can occupy distinct nodes of the same
+// reader, so a reader may appear more than once).
 func (d *DEER) stalledReaders(p Predicate) []StalledReader {
 	now := d.clock.Now()
 	var out []StalledReader
-	d.reg.forEachActive(func(sg *segment, i int) {
-		table := d.readerTable(sg, i)
-		for j := range table {
-			t := table[j].time.Load()
-			if t == tsc.Infinity {
-				continue
+	d.reg.forEachActive(func(tbl *[]timeNode, slot int) bool {
+		for i := range *tbl {
+			if n := &(*tbl)[i]; covered(n, now, p) {
+				out = append(out, StalledReader{
+					Slot: slot, Value: n.value.Load(), HasValue: true, OpenFor: clampDur(now - n.time.Load()),
+				})
 			}
-			v := table[j].value.Load()
-			if !p.Holds(v) {
-				continue
-			}
-			out = append(out, StalledReader{
-				Slot: sg.base + i, Value: v, HasValue: true, OpenFor: clampDur(now - t),
-			})
 		}
+		return true
 	})
 	return out
 }

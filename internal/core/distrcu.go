@@ -19,33 +19,19 @@ import (
 // original CITRUS tree used (the paper's Time RCU is its TSC-optimized
 // successor).
 type DistRCU struct {
-	metered
-	resilient
-	tunable
-	reg *registry
+	base[pad.Uint64]
 }
 
 // NewDistRCU returns a distributed-counters RCU engine capped at
 // maxReaders concurrent readers (0 = grow on demand).
 func NewDistRCU(maxReaders int) *DistRCU {
 	d := &DistRCU{}
-	d.reg = newRegistry(maxReaders, func(base, size int) any {
-		return make([]pad.Uint64, size)
-	})
+	d.setup(d, maxReaders, zeroSeg[pad.Uint64])
 	return d
 }
 
 // Name implements RCU.
 func (d *DistRCU) Name() string { return "Dist RCU" }
-
-// MaxReaders implements RCU.
-func (d *DistRCU) MaxReaders() int { return d.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (d *DistRCU) LiveReaders() int { return d.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (d *DistRCU) SlotCapacity() int { return d.reg.capacity() }
 
 type distReader struct {
 	readerGuard
@@ -57,11 +43,10 @@ type distReader struct {
 
 // Register implements RCU.
 func (d *DistRCU) Register() (Reader, error) {
-	slot, sg, err := d.reg.acquire()
+	slot, g, err := d.reg.acquire()
 	if err != nil {
 		return nil, err
 	}
-	g := &sg.state.([]pad.Uint64)[slot-sg.base]
 	if g.Load()&1 == 1 {
 		panic("prcu: reader slot reused while marked in-CS")
 	}
@@ -100,103 +85,28 @@ func (r *distReader) Unregister() {
 	r.gen = nil
 }
 
-// WaitForReaders implements RCU. The predicate is ignored.
-func (d *DistRCU) WaitForReaders(p Predicate) {
-	if st := d.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		d.waitReaders(p, newControl(nil, st, p, d))
-		return
-	}
-	// Unarmed fast path: the pre-resilience wait, verbatim, so an unarmed
-	// wait costs exactly what it did before the watchdog existed. Keep in
-	// sync with waitReaders, its wc.step-controlled twin.
-	m := d.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	w := d.waiter()
-	var scanned, waited, parked uint64
-	d.reg.forEachActive(func(sg *segment, i int) {
-		scanned++
-		g := &sg.state.([]pad.Uint64)[i]
-		s := g.Load()
-		if s&1 == 0 {
-			return
-		}
-		waited++
-		bs := m.BlameStart(&start)
-		w.Reset()
-		for g.Load() == s {
-			w.Wait()
-		}
-		m.BlameSample(&start, sg.base+i, bs)
-		if w.Yielded() {
-			parked++
-		}
-	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-}
+// WaitForReaders implements RCU.
+func (d *DistRCU) WaitForReaders(p Predicate) { d.WaitForReadersCtx(nil, p) }
 
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx.
+// WaitForReadersCtx implements RCU: wait-for-readers, bounded by ctx when
+// it is non-nil. The predicate is ignored. A reader found inside a section
+// (odd generation) is waited for until its generation moves. The scan is
+// read-only, so an abandoned wait leaves nothing behind.
 func (d *DistRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
-	wc := d.control(ctx, p, d)
-	if err := wc.pre(); err != nil {
+	s := waitSession{e: &d.hooks}
+	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	return d.waitReaders(p, wc)
-}
-
-func (d *DistRCU) waitReaders(_ Predicate, wc *waitControl) error {
-	m := d.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
-	w := d.waiter()
-	var scanned, waited, parked uint64
-	var werr error
-	d.reg.forEachActive(func(sg *segment, i int) {
-		if werr != nil {
-			return
-		}
-		scanned++
-		g := &sg.state.([]pad.Uint64)[i]
-		s := g.Load()
-		if s&1 == 0 {
-			return
-		}
-		waited++
-		bs := m.BlameStart(&start)
-		w.Reset()
-		for g.Load() == s {
-			if err := wc.step(&w); err != nil {
-				werr = err
-				break
-			}
-		}
-		m.BlameSample(&start, sg.base+i, bs)
-		if w.Yielded() {
-			parked++
-		}
+	d.reg.forEachActive(func(g *pad.Uint64, slot int) bool {
+		s.scanned++
+		gen := g.Load()
+		return gen&1 == 0 || s.await(slot, func() bool { return g.Load() == gen })
 	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-	return werr
+	return s.end()
 }
 
-// stalledReaders implements stallProber: readers whose generation counter
-// is odd (inside a critical section). No value or timestamp is tracked.
+// stalledReaders implements engine: readers whose generation counter is
+// odd (inside a critical section). No value or timestamp is tracked.
 func (d *DistRCU) stalledReaders(Predicate) []StalledReader {
-	var out []StalledReader
-	d.reg.forEachActive(func(sg *segment, i int) {
-		g := &sg.state.([]pad.Uint64)[i]
-		if g.Load()&1 == 1 {
-			out = append(out, StalledReader{Slot: sg.base + i})
-		}
-	})
-	return out
+	return stalledSlots(d.reg, func(g *pad.Uint64, _ *StalledReader) bool { return g.Load()&1 == 1 })
 }

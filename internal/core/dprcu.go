@@ -8,7 +8,6 @@ import (
 
 	"prcu/internal/obs"
 	"prcu/internal/pad"
-	"prcu/internal/spin"
 )
 
 // DefaultCounterTableSize is the C-table size used in the paper's
@@ -66,10 +65,10 @@ func (t *dTable) index(v Value) uint64 { return hashValue(v) & t.mask }
 // number of threads. General (non-enumerable) predicates fall back to
 // draining the whole table, as described in §4.2.
 type D struct {
-	metered
-	resilient
-	tunable
-	reg *registry
+	// D-PRCU readers carry no scanned per-slot state — the counter table
+	// is the shared state — but slots still bound and account for the
+	// reader population.
+	base[struct{}]
 	tbl atomic.Pointer[dTable]
 	// old holds the previous table generation while a Resize drains it;
 	// concurrent waits drain it conservatively until it clears.
@@ -87,10 +86,8 @@ func NewD(maxReaders, tableSize int) *D {
 	if tableSize == 0 {
 		tableSize = DefaultCounterTableSize
 	}
-	d := &D{
-		reg:       newRegistry(maxReaders, nil),
-		optBudget: optimisticBudget,
-	}
+	d := &D{optBudget: optimisticBudget}
+	d.setup(d, maxReaders, zeroSeg[struct{}])
 	d.tbl.Store(newDTable(tableSize))
 	return d
 }
@@ -103,15 +100,6 @@ func (d *D) SetOptimisticBudget(budget int) { d.optBudget = budget }
 
 // Name implements RCU.
 func (d *D) Name() string { return "D-PRCU" }
-
-// MaxReaders implements RCU.
-func (d *D) MaxReaders() int { return d.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (d *D) LiveReaders() int { return d.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (d *D) SlotCapacity() int { return d.reg.capacity() }
 
 // TableSize returns |C|, the current counter table size.
 func (d *D) TableSize() int { return len(d.tbl.Load().nodes) }
@@ -143,9 +131,7 @@ type dReader struct {
 	inCS bool
 }
 
-// Register implements RCU. D-PRCU readers carry no scanned per-slot state —
-// the counter table is the shared state — but slots still bound and account
-// for the reader population.
+// Register implements RCU.
 func (d *D) Register() (Reader, error) {
 	slot, _, err := d.reg.acquire()
 	if err != nil {
@@ -210,199 +196,61 @@ func (r *dReader) Unregister() {
 	r.d = nil
 }
 
-// WaitForReaders implements RCU (Algorithm 2 lines 10–13). For enumerable
-// predicates it drains only the covered nodes, deduplicating indices so
-// hash collisions within P⁻¹ never drain a node twice (§4.2 footnote 2).
-// For general predicates it applies the protocol at every node, the
-// fallback §4.2 describes. If a table resize is in flight, the previous
-// generation is drained in full — readers counted there may hold any
-// value, so only a global drain of that generation is conservative enough.
-func (d *D) WaitForReaders(p Predicate) {
-	if st := d.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		d.waitReaders(p, newControl(nil, st, p, d))
-		return
-	}
-	// Unarmed fast path: the pre-resilience wait, verbatim, so an unarmed
-	// wait costs exactly what it did before the watchdog existed. Keep in
-	// sync with waitReaders, its wc.step-controlled twin.
-	m := d.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	var agg drainAgg
-	// The updater's prior writes are ordered before the counter loads in
-	// drain by SC atomics (the paper's line 11 fence). A nil wc never
-	// errors, so the error returns are discarded here.
-	t := d.tbl.Load()
-	if !p.Enumerable() {
-		for j := range t.nodes {
-			info, _ := d.drainNodeBlamed(&t.nodes[j], j, &start, nil)
-			agg.add(info)
-		}
-	} else {
-		d.drainCoveredFast(t, p, &agg, &start)
-	}
-	if o := d.old.Load(); o != nil && o != t {
-		for j := range o.nodes {
-			info, _ := d.drainNodeBlamed(&o.nodes[j], j, &start, nil)
-			agg.add(info)
-		}
-	}
-	if m != nil {
-		m.DrainCounts(agg.opt, agg.gate, agg.piggy)
-		m.WaitEnd(start, agg.scanned, agg.waited, agg.parked)
-	}
-}
+// WaitForReaders implements RCU.
+func (d *D) WaitForReaders(p Predicate) { d.WaitForReadersCtx(nil, p) }
 
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx.
-// Cancellation is checked in the piggyback and gate-protocol wait loops
-// (the optimistic phase is already budget-bounded); aborting mid-gate
-// releases the node lock without advancing the drains counter, leaving
-// the protocol restartable by the next wait.
+// WaitForReadersCtx implements RCU: wait-for-readers (Algorithm 2 lines
+// 10–13), bounded by ctx when it is non-nil. For enumerable predicates it
+// drains only the covered nodes, deduplicating indices so hash collisions
+// within P⁻¹ never drain a node twice (§4.2 footnote 2). For general
+// predicates it applies the protocol at every node, the fallback §4.2
+// describes. If a table resize is in flight, the previous generation is
+// drained in full — readers counted there may hold any value, so only a
+// global drain of that generation is conservative enough.
+//
+// The "readers scanned / waited for" selectivity is counted over counter
+// nodes — the unit D-PRCU's waits actually visit and block on — and blame
+// and stall reports name node indices for the same reason.
 func (d *D) WaitForReadersCtx(ctx context.Context, p Predicate) error {
-	wc := d.control(ctx, p, d)
-	if err := wc.pre(); err != nil {
+	s := waitSession{e: &d.hooks}
+	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	return d.waitReaders(p, wc)
-}
-
-func (d *D) waitReaders(p Predicate, wc *waitControl) error {
-	m := d.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
-	var agg drainAgg
-	var werr error
 	// The updater's prior writes are ordered before the counter loads in
-	// drain by SC atomics (the paper's line 11 fence).
+	// drainNode by SC atomics (the paper's line 11 fence).
 	t := d.tbl.Load()
-	if !p.Enumerable() {
-		for j := range t.nodes {
-			info, err := d.drainNodeBlamed(&t.nodes[j], j, &start, wc)
-			agg.add(info)
-			if err != nil {
-				werr = err
-				break
-			}
-		}
+	var ok bool
+	if p.Enumerable() {
+		ok = d.drainCovered(&s, t, p)
 	} else {
-		werr = d.drainCovered(t, p, &agg, &start, wc)
+		ok = d.drainAll(&s, t)
 	}
-	if werr == nil {
-		if o := d.old.Load(); o != nil && o != t {
-			for j := range o.nodes {
-				info, err := d.drainNodeBlamed(&o.nodes[j], j, &start, wc)
-				agg.add(info)
-				if err != nil {
-					werr = err
-					break
-				}
-			}
+	if o := d.old.Load(); ok && o != nil && o != t {
+		d.drainAll(&s, o)
+	}
+	return s.end()
+}
+
+// drainAll drains every node of t, stopping early on cancellation.
+func (d *D) drainAll(s *waitSession, t *dTable) bool {
+	for j := range t.nodes {
+		if !drainNode(s, &t.nodes[j], j, d.optBudget) {
+			return false
 		}
 	}
-	if m != nil {
-		m.DrainCounts(agg.opt, agg.gate, agg.piggy)
-		m.WaitEnd(start, agg.scanned, agg.waited, agg.parked)
-	}
-	return werr
-}
-
-// drainInfo reports how one node drain resolved: its outcome class,
-// whether readers were present at all (the node had to be waited on),
-// and whether any wait loop crossed from spinning into yielding.
-type drainInfo struct {
-	outcome obs.DrainOutcome
-	waited  bool
-	parked  bool
-}
-
-// drainAgg accumulates per-wait drain statistics. For D-PRCU the
-// "readers scanned / waited for" selectivity is counted over counter
-// nodes — the unit its waits actually visit.
-type drainAgg struct {
-	scanned, waited, parked uint64
-	opt, gate, piggy        uint64
-}
-
-func (a *drainAgg) add(i drainInfo) {
-	a.scanned++
-	if i.waited {
-		a.waited++
-	}
-	if i.parked {
-		a.parked++
-	}
-	switch i.outcome {
-	case obs.DrainOptimistic:
-		a.opt++
-	case obs.DrainGate:
-		a.gate++
-	case obs.DrainPiggyback:
-		a.piggy++
-	}
+	return true
 }
 
 // drainCovered drains the nodes of t that p's values hash to, each once,
 // stopping early on cancellation.
-// drainCoveredFast is the uncontrolled twin of drainCovered, used by the
-// unarmed WaitForReaders fast path (a nil wait control never errors, so
-// the error plumbing and its closure are dropped entirely). Keep the
-// dedup logic in sync with drainCovered.
-func (d *D) drainCoveredFast(t *dTable, p Predicate, agg *drainAgg, sp *obs.WaitSpan) {
-	var small [16]uint64
-	seen := small[:0]
-	var bitmap []uint64
-	p.ForEach(func(v Value) bool {
-		idx := t.index(v)
-		if bitmap == nil {
-			for _, s := range seen {
-				if s == idx {
-					return true
-				}
-			}
-			if len(seen) < cap(seen) {
-				seen = append(seen, idx)
-				info, _ := d.drainNodeBlamed(&t.nodes[idx], int(idx), sp, nil)
-				agg.add(info)
-				return true
-			}
-			// Spill: promote to bitmap.
-			bitmap = make([]uint64, (len(t.nodes)+63)/64)
-			for _, s := range seen {
-				bitmap[s/64] |= 1 << (s % 64)
-			}
-		}
-		if bitmap[idx/64]&(1<<(idx%64)) != 0 {
-			return true
-		}
-		bitmap[idx/64] |= 1 << (idx % 64)
-		info, _ := d.drainNodeBlamed(&t.nodes[idx], int(idx), sp, nil)
-		agg.add(info)
-		return true
-	})
-}
-
-func (d *D) drainCovered(t *dTable, p Predicate, agg *drainAgg, sp *obs.WaitSpan, wc *waitControl) error {
+func (d *D) drainCovered(s *waitSession, t *dTable, p Predicate) bool {
 	// Dedup covered indices. Predicates in practice cover very few values
 	// (a bucket pair, a small key interval), so a small linear buffer
 	// avoids allocation; large predicates spill into a bitmap.
 	var small [16]uint64
 	seen := small[:0]
 	var bitmap []uint64
-	var werr error
-	drain := func(idx uint64) bool {
-		info, err := d.drainNodeBlamed(&t.nodes[idx], int(idx), sp, wc)
-		agg.add(info)
-		if err != nil {
-			werr = err
-			return false
-		}
-		return true
-	}
+	ok := true
 	p.ForEach(func(v Value) bool {
 		idx := t.index(v)
 		if bitmap == nil {
@@ -413,140 +261,156 @@ func (d *D) drainCovered(t *dTable, p Predicate, agg *drainAgg, sp *obs.WaitSpan
 			}
 			if len(seen) < cap(seen) {
 				seen = append(seen, idx)
-				return drain(idx)
+			} else {
+				// Spill: promote to bitmap.
+				bitmap = make([]uint64, (len(t.nodes)+63)/64)
+				for _, s := range seen {
+					bitmap[s/64] |= 1 << (s % 64)
+				}
 			}
-			// Spill: promote to bitmap.
-			bitmap = make([]uint64, (len(t.nodes)+63)/64)
-			for _, s := range seen {
-				bitmap[s/64] |= 1 << (s % 64)
-			}
-		}
-		if bitmap[idx/64]&(1<<(idx%64)) != 0 {
+		} else if bitmap[idx/64]&(1<<(idx%64)) != 0 {
 			return true
 		}
-		bitmap[idx/64] |= 1 << (idx % 64)
-		return drain(idx)
+		if bitmap != nil {
+			bitmap[idx/64] |= 1 << (idx % 64)
+		}
+		ok = drainNode(s, &t.nodes[idx], int(idx), d.optBudget)
+		return ok
 	})
-	return werr
+	return ok
 }
 
-// drainNodeBlamed wraps drainNode with a flight-recorder blame sample.
-// D-PRCU waits block on counter nodes, not readers, so blame slots are
-// counter-node indices — the same unit stalledReaders reports.
-func (d *D) drainNodeBlamed(n *dNode, idx int, sp *obs.WaitSpan, wc *waitControl) (drainInfo, error) {
-	bs := d.met.BlameStart(sp)
-	info, err := d.drainNode(n, wc)
-	if info.waited {
-		d.met.BlameSample(sp, idx, bs)
-	}
-	return info, err
-}
+// The stages of one node drain, in order.
+const (
+	drainHoping  = iota // optimistic: hoping both counters are seen at zero
+	drainLocking        // acquiring the node lock, or piggybacking on its holders
+	drainOld            // lock held: draining the phase arrivals no longer use
+	drainNew            // lock held, gate toggled: draining the phase they did use
+)
 
 // drainNode waits until node n has been observed with zero readers in each
 // counter (Lemma 1), first optimistically and then via the gate protocol
 // (Algorithm 2 lines 14–20), piggybacking on a concurrent drain when the
-// node lock is contended.
-func (d *D) drainNode(n *dNode, wc *waitControl) (drainInfo, error) {
-	// Optimistic waiting (§4.2): hope readers drain naturally, avoiding the
-	// lock and the gate toggle. Lemma 1 needs each counter observed at zero
-	// at some point during the wait — not simultaneously — so the two
-	// observations are tracked independently. The phase is budget-bounded,
-	// so no cancellation check is needed inside it.
-	info := drainInfo{outcome: obs.DrainOptimistic}
-	if d.optBudget > 0 {
-		seen0 := n.readers[0].Load() == 0
-		seen1 := n.readers[1].Load() == 0
-		if seen0 && seen1 {
-			return info, nil // clean: no readers present on first look
-		}
-		info.waited = true
-		if spin.UntilBudgetTuned(func() bool {
-			seen0 = seen0 || n.readers[0].Load() == 0
-			seen1 = seen1 || n.readers[1].Load() == 0
-			return seen0 && seen1
-		}, d.optBudget, d.tuning()) {
-			return info, nil
-		}
+// node lock is contended. It returns false when the wait was cancelled.
+// SRCU's wait is this function applied to its one node.
+//
+// The protocol is the node's blocking test: a little state machine that
+// advances as far as it can each time the session polls it and reports
+// whether it is still blocked.
+//
+// Optimistic waiting (§4.2): hope readers drain naturally, avoiding the
+// lock and the gate toggle. Lemma 1 needs each counter observed at zero at
+// some point during the wait — not simultaneously — so the two
+// observations are tracked independently. budget bounds the back-off steps
+// spent hoping; <= 0 goes straight to the lock.
+//
+// Batching (§4.2, implemented here although the paper defers it): if
+// another drain holds the lock, piggyback instead of queueing — wait until
+// the completed-drain counter advances by two past our arrival. Drain s0+1
+// may already have been mid-protocol when we arrived, but drain s0+2
+// started after s0+1 finished, i.e. after we arrived, so its two-phase
+// sweep covers every reader we are obliged to wait for.
+//
+// Full protocol: drain the inactive phase, toggle the gate so new arrivals
+// use the drained phase, then drain the previously active phase.
+// Termination needs only that readers keep taking steps. On cancellation
+// the lock is released without advancing drains — the protocol is
+// restartable, and a mid-protocol gate toggle only means the next drain
+// starts from the other phase.
+func drainNode(s *waitSession, n *dNode, idx, budget int) bool {
+	s.scanned++
+	if budget > 0 && n.readers[0].Load() == 0 && n.readers[1].Load() == 0 {
+		s.drains[obs.DrainOptimistic]++ // clean: no readers present on first look
+		return true
 	}
-	info.waited = true
-
-	// Batching (§4.2, implemented here although the paper defers it): if
-	// another drain holds the lock, piggyback instead of queueing — wait
-	// until the completed-drain counter advances by two past our arrival.
-	// Drain s0+1 may already have been mid-protocol when we arrived, but
-	// drain s0+2 started after s0+1 finished, i.e. after we arrived, so
-	// its two-phase sweep covers every reader we are obliged to wait for.
-	s0 := n.drains.Load()
-	w := d.waiter()
-	for !n.mu.TryLock() {
-		if n.drains.Load() >= s0+2 {
-			info.outcome = obs.DrainPiggyback
-			info.parked = w.Yielded()
-			return info, nil
-		}
-		if err := wc.step(&w); err != nil {
-			info.parked = w.Yielded()
-			return info, err
-		}
-	}
-
-	// Full protocol: drain the inactive phase, toggle the gate so new
-	// arrivals use the drained phase, then drain the previously active
-	// phase. Termination needs only that readers keep taking steps. On
-	// cancellation the lock is released without advancing drains — the
-	// protocol is restartable, and a mid-protocol gate toggle only means
-	// the next drain starts from the other phase.
-	info.outcome = obs.DrainGate
-	g := n.gate.Load() & 1
-	w.Reset()
-	for n.readers[1-g].Load() != 0 {
-		if err := wc.step(&w); err != nil {
-			info.parked = w.Yielded()
-			n.mu.Unlock()
-			return info, err
-		}
-	}
-	n.gate.Store(1 - g)
-	for n.readers[g].Load() != 0 {
-		if err := wc.step(&w); err != nil {
-			info.parked = w.Yielded()
-			n.mu.Unlock()
-			return info, err
-		}
-	}
-	info.parked = w.Yielded()
-	n.drains.Add(1)
-	n.mu.Unlock()
-	return info, nil
+	return drainBusyNode(s, n, idx, budget)
 }
 
-// stalledReaders implements stallProber. D-PRCU waits block on counter
-// nodes, not readers, so Slot is the counter-node index in the current
-// table; for an enumerable predicate Value records one covered value that
-// hashes to the node (the diagnostic the hash obscures otherwise).
+// drainBusyNode is drainNode past the first look: the node's protocol,
+// polled by the session. The lock and gate stages each restart the back-off
+// ladder (rearm): what they poll changes on a different timescale from the
+// optimistic hope, whose exhausted budget has backed off to full yield
+// bursts or parks by then.
+func drainBusyNode(s *waitSession, n *dNode, idx, budget int) bool {
+	stage, outcome := drainHoping, obs.DrainOptimistic
+	var seen0, seen1 bool
+	var s0, g uint64
+	if budget <= 0 {
+		stage, s0 = drainLocking, n.drains.Load()
+	}
+	ok := s.await(idx, func() bool {
+		switch stage {
+		case drainHoping:
+			seen0 = seen0 || n.readers[0].Load() == 0
+			seen1 = seen1 || n.readers[1].Load() == 0
+			if seen0 && seen1 {
+				return false
+			}
+			if budget > 0 {
+				budget--
+				return true
+			}
+			stage, s0 = drainLocking, n.drains.Load()
+			s.rearm()
+			fallthrough
+		case drainLocking:
+			if !n.mu.TryLock() {
+				if n.drains.Load() < s0+2 {
+					return true
+				}
+				outcome = obs.DrainPiggyback
+				return false
+			}
+			stage, outcome, g = drainOld, obs.DrainGate, n.gate.Load()&1
+			s.rearm()
+			fallthrough
+		case drainOld:
+			if n.readers[1-g].Load() != 0 {
+				return true
+			}
+			n.gate.Store(1 - g)
+			stage = drainNew
+			fallthrough
+		default:
+			if n.readers[g].Load() != 0 {
+				return true
+			}
+			n.drains.Add(1)
+			n.mu.Unlock()
+			return false
+		}
+	})
+	if !ok && stage >= drainOld {
+		n.mu.Unlock()
+	}
+	s.drains[outcome]++
+	return ok
+}
+
+// stalledReaders implements engine. D-PRCU waits block on counter nodes,
+// not readers, so Slot is the counter-node index in the current table; for
+// an enumerable predicate Value records one covered value that hashes to
+// the node (the diagnostic the hash obscures otherwise).
 func (d *D) stalledReaders(p Predicate) []StalledReader {
 	t := d.tbl.Load()
-	occupied := func(n *dNode) bool {
-		return n.readers[0].Load() != 0 || n.readers[1].Load() != 0
-	}
 	var out []StalledReader
+	report := func(idx int, sr StalledReader) {
+		if n := &t.nodes[idx]; n.readers[0].Load() != 0 || n.readers[1].Load() != 0 {
+			sr.Slot = idx
+			out = append(out, sr)
+		}
+	}
 	if !p.Enumerable() {
 		for j := range t.nodes {
-			if occupied(&t.nodes[j]) {
-				out = append(out, StalledReader{Slot: j})
-			}
+			report(j, StalledReader{})
 		}
 		return out
 	}
 	seen := make(map[uint64]bool)
 	p.ForEach(func(v Value) bool {
-		idx := t.index(v)
-		if seen[idx] {
-			return true
-		}
-		seen[idx] = true
-		if occupied(&t.nodes[idx]) {
-			out = append(out, StalledReader{Slot: int(idx), Value: v, HasValue: true})
+		if idx := t.index(v); !seen[idx] {
+			seen[idx] = true
+			report(int(idx), StalledReader{Value: v, HasValue: true})
 		}
 		return true
 	})
@@ -569,8 +433,7 @@ func (d *D) Resize(newSize int) {
 	}
 	d.old.Store(ot)
 	d.tbl.Store(nt)
-	for j := range ot.nodes {
-		d.drainNode(&ot.nodes[j], nil)
-	}
+	s := waitSession{e: &d.hooks}
+	d.drainAll(&s, ot)
 	d.old.Store(nil)
 }

@@ -19,9 +19,8 @@ type timeNode struct {
 	time  pad.Int64
 }
 
-// newTimeNodeSeg allocates per-segment timeNode state (n nodes, all
-// quiescent); it is the registry newSeg hook shared by the timestamp
-// engines.
+// newTimeNodeSeg allocates n quiescent timeNodes; it is the registry
+// newSeg hook of the timestamp engines.
 func newTimeNodeSeg(n int) []timeNode {
 	nodes := make([]timeNode, n)
 	for i := range nodes {
@@ -39,10 +38,7 @@ func newTimeNodeSeg(n int) []timeNode {
 // and the clock satisfies the two properties the proof needs, monotonicity
 // and cross-thread consistency (see internal/tsc).
 type EER struct {
-	metered
-	resilient
-	tunable
-	reg   *registry
+	base[timeNode]
 	clock Clock
 }
 
@@ -54,23 +50,12 @@ func NewEER(maxReaders int, clock Clock) *EER {
 		clock = tsc.NewMonotonic()
 	}
 	e := &EER{clock: clock}
-	e.reg = newRegistry(maxReaders, func(base, size int) any {
-		return newTimeNodeSeg(size)
-	})
+	e.setup(e, maxReaders, newTimeNodeSeg)
 	return e
 }
 
 // Name implements RCU.
 func (e *EER) Name() string { return "EER-PRCU" }
-
-// MaxReaders implements RCU.
-func (e *EER) MaxReaders() int { return e.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (e *EER) LiveReaders() int { return e.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (e *EER) SlotCapacity() int { return e.reg.capacity() }
 
 // eerReader is one registered EER reader (one slot of the Nodes array).
 type eerReader struct {
@@ -83,11 +68,10 @@ type eerReader struct {
 
 // Register implements RCU.
 func (e *EER) Register() (Reader, error) {
-	slot, sg, err := e.reg.acquire()
+	slot, n, err := e.reg.acquire()
 	if err != nil {
 		return nil, err
 	}
-	n := &sg.state.([]timeNode)[slot-sg.base]
 	n.time.Store(tsc.Infinity)
 	return &eerReader{e: e, node: n, lane: e.lane(slot), slot: slot}, nil
 }
@@ -129,164 +113,56 @@ func (r *eerReader) Unregister() {
 	r.node = nil
 }
 
-// WaitForReaders implements RCU (Algorithm 1 lines 9–16). The scan is
-// read-only, so concurrent waits proceed without synchronizing with each
-// other — the property that makes EER-PRCU waits scale with update threads.
+// covered is the blocking test of Algorithms 1 and 3: node n holds a
+// critical section that began no later than t0 on a value p holds for.
+//
+// It is evaluated afresh on every poll (rather than the predicate once, as
+// the pseudo code shows), which only relaxes waiting: if the reader
+// re-entered on a value p does not hold for, its pre-existing critical
+// section has necessarily exited — any covered section it held was entered
+// with an earlier value (single writer, no nesting).
+func covered(n *timeNode, t0 int64, p Predicate) bool {
+	return n.time.Load() <= t0 && p.Holds(n.value.Load())
+}
+
+// WaitForReaders implements RCU.
+func (e *EER) WaitForReaders(p Predicate) { e.WaitForReadersCtx(nil, p) }
+
+// WaitForReadersCtx implements RCU: wait-for-readers (Algorithm 1 lines
+// 9–16), bounded by ctx when it is non-nil. The scan is read-only, so
+// concurrent waits proceed without synchronizing with each other — the
+// property that makes EER-PRCU waits scale with update threads — and a wait
+// abandoned on cancellation leaves nothing behind.
 //
 // Scanning the calling goroutine's own slot is harmless: a correct caller
 // is quiescent while waiting, so its own node reads Infinity and is skipped
 // immediately. This removes the paper's "for each thread Tj != Ti"
 // bookkeeping without changing behavior.
-func (e *EER) WaitForReaders(p Predicate) {
-	if st := e.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		e.waitReaders(p, newControl(nil, st, p, e))
-		return
-	}
-	// Unarmed fast path: the pre-resilience wait, verbatim, so an unarmed
-	// wait costs exactly what it did before the watchdog existed. Keep in
-	// sync with waitReaders, its wc.step-controlled twin.
-	m := e.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	// Algorithm 1 line 10's fence (make the updater's prior writes visible
-	// before reading the clock) is implied by SC ordering of the atomic
-	// node loads below against the caller's preceding atomic stores.
-	t0 := e.clock.Now()
-	w := e.waiter()
-	var scanned, waited, parked uint64
-	e.reg.forEachActive(func(sg *segment, i int) {
-		scanned++
-		n := &sg.state.([]timeNode)[i]
-		w.Reset()
-		looped := false
-		var bs int64
-		for {
-			// Re-evaluating the predicate each iteration (rather than once,
-			// as the pseudo code shows) only relaxes waiting: if the reader
-			// re-entered on a value P does not hold for, its pre-existing
-			// critical section has necessarily exited.
-			t := n.time.Load()
-			if t > t0 {
-				break
-			}
-			if !p.Holds(n.value.Load()) {
-				// The value current at this instant is not covered. Any
-				// covered critical section this reader held was entered
-				// with an earlier value and has since exited (single
-				// writer, no nesting).
-				break
-			}
-			if !looped {
-				looped = true
-				bs = m.BlameStart(&start)
-			}
-			w.Wait()
-		}
-		if looped {
-			waited++
-			m.BlameSample(&start, sg.base+i, bs)
-			if w.Yielded() {
-				parked++
-			}
-		}
-	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-}
-
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx.
 func (e *EER) WaitForReadersCtx(ctx context.Context, p Predicate) error {
-	wc := e.control(ctx, p, e)
-	if err := wc.pre(); err != nil {
+	s := waitSession{e: &e.hooks}
+	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	return e.waitReaders(p, wc)
-}
-
-func (e *EER) waitReaders(p Predicate, wc *waitControl) error {
-	m := e.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
 	// Algorithm 1 line 10's fence (make the updater's prior writes visible
 	// before reading the clock) is implied by SC ordering of the atomic
 	// node loads below against the caller's preceding atomic stores.
 	t0 := e.clock.Now()
-	w := e.waiter()
-	var scanned, waited, parked uint64
-	var werr error
-	e.reg.forEachActive(func(sg *segment, i int) {
-		if werr != nil {
-			return
-		}
-		scanned++
-		n := &sg.state.([]timeNode)[i]
-		w.Reset()
-		looped := false
-		var bs int64
-		for {
-			// Re-evaluating the predicate each iteration (rather than once,
-			// as the pseudo code shows) only relaxes waiting: if the reader
-			// re-entered on a value P does not hold for, its pre-existing
-			// critical section has necessarily exited.
-			t := n.time.Load()
-			if t > t0 {
-				break
-			}
-			if !p.Holds(n.value.Load()) {
-				// The value current at this instant is not covered. Any
-				// covered critical section this reader held was entered
-				// with an earlier value and has since exited (single
-				// writer, no nesting).
-				break
-			}
-			if !looped {
-				looped = true
-				bs = m.BlameStart(&start)
-			}
-			if err := wc.step(&w); err != nil {
-				werr = err
-				break
-			}
-		}
-		if looped {
-			waited++
-			m.BlameSample(&start, sg.base+i, bs)
-			if w.Yielded() {
-				parked++
-			}
-		}
+	e.reg.forEachActive(func(n *timeNode, slot int) bool {
+		s.scanned++
+		return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
 	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-	return werr
+	return s.end()
 }
 
-// stalledReaders implements stallProber: the covered open critical
-// sections a wait on p is blocked on, read from the same per-slot nodes
-// the wait scans.
+// stalledReaders implements engine: the covered critical sections open
+// now, with their value and age.
 func (e *EER) stalledReaders(p Predicate) []StalledReader {
 	now := e.clock.Now()
-	var out []StalledReader
-	e.reg.forEachActive(func(sg *segment, i int) {
-		n := &sg.state.([]timeNode)[i]
-		t := n.time.Load()
-		if t == tsc.Infinity {
-			return
+	return stalledSlots(e.reg, func(n *timeNode, sr *StalledReader) bool {
+		if !covered(n, now, p) {
+			return false
 		}
-		v := n.value.Load()
-		if !p.Holds(v) {
-			return
-		}
-		out = append(out, StalledReader{
-			Slot: sg.base + i, Value: v, HasValue: true, OpenFor: clampDur(now - t),
-		})
+		sr.Value, sr.HasValue, sr.OpenFor = n.value.Load(), true, clampDur(now-n.time.Load())
+		return true
 	})
-	return out
 }

@@ -51,10 +51,7 @@ import (
 // still mandatory, and why Go's all-seq-cst sync/atomic discharges both
 // obligations).
 type Packed struct {
-	metered
-	resilient
-	tunable
-	reg *registry
+	base[pad.Uint32]
 	// gp is the global epoch, pre-shifted into bits 1..31 (always even).
 	// It only ever advances, via Add — the RMW doubles as the seq-cst
 	// fence between a waiter's prior stores and its reader-word scan.
@@ -72,23 +69,12 @@ const (
 // concurrent readers (0 = grow on demand).
 func NewPacked(maxReaders int) *Packed {
 	p := &Packed{}
-	p.reg = newRegistry(maxReaders, func(base, size int) any {
-		return make([]pad.Uint32, size)
-	})
+	p.setup(p, maxReaders, zeroSeg[pad.Uint32])
 	return p
 }
 
 // Name implements RCU.
 func (p *Packed) Name() string { return "Packed RCU" }
-
-// MaxReaders implements RCU.
-func (p *Packed) MaxReaders() int { return p.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (p *Packed) LiveReaders() int { return p.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (p *Packed) SlotCapacity() int { return p.reg.capacity() }
 
 type packedReader struct {
 	readerGuard
@@ -100,11 +86,10 @@ type packedReader struct {
 
 // Register implements RCU.
 func (p *Packed) Register() (Reader, error) {
-	slot, sg, err := p.reg.acquire()
+	slot, w, err := p.reg.acquire()
 	if err != nil {
 		return nil, err
 	}
-	w := &sg.state.([]pad.Uint32)[slot-sg.base]
 	w.Store(0)
 	return &packedReader{p: p, word: w, lane: p.lane(slot), slot: slot}, nil
 }
@@ -158,115 +143,38 @@ func packedOngoing(c, gp uint32) bool {
 	return c&packedActive != 0 && int32((c&^packedActive)-gp) < 0
 }
 
-// WaitForReaders implements RCU. The predicate is ignored. Each phase
-// advances the epoch with one fetch-and-add (no writer mutex — see the
-// type comment) and drains every active reader older than the new epoch;
-// readers entering during the drain adopt the new epoch and are skipped.
-func (p *Packed) WaitForReaders(pred Predicate) {
-	if st := p.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		p.waitReaders(pred, newControl(nil, st, pred, p))
-		return
-	}
-	// Unarmed fast path: keep in sync with waitReaders, its
-	// wc.step-controlled twin.
-	m := p.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	var scanned, waited, parked uint64
-	for phase := 0; phase < 2; phase++ {
-		g := p.gp.Add(packedEpochInc)
-		w := p.waiter()
-		p.reg.forEachActive(func(sg *segment, i int) {
-			scanned++
-			c := &sg.state.([]pad.Uint32)[i]
-			// One load decides quiescent slots; only an ongoing covered
-			// section pays the spin loop.
-			if !packedOngoing(c.Load(), g) {
-				return
-			}
-			waited++
-			bs := m.BlameStart(&start)
-			w.Reset()
-			for packedOngoing(c.Load(), g) {
-				w.Wait()
-			}
-			m.BlameSample(&start, sg.base+i, bs)
-			if w.Yielded() {
-				parked++
-			}
-		})
-	}
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-}
+// WaitForReaders implements RCU.
+func (p *Packed) WaitForReaders(pred Predicate) { p.WaitForReadersCtx(nil, pred) }
 
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx.
+// WaitForReadersCtx implements RCU: wait-for-readers, bounded by ctx when
+// it is non-nil. The predicate is ignored. Each phase advances the epoch
+// with one fetch-and-add (no writer mutex — see the type comment) and
+// drains every active reader older than the new epoch; readers entering
+// during the drain adopt the new epoch and are skipped. One load decides a
+// quiescent slot.
+//
 // Cancellation mid-protocol is safe: an abandoned flip just leaves the
 // monotone epoch advanced, and the next wait fetch-and-adds past it and
 // drains everything older, so it still covers every pre-existing reader.
 func (p *Packed) WaitForReadersCtx(ctx context.Context, pred Predicate) error {
-	wc := p.control(ctx, pred, p)
-	if err := wc.pre(); err != nil {
+	s := waitSession{e: &p.hooks}
+	if err := s.begin(ctx, &pred); err != nil {
 		return err
 	}
-	return p.waitReaders(pred, wc)
-}
-
-func (p *Packed) waitReaders(_ Predicate, wc *waitControl) error {
-	m := p.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
-	var scanned, waited, parked uint64
-	var werr error
-	for phase := 0; phase < 2 && werr == nil; phase++ {
+	for phase := 0; phase < 2 && s.err == nil; phase++ {
 		g := p.gp.Add(packedEpochInc)
-		w := p.waiter()
-		p.reg.forEachActive(func(sg *segment, i int) {
-			if werr != nil {
-				return
-			}
-			scanned++
-			c := &sg.state.([]pad.Uint32)[i]
-			if !packedOngoing(c.Load(), g) {
-				return
-			}
-			waited++
-			bs := m.BlameStart(&start)
-			w.Reset()
-			for packedOngoing(c.Load(), g) {
-				if err := wc.step(&w); err != nil {
-					werr = err
-					break
-				}
-			}
-			m.BlameSample(&start, sg.base+i, bs)
-			if w.Yielded() {
-				parked++
-			}
+		p.reg.forEachActive(func(c *pad.Uint32, slot int) bool {
+			s.scanned++
+			return !packedOngoing(c.Load(), g) || s.await(slot, func() bool { return packedOngoing(c.Load(), g) })
 		})
 	}
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-	return werr
+	return s.end()
 }
 
-// stalledReaders implements stallProber: active readers whose epoch is
-// older than the current global epoch — the sections a wait in progress
-// is (or would be) blocked on.
+// stalledReaders implements engine: active readers whose epoch is older
+// than the current global epoch — the sections a wait in progress is (or
+// would be) blocked on.
 func (p *Packed) stalledReaders(Predicate) []StalledReader {
 	g := p.gp.Load()
-	var out []StalledReader
-	p.reg.forEachActive(func(sg *segment, i int) {
-		if packedOngoing(sg.state.([]pad.Uint32)[i].Load(), g) {
-			out = append(out, StalledReader{Slot: sg.base + i})
-		}
-	})
-	return out
+	return stalledSlots(p.reg, func(c *pad.Uint32, _ *StalledReader) bool { return packedOngoing(c.Load(), g) })
 }

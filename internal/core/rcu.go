@@ -64,7 +64,7 @@ type MetricsCarrier interface {
 }
 
 // SlotCapacitor is implemented by every engine backed by the segmented
-// reader registry: SlotCapacity reports the number of reader slots
+// reader registry (via the base embed): SlotCapacity reports the number of reader slots
 // currently allocated (≥ live readers, grows on demand). Observability
 // attachment uses it to presize per-reader metric lanes for uncapped
 // engines, whose MaxReaders is 0.
@@ -180,22 +180,22 @@ const (
 // it back. active[i] is scanned by wait-for-readers; a releasing reader
 // is always quiescent, so a scan observing a stale flag sees a quiescent
 // slot — safe to skip or to wait zero time on.
-type segment struct {
+type segment[S any] struct {
 	base int // global index of this segment's slot 0 (multiple of segSize)
 	size int // valid slots; < segSize only for the last segment of a capped registry
 	free atomic.Uint64
 	// active flags are padded: they sit on the wait-for-readers scan path
 	// and must not false-share with neighboring slots' flags.
 	active [segSize]pad.Bool
-	// state holds the engine's per-segment slot state (e.g. []timeNode),
-	// allocated by the registry's newSeg hook at append time. Immutable
-	// after construction; nil for engines with no scanned per-slot state.
-	state any
+	// state holds the engine's slot state, one S per slot, allocated by
+	// the registry's newSeg hook at append time. The slice is immutable
+	// after construction.
+	state []S
 }
 
 // claim grabs a free slot in the segment, marking it active. It returns
 // the in-segment index.
-func (sg *segment) claim() (int, bool) {
+func (sg *segment[S]) claim() (int, bool) {
 	for {
 		f := sg.free.Load()
 		if f == 0 {
@@ -210,21 +210,21 @@ func (sg *segment) claim() (int, bool) {
 }
 
 // registry manages reader slot allocation for the engines as a growable
-// segmented array. The segment list is reached through an atomic pointer
-// and only ever grows (copy-on-append under growMu); individual segments
-// never move, so concurrent WaitForReaders scans iterate a stable prefix
-// without locks or copies. Acquire and release are lock-free segment
-// bitmap operations — O(1) amortized, versus the former global mutex
-// with an O(MaxReaders) linear scan.
-type registry struct {
+// segmented array, typed by the engine's per-slot state S. The segment
+// list is reached through an atomic pointer and only ever grows
+// (copy-on-append under growMu); individual segments never move, so
+// concurrent WaitForReaders scans iterate a stable prefix without locks or
+// copies. Acquire and release are lock-free segment bitmap operations —
+// O(1) amortized, versus the former global mutex with an O(MaxReaders)
+// linear scan.
+type registry[S any] struct {
 	// cap, when positive, bounds the total slot count (the engine's
 	// MaxReaders); 0 means grow on demand without bound.
 	cap int
-	// newSeg allocates the engine's per-segment slot state for a new
-	// segment covering global slots [base, base+size). May be nil.
-	newSeg func(base, size int) any
+	// newSeg allocates the slot state for a new segment of n slots.
+	newSeg func(n int) []S
 
-	segs   atomic.Pointer[[]*segment]
+	segs   atomic.Pointer[[]*segment[S]]
 	growMu sync.Mutex
 	// hint is the segment index acquire starts probing at — the last
 	// segment that had a free slot. Purely a performance hint.
@@ -237,25 +237,26 @@ type registry struct {
 	count atomic.Int32
 }
 
+// zeroSeg is the newSeg hook for engines whose slot state starts at its
+// zero value (and, with S = struct{}, for engines that keep none).
+func zeroSeg[S any](n int) []S { return make([]S, n) }
+
 // newRegistry returns a registry capped at capReaders slots (0 =
-// unbounded), with one segment pre-allocated. newSeg, when non-nil, is
-// invoked once per appended segment to allocate engine slot state.
-func newRegistry(capReaders int, newSeg func(base, size int) any) *registry {
+// unbounded), with one segment pre-allocated. newSeg is invoked once per
+// appended segment.
+func newRegistry[S any](capReaders int, newSeg func(n int) []S) *registry[S] {
 	if capReaders < 0 {
 		panic(fmt.Sprintf("prcu: maxReaders must be non-negative, got %d", capReaders))
 	}
-	r := &registry{cap: capReaders, newSeg: newSeg}
-	empty := make([]*segment, 0)
+	r := &registry[S]{cap: capReaders, newSeg: newSeg}
+	empty := make([]*segment[S], 0)
 	r.segs.Store(&empty)
 	r.grow(0)
 	return r
 }
 
-// maxReaders returns the configured cap (0 = unbounded).
-func (r *registry) maxReaders() int { return r.cap }
-
 // capacity returns the number of slots currently allocated.
-func (r *registry) capacity() int {
+func (r *registry[S]) capacity() int {
 	segs := *r.segs.Load()
 	if len(segs) == 0 {
 		return 0
@@ -264,25 +265,17 @@ func (r *registry) capacity() int {
 	return last.base + last.size
 }
 
-// segments returns the current segment list. The returned slice is
-// immutable; later growth installs a new slice.
-func (r *registry) segments() []*segment { return *r.segs.Load() }
-
 // grow appends one segment, unless the cap is exhausted (returns false)
 // or another goroutine already grew past the seen segment count (returns
 // true so the caller rescans instead of over-growing).
-func (r *registry) grow(seen int) bool {
+func (r *registry[S]) grow(seen int) bool {
 	r.growMu.Lock()
 	defer r.growMu.Unlock()
 	segs := *r.segs.Load()
 	if len(segs) != seen {
 		return true
 	}
-	base := 0
-	if n := len(segs); n > 0 {
-		last := segs[n-1]
-		base = last.base + last.size
-	}
+	base := r.capacity()
 	if r.cap > 0 && base >= r.cap {
 		return false
 	}
@@ -292,16 +285,13 @@ func (r *registry) grow(seen int) bool {
 		// remainder as free bits so acquire exhausts at exactly cap.
 		size = r.cap - base
 	}
-	sg := &segment{base: base, size: size}
+	sg := &segment[S]{base: base, size: size, state: r.newSeg(size)}
 	if size == segSize {
 		sg.free.Store(^uint64(0))
 	} else {
 		sg.free.Store(uint64(1)<<uint(size) - 1)
 	}
-	if r.newSeg != nil {
-		sg.state = r.newSeg(base, size)
-	}
-	next := make([]*segment, len(segs)+1)
+	next := make([]*segment[S], len(segs)+1)
 	copy(next, segs)
 	next[len(segs)] = sg
 	r.segs.Store(&next)
@@ -309,8 +299,9 @@ func (r *registry) grow(seen int) bool {
 }
 
 // acquire reserves a free slot and marks it active, growing the segment
-// list when every existing segment is full.
-func (r *registry) acquire() (int, *segment, error) {
+// list when every existing segment is full. It returns the slot's global
+// index and its state.
+func (r *registry[S]) acquire() (int, *S, error) {
 	for {
 		segs := *r.segs.Load()
 		n := len(segs)
@@ -337,7 +328,7 @@ func (r *registry) acquire() (int, *segment, error) {
 				}
 			}
 			r.count.Add(1)
-			return slot, sg, nil
+			return slot, &sg.state[i], nil
 		}
 		if !r.grow(n) {
 			return 0, nil, ErrTooManyReaders
@@ -347,7 +338,7 @@ func (r *registry) acquire() (int, *segment, error) {
 
 // release returns slot to the free pool. The caller must have already
 // reset the engine-specific slot state to quiescent.
-func (r *registry) release(slot int) {
+func (r *registry[S]) release(slot int) {
 	segs := *r.segs.Load()
 	si := slot >> segShift
 	if slot < 0 || si >= len(segs) || slot-segs[si].base >= segs[si].size {
@@ -376,31 +367,25 @@ func (r *registry) release(slot int) {
 	r.count.Add(-1)
 }
 
-// scanLimit returns the exclusive upper bound for slot scans.
-func (r *registry) scanLimit() int { return int(r.limit.Load()) }
-
-// forEachActive invokes fn for every active slot below the current scan
-// limit, handing it the slot's segment and in-segment index. A released
+// forEachActive invokes fn with the state and global index of every active
+// slot below the current scan limit, until fn returns false. A released
 // slot is always left quiescent by the owning engine before its active
 // flag clears, so a concurrent scan observing a stale flag sees either an
 // active quiescent slot or an inactive one — both safe.
-func (r *registry) forEachActive(fn func(sg *segment, i int)) {
+func (r *registry[S]) forEachActive(fn func(st *S, slot int) bool) {
 	limit := int(r.limit.Load())
 	for _, sg := range *r.segs.Load() {
 		if sg.base >= limit {
 			return
 		}
-		n := sg.size
-		if limit-sg.base < n {
-			n = limit - sg.base
-		}
+		n := min(sg.size, limit-sg.base)
 		for i := 0; i < n; i++ {
-			if sg.active[i].Load() {
-				fn(sg, i)
+			if sg.active[i].Load() && !fn(&sg.state[i], sg.base+i) {
+				return
 			}
 		}
 	}
 }
 
 // liveReaders returns the number of registered readers.
-func (r *registry) liveReaders() int { return int(r.count.Load()) }
+func (r *registry[S]) liveReaders() int { return int(r.count.Load()) }

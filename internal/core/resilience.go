@@ -1,27 +1,20 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"prcu/internal/obs"
-	"prcu/internal/spin"
 	"prcu/internal/tsc"
 )
 
-// This file is the grace-period resilience layer shared by every engine:
-// deadline/cancellation-aware waiting (WaitForReadersCtx) and the stall
-// watchdog (StallConfig/StallReport). Both piggyback on the waiting
-// discipline the engines already use — checks run only once a
-// spin.Waiter has crossed from pure spinning into scheduler yields, so
-// the common fast path (wait resolves within the spin budget, or no
-// covered readers at all) executes exactly the pre-resilience code: for
-// a wait with no Context and no watchdog configured, the only addition
-// is one atomic pointer load at wait start.
+// This file is the configuration and reporting half of the grace-period
+// resilience layer: the stall watchdog's StallConfig/StallReport and the
+// hook point every engine embeds. The half that runs inside a wait —
+// cancellation polling and the watchdog check — is waitSession.step in
+// scan.go.
 
 // DefaultStallRateLimit is the minimum interval between repeat stall
 // reports for one engine, in the spirit of the kernel's RCU CPU stall
@@ -127,9 +120,8 @@ type stallState struct {
 	last atomic.Int64
 }
 
-// resilient is the resilience hook point embedded by every engine,
-// alongside metered. The zero value is an unarmed watchdog with no
-// flavor token.
+// resilient is the resilience hook point embedded by every engine (via
+// hooks). The zero value is an unarmed watchdog with no flavor token.
 type resilient struct {
 	stallCfg atomic.Pointer[stallState]
 	flavor   atomic.Pointer[string]
@@ -202,148 +194,6 @@ func (r *resilient) SetStallConfig(cfg StallConfig) {
 	// without now-last underflowing for any clock epoch.
 	st.last.Store(math.MinInt64 / 4)
 	r.stallCfg.Store(st)
-}
-
-// stallProber is what a waitControl needs from its engine to assemble a
-// StallReport: the engine's name and flavor token, its metrics (for the
-// stall counters; every engine provides it via the embedded metered),
-// and a read-only scan of the open critical sections a predicate's wait
-// is blocked on.
-type stallProber interface {
-	Name() string
-	FlavorToken() string
-	Metrics() *obs.Metrics
-	stalledReaders(p Predicate) []StalledReader
-}
-
-// waitControl carries one wait's cancellation and stall-detection state.
-// A nil *waitControl is the fast path: no Context, no watchdog — step
-// degenerates to spin.Waiter.Wait.
-type waitControl struct {
-	ctx    context.Context // nil for background waits
-	done   <-chan struct{}
-	st     *stallState
-	prober stallProber
-	met    *obs.Metrics
-	pred   Predicate
-	// startNs is the stall clock's reading at wait start (set only when
-	// the watchdog is armed).
-	startNs int64
-}
-
-// control builds the wait's control block, or nil when neither a
-// cancelable Context nor a watchdog is in play. It backs the
-// WaitForReadersCtx entry points; the plain WaitForReaders paths check
-// the armed watchdog inline instead (one atomic load and a branch) and
-// run their pre-resilience loop verbatim when it is unarmed.
-func (r *resilient) control(ctx context.Context, p Predicate, prober stallProber) *waitControl {
-	st := r.stallCfg.Load()
-	if st == nil && ctx == nil {
-		return nil
-	}
-	return newControl(ctx, st, p, prober)
-}
-
-// newControl is control's slow path: an armed watchdog or a Context is
-// in play (though a Context that can never be cancelled still yields a
-// nil control).
-func newControl(ctx context.Context, st *stallState, p Predicate, prober stallProber) *waitControl {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	if st == nil && done == nil {
-		return nil
-	}
-	wc := &waitControl{ctx: ctx, done: done, st: st, prober: prober, met: prober.Metrics(), pred: p}
-	if st != nil {
-		wc.startNs = st.cfg.Clock.Now()
-	}
-	return wc
-}
-
-// Ctx returns the Context the wait runs under, nil for background waits
-// (or on the nil fast-path control). The flight recorder reads it to
-// pick up a grace-period ID threaded down from the reclaimer or
-// migrator.
-func (wc *waitControl) Ctx() context.Context {
-	if wc == nil {
-		return nil
-	}
-	return wc.ctx
-}
-
-// pre reports an already-expired Context before any waiting starts, so
-// WaitForReadersCtx with a dead Context fails fast instead of scanning.
-func (wc *waitControl) pre() error {
-	if wc == nil || wc.done == nil {
-		return nil
-	}
-	select {
-	case <-wc.done:
-		return wc.ctx.Err()
-	default:
-		return nil
-	}
-}
-
-// step performs one back-off step of w, checking cancellation and the
-// stall watchdog only after w has crossed from its spin phase into
-// scheduler yields. On the nil receiver it is exactly w.Wait(): the
-// deadline checks ride the park/backoff transition, never the spin
-// iterations, preserving the engines' wait-side cost model.
-func (wc *waitControl) step(w *spin.Waiter) error {
-	w.Wait()
-	if wc == nil || !w.Yielded() {
-		return nil
-	}
-	return wc.check()
-}
-
-// check polls the Context and the watchdog. It is called only from the
-// yielding phase of a wait loop, i.e. at scheduler-boundary frequency.
-func (wc *waitControl) check() error {
-	if wc.done != nil {
-		select {
-		case <-wc.done:
-			return wc.ctx.Err()
-		default:
-		}
-	}
-	if wc.st != nil {
-		wc.checkStall()
-	}
-	return nil
-}
-
-// checkStall fires the watchdog when this wait has exceeded the stall
-// timeout and the engine-wide rate limiter admits a report.
-func (wc *waitControl) checkStall() {
-	st := wc.st
-	now := st.cfg.Clock.Now()
-	if now-wc.startNs < st.timeoutNs {
-		return
-	}
-	last := st.last.Load()
-	if now-last < st.windowNs {
-		return
-	}
-	if !st.last.CompareAndSwap(last, now) {
-		return // a concurrent stalled waiter won the window
-	}
-	rep := StallReport{
-		Engine:    wc.prober.Name(),
-		Flavor:    wc.prober.FlavorToken(),
-		Predicate: wc.pred.String(),
-		Elapsed:   time.Duration(now - wc.startNs),
-		Readers:   wc.prober.stalledReaders(wc.pred),
-	}
-	if wc.met != nil {
-		wc.met.StallDetected(uint64(len(rep.Readers)))
-	}
-	if st.cfg.OnStall != nil {
-		st.cfg.OnStall(rep)
-	}
 }
 
 // DoCritical runs fn inside a read-side critical section on v,

@@ -102,18 +102,18 @@ func (s *Simulated) WaitForReadersCtx(ctx context.Context, _ Predicate) error {
 // synchronization overhead (used by the read-overhead ablation).
 type Nop struct {
 	metered
-	reg *registry
+	reg *registry[struct{}]
 }
 
 // NewNop returns a no-op engine capped at maxReaders readers (0 = grow on
 // demand).
-func NewNop(maxReaders int) *Nop { return &Nop{reg: newRegistry(maxReaders, nil)} }
+func NewNop(maxReaders int) *Nop { return &Nop{reg: newRegistry(maxReaders, zeroSeg[struct{}])} }
 
 // Name implements RCU.
 func (n *Nop) Name() string { return "No-op (unsafe)" }
 
 // MaxReaders implements RCU.
-func (n *Nop) MaxReaders() int { return n.reg.maxReaders() }
+func (n *Nop) MaxReaders() int { return n.reg.cap }
 
 // LiveReaders returns the number of currently registered readers.
 func (n *Nop) LiveReaders() int { return n.reg.liveReaders() }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"prcu/internal/obs"
-	"prcu/internal/spin"
 )
 
 // SRCU implements McKenney's Sleepable RCU (§7 related work), the origin
@@ -19,30 +18,23 @@ import (
 // It is included for completeness of the related-work comparison; in the
 // harness it behaves like a plain RCU whose readers pay one atomic RMW.
 type SRCU struct {
-	metered
-	resilient
-	tunable
-	reg  *registry
+	// SRCU readers carry no scanned per-slot state — the shared counter
+	// node is the state — but slots still bound and account for the reader
+	// population.
+	base[struct{}]
 	node dNode
 }
 
 // NewSRCU returns an SRCU instance ("subsystem") capped at maxReaders
 // concurrent readers (0 = grow on demand).
 func NewSRCU(maxReaders int) *SRCU {
-	return &SRCU{reg: newRegistry(maxReaders, nil)}
+	s := &SRCU{}
+	s.setup(s, maxReaders, zeroSeg[struct{}])
+	return s
 }
 
 // Name implements RCU.
 func (s *SRCU) Name() string { return "SRCU" }
-
-// MaxReaders implements RCU.
-func (s *SRCU) MaxReaders() int { return s.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (s *SRCU) LiveReaders() int { return s.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (s *SRCU) SlotCapacity() int { return s.reg.capacity() }
 
 type srcuReader struct {
 	readerGuard
@@ -53,9 +45,7 @@ type srcuReader struct {
 	inCS bool
 }
 
-// Register implements RCU. SRCU readers carry no scanned per-slot state —
-// the shared counter node is the state — but slots still bound and account
-// for the reader population.
+// Register implements RCU.
 func (s *SRCU) Register() (Reader, error) {
 	slot, _, err := s.reg.acquire()
 	if err != nil {
@@ -107,195 +97,25 @@ func (r *srcuReader) Unregister() {
 	r.s = nil
 }
 
-// WaitForReaders implements RCU (synchronize_srcu). The predicate is
-// ignored; the whole subsystem is drained through the gate protocol,
-// with the same lock-holder piggybacking D-PRCU uses. SRCU has one
-// counter node, so each wait scans one node and records one drain
-// outcome.
-func (s *SRCU) WaitForReaders(p Predicate) {
-	if st := s.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		s.waitReaders(p, newControl(nil, st, p, s))
-		return
-	}
-	// Unarmed fast path: the pre-resilience wait, verbatim, so an unarmed
-	// wait costs exactly what it did before the watchdog existed. Keep in
-	// sync with waitReaders, its wc.step-controlled twin.
-	m := s.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	n := &s.node
-	if n.readers[0].Load() == 0 && n.readers[1].Load() == 0 {
-		if m != nil {
-			m.DrainCounts(1, 0, 0)
-			m.WaitEnd(start, 1, 0, 0)
-		}
-		return
-	}
-	// Readers are present, so the wait will block; SRCU has one counter
-	// node, so all blame lands on slot 0.
-	bs := m.BlameStart(&start)
-	seen0, seen1 := false, false
-	if spin.UntilBudgetTuned(func() bool {
-		seen0 = seen0 || n.readers[0].Load() == 0
-		seen1 = seen1 || n.readers[1].Load() == 0
-		return seen0 && seen1
-	}, optimisticBudget, s.tuning()) {
-		if m != nil {
-			m.BlameSample(&start, 0, bs)
-			m.DrainCounts(1, 0, 0)
-			m.WaitEnd(start, 1, 1, 0)
-		}
-		return
-	}
-	s0 := n.drains.Load()
-	w := s.waiter()
-	for !n.mu.TryLock() {
-		if n.drains.Load() >= s0+2 {
-			if m != nil {
-				var parked uint64
-				if w.Yielded() {
-					parked = 1
-				}
-				m.BlameSample(&start, 0, bs)
-				m.DrainCounts(0, 0, 1)
-				m.WaitEnd(start, 1, 1, parked)
-			}
-			return
-		}
-		w.Wait()
-	}
-	g := n.gate.Load() & 1
-	w.Reset()
-	for n.readers[1-g].Load() != 0 {
-		w.Wait()
-	}
-	n.gate.Store(1 - g)
-	for n.readers[g].Load() != 0 {
-		w.Wait()
-	}
-	n.drains.Add(1)
-	n.mu.Unlock()
-	if m != nil {
-		var parked uint64
-		if w.Yielded() {
-			parked = 1
-		}
-		m.BlameSample(&start, 0, bs)
-		m.DrainCounts(0, 1, 0)
-		m.WaitEnd(start, 1, 1, parked)
-	}
-}
+// WaitForReaders implements RCU.
+func (s *SRCU) WaitForReaders(p Predicate) { s.WaitForReadersCtx(nil, p) }
 
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx. As
-// with D-PRCU, aborting mid-gate releases the lock without advancing the
-// drains counter, leaving the protocol restartable.
+// WaitForReadersCtx implements RCU: wait-for-readers (synchronize_srcu),
+// bounded by ctx when it is non-nil. The predicate is ignored; the whole
+// subsystem is D-PRCU's drainNode applied to the one counter node, so each
+// wait scans one node, records one drain outcome and blames slot 0 — and,
+// as with D-PRCU, aborting mid-gate releases the lock without advancing
+// the drains counter, leaving the protocol restartable.
 func (s *SRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
-	wc := s.control(ctx, p, s)
-	if err := wc.pre(); err != nil {
+	ws := waitSession{e: &s.hooks}
+	if err := ws.begin(ctx, &p); err != nil {
 		return err
 	}
-	return s.waitReaders(p, wc)
+	drainNode(&ws, &s.node, 0, optimisticBudget)
+	return ws.end()
 }
 
-func (s *SRCU) waitReaders(_ Predicate, wc *waitControl) error {
-	m := s.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
-	n := &s.node
-	if n.readers[0].Load() == 0 && n.readers[1].Load() == 0 {
-		if m != nil {
-			m.DrainCounts(1, 0, 0)
-			m.WaitEnd(start, 1, 0, 0)
-		}
-		return nil
-	}
-	// See the fast path: blocked SRCU waits blame their single node, slot 0.
-	bs := m.BlameStart(&start)
-	seen0, seen1 := false, false
-	if spin.UntilBudgetTuned(func() bool {
-		seen0 = seen0 || n.readers[0].Load() == 0
-		seen1 = seen1 || n.readers[1].Load() == 0
-		return seen0 && seen1
-	}, optimisticBudget, s.tuning()) {
-		if m != nil {
-			m.BlameSample(&start, 0, bs)
-			m.DrainCounts(1, 0, 0)
-			m.WaitEnd(start, 1, 1, 0)
-		}
-		return nil
-	}
-	s0 := n.drains.Load()
-	w := s.waiter()
-	for !n.mu.TryLock() {
-		if n.drains.Load() >= s0+2 {
-			if m != nil {
-				var parked uint64
-				if w.Yielded() {
-					parked = 1
-				}
-				m.BlameSample(&start, 0, bs)
-				m.DrainCounts(0, 0, 1)
-				m.WaitEnd(start, 1, 1, parked)
-			}
-			return nil
-		}
-		if err := wc.step(&w); err != nil {
-			m.BlameSample(&start, 0, bs)
-			s.waitAborted(m, start, &w)
-			return err
-		}
-	}
-	g := n.gate.Load() & 1
-	w.Reset()
-	for n.readers[1-g].Load() != 0 {
-		if err := wc.step(&w); err != nil {
-			n.mu.Unlock()
-			m.BlameSample(&start, 0, bs)
-			s.waitAborted(m, start, &w)
-			return err
-		}
-	}
-	n.gate.Store(1 - g)
-	for n.readers[g].Load() != 0 {
-		if err := wc.step(&w); err != nil {
-			n.mu.Unlock()
-			m.BlameSample(&start, 0, bs)
-			s.waitAborted(m, start, &w)
-			return err
-		}
-	}
-	n.drains.Add(1)
-	n.mu.Unlock()
-	if m != nil {
-		var parked uint64
-		if w.Yielded() {
-			parked = 1
-		}
-		m.BlameSample(&start, 0, bs)
-		m.DrainCounts(0, 1, 0)
-		m.WaitEnd(start, 1, 1, parked)
-	}
-	return nil
-}
-
-// waitAborted records wait metrics for a cancelled SRCU wait.
-func (s *SRCU) waitAborted(m *obs.Metrics, start obs.WaitSpan, w *spin.Waiter) {
-	if m == nil {
-		return
-	}
-	var parked uint64
-	if w.Yielded() {
-		parked = 1
-	}
-	m.WaitEnd(start, 1, 1, parked)
-}
-
-// stalledReaders implements stallProber: SRCU has a single counter node
+// stalledReaders implements engine: SRCU has a single counter node
 // (Slot 0), reported when either phase counter is non-zero.
 func (s *SRCU) stalledReaders(Predicate) []StalledReader {
 	n := &s.node

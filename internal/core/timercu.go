@@ -13,11 +13,8 @@ import (
 // predicates versus from timestamp-based quiescence detection, and it is
 // the strongest plain-RCU baseline on workloads with updates.
 type TimeRCU struct {
-	metered
-	resilient
-	tunable
-	reg   *registry
-	clock Clock
+	base[timeNode] // value field unused; layout shared with EER
+	clock          Clock
 }
 
 // NewTimeRCU returns a Time RCU engine capped at maxReaders concurrent
@@ -28,24 +25,12 @@ func NewTimeRCU(maxReaders int, clock Clock) *TimeRCU {
 		clock = tsc.NewMonotonic()
 	}
 	t := &TimeRCU{clock: clock}
-	// value field unused; layout shared with EER.
-	t.reg = newRegistry(maxReaders, func(base, size int) any {
-		return newTimeNodeSeg(size)
-	})
+	t.setup(t, maxReaders, newTimeNodeSeg)
 	return t
 }
 
 // Name implements RCU.
 func (t *TimeRCU) Name() string { return "Time RCU" }
-
-// MaxReaders implements RCU.
-func (t *TimeRCU) MaxReaders() int { return t.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (t *TimeRCU) LiveReaders() int { return t.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (t *TimeRCU) SlotCapacity() int { return t.reg.capacity() }
 
 type timeReader struct {
 	readerGuard
@@ -57,11 +42,10 @@ type timeReader struct {
 
 // Register implements RCU.
 func (t *TimeRCU) Register() (Reader, error) {
-	slot, sg, err := t.reg.acquire()
+	slot, n, err := t.reg.acquire()
 	if err != nil {
 		return nil, err
 	}
-	n := &sg.state.([]timeNode)[slot-sg.base]
 	n.time.Store(tsc.Infinity)
 	return &timeReader{t: t, node: n, lane: t.lane(slot), slot: slot}, nil
 }
@@ -98,116 +82,34 @@ func (r *timeReader) Unregister() {
 	r.node = nil
 }
 
-// WaitForReaders implements RCU. The predicate is ignored: every
-// pre-existing reader is waited for, as with standard RCU.
-func (t *TimeRCU) WaitForReaders(p Predicate) {
-	if st := t.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		t.waitReaders(p, newControl(nil, st, p, t))
-		return
-	}
-	// Unarmed fast path: the pre-resilience wait, verbatim, so an unarmed
-	// wait costs exactly what it did before the watchdog existed. Keep in
-	// sync with waitReaders, its wc.step-controlled twin.
-	m := t.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	t0 := t.clock.Now()
-	w := t.waiter()
-	var scanned, waited, parked uint64
-	t.reg.forEachActive(func(sg *segment, i int) {
-		scanned++
-		n := &sg.state.([]timeNode)[i]
-		w.Reset()
-		looped := false
-		var bs int64
-		for n.time.Load() <= t0 {
-			if !looped {
-				looped = true
-				bs = m.BlameStart(&start)
-			}
-			w.Wait()
-		}
-		if looped {
-			waited++
-			m.BlameSample(&start, sg.base+i, bs)
-			if w.Yielded() {
-				parked++
-			}
-		}
-	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-}
+// WaitForReaders implements RCU.
+func (t *TimeRCU) WaitForReaders(p Predicate) { t.WaitForReadersCtx(nil, p) }
 
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx. The
-// predicate is ignored for waiting (plain RCU) but kept for diagnostics.
+// WaitForReadersCtx implements RCU: wait-for-readers, bounded by ctx when
+// it is non-nil. The predicate is ignored (it is kept for stall
+// diagnostics): every reader whose section began no later than the wait
+// is waited for, as with standard RCU. The scan is read-only, so an
+// abandoned wait leaves nothing behind.
 func (t *TimeRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
-	wc := t.control(ctx, p, t)
-	if err := wc.pre(); err != nil {
+	s := waitSession{e: &t.hooks}
+	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	return t.waitReaders(p, wc)
-}
-
-func (t *TimeRCU) waitReaders(_ Predicate, wc *waitControl) error {
-	m := t.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
 	t0 := t.clock.Now()
-	w := t.waiter()
-	var scanned, waited, parked uint64
-	var werr error
-	t.reg.forEachActive(func(sg *segment, i int) {
-		if werr != nil {
-			return
-		}
-		scanned++
-		n := &sg.state.([]timeNode)[i]
-		w.Reset()
-		looped := false
-		var bs int64
-		for n.time.Load() <= t0 {
-			if !looped {
-				looped = true
-				bs = m.BlameStart(&start)
-			}
-			if err := wc.step(&w); err != nil {
-				werr = err
-				break
-			}
-		}
-		if looped {
-			waited++
-			m.BlameSample(&start, sg.base+i, bs)
-			if w.Yielded() {
-				parked++
-			}
-		}
+	t.reg.forEachActive(func(n *timeNode, slot int) bool {
+		s.scanned++
+		return n.time.Load() > t0 || s.await(slot, func() bool { return n.time.Load() <= t0 })
 	})
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-	return werr
+	return s.end()
 }
 
-// stalledReaders implements stallProber: every open critical section
-// (Time RCU waits for all readers; no value is tracked).
+// stalledReaders implements engine: every critical section open now, with
+// its age (no value is tracked).
 func (t *TimeRCU) stalledReaders(Predicate) []StalledReader {
 	now := t.clock.Now()
-	var out []StalledReader
-	t.reg.forEachActive(func(sg *segment, i int) {
-		n := &sg.state.([]timeNode)[i]
+	return stalledSlots(t.reg, func(n *timeNode, sr *StalledReader) bool {
 		ts := n.time.Load()
-		if ts == tsc.Infinity {
-			return
-		}
-		out = append(out, StalledReader{Slot: sg.base + i, OpenFor: clampDur(now - ts)})
+		sr.OpenFor = clampDur(now - ts)
+		return ts <= now
 	})
-	return out
 }

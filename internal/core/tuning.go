@@ -39,17 +39,18 @@ var (
 
 // WaitTuner is implemented by every engine in this package: SetWaitTuning
 // installs a wait-side back-off discipline at runtime, WaitTuning reads
-// the one in force (zero value = default). Waits already in flight keep
-// the discipline they started with; the next wait picks up the new one.
+// the one in force (zero value = default). A wait already blocked on a
+// reader keeps the discipline it started that block with; the next blocked
+// slot, and every later wait, picks up the new one.
 type WaitTuner interface {
 	SetWaitTuning(WaitTuning)
 	WaitTuning() WaitTuning
 }
 
-// tunable is the wait-tuning hook point embedded by every engine,
-// alongside metered and resilient. The zero value is the default
-// discipline at the cost of one atomic pointer load per wait (not per
-// back-off step: waiters capture the tuning when constructed).
+// tunable is the wait-tuning hook point embedded by every engine (via
+// hooks). The zero value is the default discipline at the cost of one
+// atomic pointer load per blocked slot (not per back-off step, and none
+// for a wait that finds no reader to wait for).
 type tunable struct {
 	tun atomic.Pointer[spin.Tuning]
 }
@@ -84,11 +85,3 @@ var (
 	_ WaitTuner = (*SRCU)(nil)
 	_ WaitTuner = (*Packed)(nil)
 )
-
-// waiter returns a back-off Waiter carrying the tuning in force. Engines
-// construct one (or a few) per wait, never per back-off step.
-func (t *tunable) waiter() spin.Waiter { return spin.Waiter{T: t.tun.Load()} }
-
-// tuning returns the raw tuning pointer for the spin helpers that take
-// one (nil = defaults).
-func (t *tunable) tuning() *spin.Tuning { return t.tun.Load() }

@@ -26,36 +26,22 @@ const (
 // it is reproduced faithfully (Go's sync.Mutex hands off roughly FIFO under
 // contention, standing in for URCU's waiter queue).
 type URCU struct {
-	metered
-	resilient
-	tunable
-	reg *registry
-	gp  pad.Uint64
-	mu  sync.Mutex
+	base[pad.Uint64]
+	gp pad.Uint64
+	mu sync.Mutex
 }
 
 // NewURCU returns a URCU engine capped at maxReaders concurrent readers
 // (0 = grow on demand).
 func NewURCU(maxReaders int) *URCU {
 	u := &URCU{}
-	u.reg = newRegistry(maxReaders, func(base, size int) any {
-		return make([]pad.Uint64, size)
-	})
+	u.setup(u, maxReaders, zeroSeg[pad.Uint64])
 	u.gp.Store(urcuCount)
 	return u
 }
 
 // Name implements RCU.
 func (u *URCU) Name() string { return "URCU" }
-
-// MaxReaders implements RCU.
-func (u *URCU) MaxReaders() int { return u.reg.maxReaders() }
-
-// LiveReaders returns the number of currently registered readers.
-func (u *URCU) LiveReaders() int { return u.reg.liveReaders() }
-
-// SlotCapacity implements SlotCapacitor.
-func (u *URCU) SlotCapacity() int { return u.reg.capacity() }
 
 type urcuReader struct {
 	readerGuard
@@ -67,11 +53,10 @@ type urcuReader struct {
 
 // Register implements RCU.
 func (u *URCU) Register() (Reader, error) {
-	slot, sg, err := u.reg.acquire()
+	slot, c, err := u.reg.acquire()
 	if err != nil {
 		return nil, err
 	}
-	c := &sg.state.([]pad.Uint64)[slot-sg.base]
 	c.Store(0)
 	return &urcuReader{u: u, ctr: c, lane: u.lane(slot), slot: slot}, nil
 }
@@ -116,129 +101,40 @@ func ongoing(c, gp uint64) bool {
 	return c&urcuCount != 0 && (c^gp)&urcuPhase != 0
 }
 
-// WaitForReaders implements RCU. The predicate is ignored. Readers are
-// scanned once per phase flip, so the scanned count reflects slots
-// examined across both phases.
-func (u *URCU) WaitForReaders(p Predicate) {
-	if st := u.stallCfg.Load(); st != nil {
-		// Watchdog armed: run the controlled twin of the loop below.
-		u.waitReaders(p, newControl(nil, st, p, u))
-		return
-	}
-	// Unarmed fast path: the pre-resilience wait, verbatim, so an unarmed
-	// wait costs exactly what it did before the watchdog existed. Keep in
-	// sync with waitReaders, its wc.step-controlled twin.
-	m := u.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBegin()
-	}
-	var scanned, waited, parked uint64
-	u.mu.Lock()
-	for phase := 0; phase < 2; phase++ {
-		newGP := u.gp.Load() ^ urcuPhase
-		u.gp.Store(newGP)
-		w := u.waiter()
-		u.reg.forEachActive(func(sg *segment, i int) {
-			scanned++
-			c := &sg.state.([]pad.Uint64)[i]
-			w.Reset()
-			looped := false
-			var bs int64
-			for ongoing(c.Load(), newGP) {
-				if !looped {
-					looped = true
-					bs = m.BlameStart(&start)
-				}
-				w.Wait()
-			}
-			if looped {
-				waited++
-				m.BlameSample(&start, sg.base+i, bs)
-				if w.Yielded() {
-					parked++
-				}
-			}
-		})
-	}
-	u.mu.Unlock()
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-}
+// WaitForReaders implements RCU.
+func (u *URCU) WaitForReaders(p Predicate) { u.WaitForReadersCtx(nil, p) }
 
-// WaitForReadersCtx implements RCU: WaitForReaders bounded by ctx.
+// WaitForReadersCtx implements RCU: wait-for-readers, bounded by ctx when
+// it is non-nil. The predicate is ignored. Readers are scanned once per
+// phase flip, so the scanned count reflects slots examined across both
+// phases.
+//
 // Cancellation mid-protocol is safe: an abandoned phase flip only toggles
 // the phase bit an extra time, and the next wait performs its own two
 // flips and drains both phases, so it still waits for every pre-existing
 // reader.
 func (u *URCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
-	wc := u.control(ctx, p, u)
-	if err := wc.pre(); err != nil {
+	s := waitSession{e: &u.hooks}
+	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	return u.waitReaders(p, wc)
-}
-
-func (u *URCU) waitReaders(_ Predicate, wc *waitControl) error {
-	m := u.met
-	var start obs.WaitSpan
-	if m != nil {
-		start = m.WaitBeginCtx(wc.Ctx())
-	}
-	var scanned, waited, parked uint64
-	var werr error
 	u.mu.Lock()
-	for phase := 0; phase < 2 && werr == nil; phase++ {
-		newGP := u.gp.Load() ^ urcuPhase
-		u.gp.Store(newGP)
-		w := u.waiter()
-		u.reg.forEachActive(func(sg *segment, i int) {
-			if werr != nil {
-				return
-			}
-			scanned++
-			c := &sg.state.([]pad.Uint64)[i]
-			w.Reset()
-			looped := false
-			var bs int64
-			for ongoing(c.Load(), newGP) {
-				if !looped {
-					looped = true
-					bs = m.BlameStart(&start)
-				}
-				if err := wc.step(&w); err != nil {
-					werr = err
-					break
-				}
-			}
-			if looped {
-				waited++
-				m.BlameSample(&start, sg.base+i, bs)
-				if w.Yielded() {
-					parked++
-				}
-			}
+	for phase := 0; phase < 2 && s.err == nil; phase++ {
+		gp := u.gp.Load() ^ urcuPhase
+		u.gp.Store(gp)
+		u.reg.forEachActive(func(c *pad.Uint64, slot int) bool {
+			s.scanned++
+			return !ongoing(c.Load(), gp) || s.await(slot, func() bool { return ongoing(c.Load(), gp) })
 		})
 	}
 	u.mu.Unlock()
-	if m != nil {
-		m.WaitEnd(start, scanned, waited, parked)
-	}
-	return werr
+	return s.end()
 }
 
-// stalledReaders implements stallProber: readers online in the old phase
+// stalledReaders implements engine: readers online in the old phase
 // relative to the current grace-period counter — the ones a wait in
 // progress is (or would be) blocked on.
 func (u *URCU) stalledReaders(Predicate) []StalledReader {
 	gp := u.gp.Load()
-	var out []StalledReader
-	u.reg.forEachActive(func(sg *segment, i int) {
-		c := sg.state.([]pad.Uint64)[i].Load()
-		if c&urcuCount != 0 && (c^gp)&urcuPhase != 0 {
-			out = append(out, StalledReader{Slot: sg.base + i})
-		}
-	})
-	return out
+	return stalledSlots(u.reg, func(c *pad.Uint64, _ *StalledReader) bool { return ongoing(c.Load(), gp) })
 }

@@ -155,29 +155,3 @@ func Until(cond func() bool) {
 		w.Wait()
 	}
 }
-
-// UntilBudget spins until cond returns true or roughly budget back-off steps
-// have elapsed. It reports whether cond was observed true. A budget ≤ 0
-// performs no back-off at all: cond is evaluated exactly once and its
-// result returned — the degenerate "don't be optimistic" configuration,
-// which callers may use to disable the optimistic phase entirely. This
-// implements the bounded half of D-PRCU's optimistic waiting (§4.2): hope
-// readers drain naturally, then fall back to the gate protocol.
-func UntilBudget(cond func() bool, budget int) bool {
-	return UntilBudgetTuned(cond, budget, nil)
-}
-
-// UntilBudgetTuned is UntilBudget with the back-off phases set by t
-// (nil = package defaults). The budget counts back-off steps, not time:
-// a parking tuning stretches the same budget over a longer wall-clock
-// wait at lower CPU cost.
-func UntilBudgetTuned(cond func() bool, budget int, t *Tuning) bool {
-	w := Waiter{T: t}
-	for i := 0; i < budget; i++ {
-		if cond() {
-			return true
-		}
-		w.Wait()
-	}
-	return cond()
-}

@@ -49,56 +49,9 @@ func TestUntilYieldsOnSingleProc(t *testing.T) {
 	}
 }
 
-func TestUntilBudgetSuccess(t *testing.T) {
-	if !UntilBudget(func() bool { return true }, 1) {
-		t.Fatal("immediate condition must report success")
-	}
-}
-
-func TestUntilBudgetTimeout(t *testing.T) {
-	calls := 0
-	if UntilBudget(func() bool { calls++; return false }, 10) {
-		t.Fatal("never-true condition must report failure")
-	}
-	if calls < 10 {
-		t.Fatalf("cond evaluated %d times, want >= 10", calls)
-	}
-}
-
-func TestUntilBudgetObservesLateSuccess(t *testing.T) {
-	n := 0
-	ok := UntilBudget(func() bool { n++; return n > 5 }, 10)
-	if !ok {
-		t.Fatal("condition became true within budget but was not reported")
-	}
-}
-
-// TestUntilBudgetNonPositive pins the documented budget ≤ 0 contract: no
-// back-off steps, exactly one condition evaluation, result returned
-// as-is. The Ctx wait paths rely on this when the optimistic phase is
-// configured away.
-func TestUntilBudgetNonPositive(t *testing.T) {
-	for _, budget := range []int{0, -1, -1000} {
-		calls := 0
-		if UntilBudget(func() bool { calls++; return true }, budget) != true {
-			t.Fatalf("budget %d: true condition must report success", budget)
-		}
-		if calls != 1 {
-			t.Fatalf("budget %d: cond evaluated %d times, want exactly 1", budget, calls)
-		}
-		calls = 0
-		if UntilBudget(func() bool { calls++; return false }, budget) {
-			t.Fatalf("budget %d: false condition must report failure", budget)
-		}
-		if calls != 1 {
-			t.Fatalf("budget %d: cond evaluated %d times, want exactly 1", budget, calls)
-		}
-	}
-}
-
 // TestWaiterYieldTransitionBoundary pins the exact step at which a waiter
 // crosses from pure spinning into scheduler yields — the boundary the Ctx
-// waits and the stall watchdog key their checks on (waitControl.step only
+// waits and the stall watchdog key their checks on (waitSession.step only
 // polls cancellation once Yielded reports true).
 func TestWaiterYieldTransitionBoundary(t *testing.T) {
 	var w Waiter
