@@ -21,6 +21,9 @@ go test -timeout 300s ./...
 echo "== go test -shuffle=on (order-independence pass) =="
 go test -short -shuffle=on -timeout 300s ./...
 
+echo "== go test -count=20 -short (root-package flake pass: sync.Pool and scheduler assumptions) =="
+go test -count=20 -short -timeout 600s .
+
 echo "== go test -race -short (API + engines + structures + typed guard layer) =="
 go test -race -short -timeout 300s . ./internal/core ./citrus ./hashtable ./guard
 
@@ -71,8 +74,9 @@ esac
 echo "== export plane HTTP smoke (loopback /metrics, health+blame, tracez) =="
 go run ./cmd/obssmoke
 
-echo "== recorder-off read fast-path benches (flight recorder must not tax disabled hot paths) =="
+echo "== bench smoke: recorder-off read fast paths (flight recorder must not tax disabled hot paths) and the retire path =="
 go test -run '^$' -bench 'BenchmarkEnterExit' -benchtime 100x -timeout 120s .
+go test -run '^$' -bench 'BenchmarkRetire' -benchtime 100x -timeout 120s ./internal/reclaim
 go test -run '^$' -bench 'BenchmarkGuardedRead' -benchtime 100x -timeout 120s ./hashtable
 
 echo "== benchmark driver entry: engine_sweep poison litmus (non-zero exit if any of the nine engines frees early) =="

@@ -345,10 +345,18 @@ func (h *Handle) Get(k uint64) (val uint64, ok bool) {
 
 // Get is the one-shot form: it borrows a pooled reader for a single
 // lookup. Hot loops should hold a Handle instead and amortize the borrow.
+// The section is opened with Enter/Exit, not Read: a typed reader whose
+// scope is only handed to lookup stays on this frame, so the borrow
+// allocates nothing, and the deferred calls close the section and return
+// the reader even if the lookup panics.
 func (t *Tree) Get(k uint64) (uint64, bool) {
-	h := t.Handle()
-	defer h.Close()
-	return h.Get(k)
+	checkKey(k)
+	rd := t.pool.Get()
+	defer t.pool.Put(rd)
+	g := prcu.WrapReader(rd)
+	s := g.Enter(t.domain.MapKey(k))
+	defer g.Exit(s)
+	return t.lookup(s, k)
 }
 
 // Contains is the one-shot membership test; see Get.

@@ -35,6 +35,7 @@ import (
 	"unsafe"
 
 	"prcu/internal/core"
+	"prcu/internal/pad"
 	"prcu/internal/reclaim"
 )
 
@@ -53,22 +54,24 @@ type Reader = core.Reader
 // the moment the section exits, after which any use panics. A Scope is
 // owned by its reader's goroutine and must not be stored, sent, or
 // returned — cmd/prcuvet flags those escapes at build time.
+//
+// A Scope is its reader's own state seen through the capability type:
+// the wrapped Reader, the one-bit section state and the value entered
+// on. Nothing in it points back at the R, which keeps a guarded load's
+// liveness check to one load and lets an R that never leaves its
+// function live on that function's stack.
 type Scope struct {
-	v Value
-	// g points back at the owning reader, which holds the section's
-	// liveness bit. Keeping the bit on R (not here) is what lets Enter
-	// set v and liveness in one tuple assignment and stay within the
-	// compiler's inlining budget — see Exit's comment. g is fixed at
-	// Wrap time; only Enter/Exit ever mint or kill a Scope, so a Scope
-	// never outlives its R.
-	g *R
+	rd core.Reader
+	// live is the one-bit section state: true between Enter and Exit.
+	live bool
+	v    Value
 }
 
 // check panics unless the scope's critical section is still open. It is
 // the dynamic backstop behind every typed load: a leaked scope cannot
 // silently read memory whose grace period may already have passed.
 func (s *Scope) check() {
-	if s == nil || !s.g.live {
+	if s == nil || !s.live {
 		panic("guard: use of Scope outside its read-side critical section")
 	}
 }
@@ -83,42 +86,39 @@ func (s *Scope) Value() Value {
 // storage that keeps Enter/Exit allocation-free. Like the Reader it
 // wraps, an R serves one goroutine at a time and sections must not
 // nest. Construct with Wrap.
+//
+// Enter and Exit write an R on every section, so it is padded to a
+// cache line of its own: two readers' bookkeeping never share one.
 type R struct {
-	rd core.Reader
-	// live is the one-bit section state: true between Enter and Exit.
-	// It lives here rather than on Scope so the hot paths stay
-	// inlinable; Scope reaches it through its back-pointer.
-	live bool
-	s    Scope
+	s Scope
+	_ [pad.CacheLineSize - unsafe.Sizeof(Scope{})]byte
 }
 
 // Wrap returns the typed reader over rd. The same rd must not also be
 // driven raw while wrapped — the scope's liveness tracking assumes it
-// sees every Enter/Exit.
-func Wrap(rd core.Reader) *R {
-	g := &R{rd: rd}
-	g.s.g = g
-	return g
-}
+// sees every Enter/Exit. The result points at nothing but rd, so a
+// caller that keeps it local pays no allocation for it.
+func Wrap(rd core.Reader) *R { return &R{s: Scope{rd: rd}} }
 
 // Reader returns the wrapped raw reader, for interoperating with
 // not-yet-migrated call sites.
-func (g *R) Reader() core.Reader { return g.rd }
+func (g *R) Reader() core.Reader { return g.s.rd }
 
 // Unregister releases the wrapped reader's slot; see Reader.Unregister.
-func (g *R) Unregister() { g.rd.Unregister() }
+func (g *R) Unregister() { g.s.rd.Unregister() }
 
 // Enter opens a read-side critical section on v and returns its Scope.
 // The caller must guarantee Exit on every path; prefer Read, which is
 // panic-safe, unless the section is a measured hot path whose body
 // cannot panic. cmd/prcuvet verifies the pairing either way.
-func (g *R) Enter(v Value) *Scope {
-	if g.live {
+func (g *R) Enter(v Value) (s *Scope) {
+	s = &g.s
+	if s.live {
 		panic("guard: nested read-side critical sections on one reader")
 	}
-	g.live, g.s.v = true, v
-	g.rd.Enter(v)
-	return &g.s
+	s.live, s.v = true, v
+	s.rd.Enter(v)
+	return
 }
 
 // Exit closes the section s witnesses and invalidates s. Enter and Exit
@@ -128,14 +128,15 @@ func (g *R) Enter(v Value) *Scope {
 // engine call, the misuse branch is a single constant panic rather than
 // a call that diagnoses which misuse (foreign scope, double Exit, dead
 // scope) occurred, and Enter writes its two words of bookkeeping in one
-// tuple assignment. The budget is exact — measure before adding even
-// one node to these bodies (BenchmarkGuardedRead in prcu/hashtable).
+// tuple assignment through its named result. The budget is exact —
+// measure before adding even one node to these bodies
+// (BenchmarkGuardedRead in prcu/hashtable).
 func (g *R) Exit(s *Scope) {
-	if s != &g.s || !g.live {
+	if s != &g.s || !s.live {
 		panic("guard: Exit with a foreign, dead, or already-exited Scope")
 	}
-	g.live = false
-	g.rd.Exit(s.v)
+	s.live = false
+	s.rd.Exit(s.v)
 }
 
 // Read runs f inside a read-side critical section on v. The section is
@@ -151,7 +152,7 @@ func (g *R) Read(v Value, f func(*Scope)) {
 // exitIfLive is Read's deferred epilogue — a named function, not a
 // closure, so the defer stays allocation-free.
 func exitIfLive(g *R, s *Scope) {
-	if g.live {
+	if s.live {
 		g.Exit(s)
 	}
 }

@@ -325,12 +325,14 @@ func (h *Handle[K, V]) Close() {
 // section's Scope, and the section is closed even if the traversal
 // panics (an incomparable dynamic key type, a corrupted chain), so a
 // failing lookup can never wedge future covering grace periods.
-func (h *Handle[K, V]) Get(k K) (val V, ok bool) {
-	m := h.m
+func (h *Handle[K, V]) Get(k K) (V, bool) { return h.m.get(h.g, k) }
+
+// get looks k up through g, retrying while the bucket hint is stale.
+func (m *Map[K, V]) get(g *guard.R, k K) (val V, ok bool) {
 	hk := m.hash(k)
 	for {
 		var retry bool
-		val, ok, retry = m.lookup(h.g, hk, k)
+		val, ok, retry = m.lookup(g, hk, k)
 		if !retry {
 			return val, ok
 		}
@@ -373,12 +375,12 @@ func (h *Handle[K, V]) Contains(k K) bool {
 // Get is the one-shot form: it borrows a pooled reader for a single
 // lookup. Hot loops should hold a Handle instead and amortize the borrow.
 // The borrow is returned even if the lookup panics, so a failed lookup
-// never leaks a pooled reader slot.
+// never leaks a pooled reader slot. The typed wrapper around the borrowed
+// reader stays on this frame, so the borrow allocates nothing.
 func (m *Map[K, V]) Get(k K) (V, bool) {
 	rd := m.pool.Get()
 	defer m.pool.Put(rd)
-	h := Handle[K, V]{m: m, g: guard.Wrap(rd)}
-	return h.Get(k)
+	return m.get(guard.Wrap(rd), k)
 }
 
 // Contains is the one-shot membership test; see Get.

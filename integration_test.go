@@ -237,3 +237,35 @@ func TestEveryEngineDrivesBothApplications(t *testing.T) {
 		})
 	}
 }
+
+// TestOneShotLookupsDoNotAllocate pins the cost of the structures'
+// one-shot Get/Contains: the typed reader they wrap around the borrowed
+// pooled reader stays on the caller's frame, so once the first borrow
+// has registered the reader, a lookup allocates nothing. AllocsPerRun
+// runs on one P, so every borrow finds the reader the previous one
+// parked; under -race sync.Pool drops Puts at random, each costing the
+// next borrow a fresh reader, so the bound holds without it only.
+func TestOneShotLookupsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its Puts under -race")
+	}
+	table := hashtable.NewModulo(prcu.NewPacked(prcu.Options{}), 8)
+	table.Insert(3, 4)
+	tree := citrus.New(prcu.NewPacked(prcu.Options{}), citrus.FuncDomain())
+	h := tree.Handle()
+	h.Insert(3, 4)
+	h.Close()
+	lookups := map[string]func() (uint64, bool, bool){
+		"hashtable": func() (uint64, bool, bool) { v, ok := table.Get(3); return v, ok, table.Contains(5) },
+		"citrus":    func() (uint64, bool, bool) { v, ok := tree.Get(3); return v, ok, tree.Contains(5) },
+	}
+	for name, lookup := range lookups {
+		if n := testing.AllocsPerRun(1000, func() {
+			if v, ok, absent := lookup(); !ok || v != 4 || absent {
+				t.Fatalf("%s: Get(3) = %d,%v, Contains(5) = %v", name, v, ok, absent)
+			}
+		}); n != 0 {
+			t.Errorf("%s: one-shot Get+Contains allocate %.2f objects per run, want 0", name, n)
+		}
+	}
+}

@@ -307,19 +307,19 @@ func (m *Metrics) ReclaimEnqueue(bytes int64) {
 	m.reclaimRetired.Add(1)
 }
 
-// / ReclaimResolve records one backlog callback leaving the backlog: freed
-// after a completed grace period (freed = true) or dropped because its
-// wait was abandoned at a bounded shutdown.
-func (m *Metrics) ReclaimResolve(bytes int64, freed bool) {
+// ReclaimResolve records one wait group's callbacks leaving the backlog
+// together, declaring bytes in total: freed of them after a completed
+// grace period, dropped of them because their wait was abandoned at a
+// bounded shutdown.
+func (m *Metrics) ReclaimResolve(freed, dropped int, bytes int64) {
 	if m == nil {
 		return
 	}
-	m.reclaimPending.Add(-1)
+	m.reclaimPending.Add(-int64(freed + dropped))
 	m.reclaimBytes.Add(-bytes)
-	if freed {
-		m.reclaimFreed.Add(1)
-	} else {
-		m.reclaimDropped.Add(1)
+	m.reclaimFreed.Add(uint64(freed))
+	if dropped > 0 {
+		m.reclaimDropped.Add(uint64(dropped))
 	}
 }
 

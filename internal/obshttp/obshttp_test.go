@@ -55,7 +55,7 @@ func registerAllEngines(t *testing.T) {
 		// Synthesize one reclaim flush so the reclaimer histograms carry
 		// samples without standing up a full Reclaimer per engine.
 		m.ReclaimEnqueue(64)
-		m.ReclaimResolve(64, true)
+		m.ReclaimResolve(1, 0, 64)
 		m.ReclaimFlush(1, 1, 1500, false)
 
 		obs.Register(name, m)

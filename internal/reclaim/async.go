@@ -53,7 +53,7 @@ func (a *Async) Reclaimer() *Reclaimer { return a.r }
 // is dropped (see Dropped) — it must never observe an incomplete grace
 // period. Call panics after Close.
 func (a *Async) Call(p core.Predicate, fn func()) {
-	a.r.submit(callback{pred: p, fn: fn})
+	a.r.submit(&callback{pred: p, fn: fn})
 }
 
 // CallCtx schedules fn to run once a grace period covering p completes
@@ -62,7 +62,7 @@ func (a *Async) Call(p core.Predicate, fn func()) {
 // in which case the grace period did NOT complete and fn must not
 // reclaim. CallCtx panics after Close.
 func (a *Async) CallCtx(ctx context.Context, p core.Predicate, fn func(error)) {
-	a.r.submit(callback{pred: p, ctx: ctx, fnErr: fn})
+	a.r.submit(&callback{pred: p, ctx: ctx, fnErr: fn})
 }
 
 // Barrier blocks until every callback submitted before it has been

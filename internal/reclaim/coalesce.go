@@ -89,13 +89,11 @@ func coalesce(batch []callback) []waitGroup {
 		i := opaque[0]
 		groups = append(groups, waitGroup{pred: batch[i].pred, cbs: []int{i}})
 	} else if len(opaque) > 1 {
-		preds := make([]core.Predicate, len(opaque))
-		for j, i := range opaque {
-			preds[j] = batch[i].pred
-		}
+		// The union reads the members' predicates in place: it is evaluated
+		// only by this group's wait, which ends before the batch is cleared.
 		union := core.Func(func(v core.Value) bool {
-			for _, p := range preds {
-				if p.Holds(v) {
+			for _, i := range opaque {
+				if batch[i].pred.Holds(v) {
 					return true
 				}
 			}

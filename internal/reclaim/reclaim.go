@@ -117,8 +117,11 @@ type callback struct {
 	fn    func()
 	fnErr func(error)
 	bytes int64
-	// atNs is the submission timestamp on the reclaimer's monotonic
-	// clock — the basis of the data-age gauge (OldestAge).
+	// atNs is the enqueue stamp on the reclaimer's clock, taken under the
+	// shard lock and only where something reads it: on the member that
+	// opens a queue (the basis of the data-age gauge, OldestAge) and on
+	// every member while the flight recorder is armed. 0 means unstamped;
+	// such a member is no older than the first of its batch.
 	atNs int64
 }
 
@@ -162,7 +165,7 @@ type engineSet struct {
 type Reclaimer struct {
 	eng   atomic.Pointer[engineSet]
 	met   *obs.Metrics
-	clock *tsc.Monotonic // age-gauge timebase
+	clock tsc.Clock // age-gauge timebase
 
 	// Tunable knobs. policy and the watermarks are guarded by capMu (the
 	// lock already held on every read path that consults them), so
@@ -190,17 +193,9 @@ type Reclaimer struct {
 	pendingBytes int64
 	closed       bool
 
-	closedFlag atomic.Bool // workers' lock-free view of closed
-
 	shards []*shard
 	aff    sync.Pool     // *affinity tickets for P-local shard choice
 	rr     atomic.Uint32 // round-robin seed for fresh tickets
-
-	// submitting counts callers in the non-blocking window between a
-	// successful capacity reservation and the shard enqueue. CloseCtx
-	// spins it to zero before kicking the workers, so no callback can be
-	// appended to a queue after its worker concluded the drain is final.
-	submitting atomic.Int64
 
 	dropped atomic.Uint64
 	graces  atomic.Uint64
@@ -316,7 +311,7 @@ func (r *Reclaimer) shard() *shard {
 // v; the reclaimer still bounds and accounts the deferral). Retire
 // panics after Close.
 func (r *Reclaimer) Retire(v any, p core.Predicate, bytes int, free func(any)) {
-	r.submit(callback{pred: p, v: v, free: free, bytes: int64(bytes)})
+	r.submit(&callback{pred: p, v: v, free: free, bytes: int64(bytes)})
 }
 
 // Defer schedules fn to run once a grace period covering p completes or
@@ -325,19 +320,17 @@ func (r *Reclaimer) Retire(v any, p core.Predicate, bytes int, free func(any)) {
 // covered by p may be reclaimed. Error-aware callbacks are never
 // dropped. Defer panics after Close.
 func (r *Reclaimer) Defer(p core.Predicate, bytes int, fn func(error)) {
-	r.submit(callback{pred: p, fnErr: fn, bytes: int64(bytes)})
+	r.submit(&callback{pred: p, fnErr: fn, bytes: int64(bytes)})
 }
 
 // submit routes cb through capacity admission to its shard. Callbacks
 // refused by admission (inline degradation or closed-while-blocked) are
-// resolved synchronously by admit and never enqueued.
-func (r *Reclaimer) submit(cb callback) {
-	cb.atNs = r.clock.Now()
-	soft, ok := r.admit(&cb)
-	if !ok {
-		return
+// resolved synchronously by admit and never enqueued. cb stays on the
+// caller's stack: its one copy is the store into the queue slot.
+func (r *Reclaimer) submit(cb *callback) {
+	if soft, ok := r.admit(cb); ok {
+		r.shard().enqueue(cb, soft)
 	}
-	r.shard().enqueue(cb, soft)
 }
 
 // over reports whether accepting bytes more would cross a hard
@@ -395,7 +388,6 @@ func (r *Reclaimer) admit(cb *callback) (soft, ok bool) {
 			r.pending++
 			r.pendingBytes += cb.bytes
 			soft = r.soft()
-			r.submitting.Add(1)
 			r.met.ReclaimEnqueue(cb.bytes)
 			r.capMu.Unlock()
 			return soft, true
@@ -436,12 +428,19 @@ func (r *Reclaimer) inlineResolve(cb *callback) {
 	}
 }
 
-// release returns cb's capacity to the pool after resolution.
-func (r *Reclaimer) release(cb *callback, freed bool) {
+// release returns the capacity of n resolved callbacks — dropped of them
+// abandoned, the rest freed — declaring bytes in total. A wait group is
+// released as a unit: one capMu round trip, one gauge update and one
+// wake-up of the callers parked at the watermark, however many members
+// the group had.
+func (r *Reclaimer) release(n, dropped int, bytes int64) {
+	if dropped > 0 {
+		r.dropped.Add(uint64(dropped))
+	}
 	r.capMu.Lock()
-	r.pending--
-	r.pendingBytes -= cb.bytes
-	r.met.ReclaimResolve(cb.bytes, freed)
+	r.pending -= n
+	r.pendingBytes -= bytes
+	r.met.ReclaimResolve(n-dropped, dropped, bytes)
 	bounded := r.maxPending > 0 || r.maxBytes > 0
 	r.capMu.Unlock()
 	if bounded {
@@ -702,15 +701,19 @@ func (r *Reclaimer) OldestAgeNs() int64 {
 	return age
 }
 
-// NowNs reads the reclaimer's monotonic clock — the timebase submission
+// NowNs reads the reclaimer's monotonic clock — the timebase enqueue
 // stamps (OldestSubmittedNs) are on. The migrator samples it before the
-// flip so "backlog submitted before the flip has drained" is a simple
+// flip so "backlog enqueued before the flip has drained" is a simple
 // stamp comparison.
 func (r *Reclaimer) NowNs() int64 { return r.clock.Now() }
 
-// OldestSubmittedNs returns the submission stamp (on the NowNs clock) of
-// the oldest unresolved callback across all shards, or 0 for an empty
-// backlog. Conservative within one batch, like OldestAge.
+// OldestSubmittedNs returns the enqueue stamp (on the NowNs clock) of
+// the oldest unresolved batch across all shards, or 0 for an empty
+// backlog. A batch carries the stamp of the member that opened its
+// queue, which every later member was enqueued after: a callback
+// enqueued at or before a NowNs reading keeps the result at or below
+// that reading until it resolves. Conservative within one batch, like
+// OldestAge.
 func (r *Reclaimer) OldestSubmittedNs() int64 {
 	oldest := int64(0)
 	for _, s := range r.shards {
@@ -740,19 +743,11 @@ func (r *Reclaimer) CloseCtx(ctx context.Context) error {
 	r.capMu.Lock()
 	already := r.closed
 	r.closed = true
-	r.closedFlag.Store(true)
 	r.capMu.Unlock()
 	if !already {
 		r.space.Broadcast()
-		// Let in-flight submits land in their queues before the workers
-		// are told the backlog is final; the window between reservation
-		// and enqueue holds no locks and performs no blocking calls, so
-		// this spin is bounded by a few instructions per submitter.
-		for r.submitting.Load() != 0 {
-			runtime.Gosched()
-		}
 		for _, s := range r.shards {
-			s.kickWorker()
+			s.close()
 		}
 	}
 	var cdone <-chan struct{}
@@ -774,5 +769,3 @@ func (r *Reclaimer) CloseCtx(ctx context.Context) error {
 	}
 	return err
 }
-
-func (r *Reclaimer) isClosed() bool { return r.closedFlag.Load() }

@@ -11,6 +11,7 @@ import (
 	"prcu/internal/chaos"
 	"prcu/internal/core"
 	"prcu/internal/obs"
+	"prcu/internal/tsc"
 )
 
 // countingRCU counts the grace periods an engine actually executes —
@@ -431,5 +432,141 @@ func TestReclaimerBlockedRetireSurvivesClose(t *testing.T) {
 	}
 	if p := r.Pending(); p != 0 {
 		t.Fatalf("Pending = %d after Close, want 0", p)
+	}
+}
+
+// TestEnqueueAfterCloseResolvesOnCaller pins the close protocol's one
+// interleaving that no worker can serve: a retirement that reserved
+// capacity before Close but reaches its shard after the worker concluded
+// the drain. It must still resolve exactly once — on the caller — and
+// give its capacity back.
+func TestEnqueueAfterCloseResolvesOnCaller(t *testing.T) {
+	r := New(core.NewTimeRCU(4, nil), Config{Shards: 1, MaxPending: 4})
+	freed := 0
+	cb := &callback{pred: core.All(), bytes: 8, free: func(any) { freed++ }}
+	soft, ok := r.admit(cb)
+	if !ok {
+		t.Fatal("admission refused an empty backlog")
+	}
+	r.Close()
+	if p := r.Pending(); p != 1 {
+		t.Fatalf("Pending = %d with one reservation outstanding, want 1", p)
+	}
+	r.shards[0].enqueue(cb, soft)
+	if freed != 1 {
+		t.Fatalf("callback ran %d times, want 1", freed)
+	}
+	if p, b := r.Pending(), r.PendingBytes(); p != 0 || b != 0 {
+		t.Fatalf("Pending = %d, PendingBytes = %d after the late resolve, want 0, 0", p, b)
+	}
+	if s := r.Stats(); s.ReclaimFreed != 1 || s.ReclaimPending != 0 {
+		t.Fatalf("gauges after the late resolve: freed %d pending %d, want 1, 0", s.ReclaimFreed, s.ReclaimPending)
+	}
+}
+
+// TestOldestAgeWithLazyStamps drives the age gauge on a manual clock:
+// only the member that opens a queue is stamped, the gauge reads that
+// member's age whether its batch is queued or in flight, it never steps
+// back while that member is the oldest, and it returns to 0 on an empty
+// backlog.
+func TestOldestAgeWithLazyStamps(t *testing.T) {
+	eng := core.NewTimeRCU(4, nil)
+	r := New(eng, Config{Shards: 1, FlushDelay: time.Hour})
+	defer r.Close()
+	clock := tsc.NewManual(1000)
+	r.clock = clock
+	if age := r.OldestAge(); age != 0 {
+		t.Fatalf("empty backlog age = %v, want 0", age)
+	}
+
+	rd, err := eng.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd.Enter(7)
+	r.Retire(nil, core.Singleton(7), 1, nil) // opens the queue at 1000
+	clock.Advance(50)
+	r.Retire(nil, core.Singleton(7), 1, nil) // enqueued at 1050, unstamped
+	s := r.shards[0]
+	s.mu.Lock()
+	first, second := s.queue[0].atNs, s.queue[1].atNs
+	s.mu.Unlock()
+	if first != 1000 || second != 0 {
+		t.Fatalf("queue stamps = %d, %d; want 1000 for the opener and none (0) after it", first, second)
+	}
+	clock.Advance(30)
+	if age := r.OldestAge(); age != 80 {
+		t.Fatalf("age with the opener queued = %v, want 80ns (the first-enqueued member's)", age)
+	}
+
+	// Move the batch in flight and open a younger queue behind it: the
+	// gauge must keep reading the in-flight opener.
+	r.Flush()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		s.mu.Lock()
+		taken := s.inFlight == 2
+		s.mu.Unlock()
+		if taken {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never took the batch")
+		}
+	}
+	last := r.OldestAge()
+	for i := 0; i < 3; i++ {
+		clock.Advance(10)
+		r.Retire(nil, core.Singleton(7), 1, nil)
+		age := r.OldestAge()
+		if age < last {
+			t.Fatalf("age stepped back from %v to %v while the same callback was oldest", last, age)
+		}
+		last = age
+	}
+	if last != 110 {
+		t.Fatalf("age with the opener in flight = %v, want 110ns", last)
+	}
+
+	rd.Exit(7)
+	rd.Unregister()
+	r.Barrier()
+	if age := r.OldestAge(); age != 0 {
+		t.Fatalf("drained backlog age = %v, want 0", age)
+	}
+}
+
+// TestRetireSpansWhenRecorderArmsMidQueue arms the flight recorder after
+// part of a batch was enqueued unstamped: every retire span must still
+// start at a real instant — no earlier than the first enqueue, no later
+// than its end — because an unstamped member takes its batch's oldest
+// stamp.
+func TestRetireSpansWhenRecorderArmsMidQueue(t *testing.T) {
+	met := obs.New()
+	eng := core.NewTimeRCU(4, nil)
+	r := New(eng, Config{Shards: 1, FlushDelay: time.Hour, Metrics: met})
+	defer r.Close()
+	time.Sleep(time.Millisecond) // put the two clocks' origins well behind t0
+	t0 := met.FlightNow()
+	const before, after = 5, 3
+	for i := 0; i < before; i++ {
+		r.Retire(nil, core.Singleton(1), 1, nil)
+	}
+	met.EnableFlightRecorder(64)
+	for i := 0; i < after; i++ {
+		r.Retire(nil, core.Singleton(1), 1, nil)
+	}
+	r.Barrier()
+	retires := 0
+	for _, sp := range met.FlightSnapshot() {
+		if sp.Kind != obs.SpanRetire {
+			continue
+		}
+		retires++
+		if sp.StartNs < t0 || sp.StartNs > sp.EndNs {
+			t.Errorf("retire span [%d, %d]: want t0=%d <= start <= end", sp.StartNs, sp.EndNs, t0)
+		}
+	}
+	if retires != before+after {
+		t.Fatalf("%d retire spans, want %d", retires, before+after)
 	}
 }

@@ -13,8 +13,15 @@ import (
 // queue — batching, coalescing, the grace-period waits — runs on the
 // shard's own goroutine, so retiring callers never execute a wait.
 //
-// Lock discipline: mu guards queue/inFlight/expedite only; it is never
-// held while capMu is held and never held across a grace-period wait.
+// Lock discipline: mu guards queue/spare/inFlight/expedite/closed only; it
+// is never held while capMu is held and never held across a grace-period
+// wait.
+//
+// Two batch arrays alternate between the two sides: submitters append
+// into queue while the worker resolves the array it took, and the worker
+// hands that array back — cleared — as spare, the next queue's backing
+// store. A steady-state retirement is therefore one slot store into
+// memory that already exists.
 type shard struct {
 	r *Reclaimer
 	// idx is the shard's position in Reclaimer.shards; it names the
@@ -24,14 +31,15 @@ type shard struct {
 	mu       sync.Mutex
 	idle     *sync.Cond // on mu; signalled when queue+inFlight may be empty
 	queue    []callback
-	inFlight int  // callbacks handed to the worker, not yet resolved
-	expedite bool // skip the accumulation delay for the current queue
+	spare    []callback // empty, cleared array for the next queue, or nil
+	inFlight int        // callbacks handed to the worker, not yet resolved
+	expedite bool       // skip the accumulation delay for the current queue
+	closed   bool       // the reclaimer closed: the queue takes no more
 
-	// Age tracking for the oldest-callback gauge, under mu. queueOldestNs
-	// is the minimum submission stamp over queue (0 when empty; exact:
-	// enqueues min-update it and the worker always takes the whole
-	// queue); inFlightOldestNs covers the batch the worker holds.
-	queueOldestNs    int64
+	// inFlightOldestNs is the enqueue stamp of the first member of the
+	// batch the worker holds — with queue[0].atNs, the basis of the
+	// oldest-callback gauge. Stamps are taken under mu, so the member that
+	// opened a queue is its oldest.
 	inFlightOldestNs int64
 
 	kick chan struct{} // cap 1: submission/flush/close doorbell
@@ -50,21 +58,48 @@ func newShard(r *Reclaimer, idx int) *shard {
 	return s
 }
 
-// enqueue appends cb and rings the worker. soft marks the submission as
-// having crossed the soft watermark, which expedites the flush. The
-// submitting counter (taken at admission) is released only after the
-// append, keeping the close protocol's "queues are final" step honest.
-func (s *shard) enqueue(cb callback, soft bool) {
+// maxRecycledBatch caps the batch array a worker hands back (about 1 MB
+// of callbacks): a larger one, grown by a retirement storm, goes to the
+// GC instead of staying pinned to the shard.
+const maxRecycledBatch = 8192
+
+// enqueue stores *cb in the queue's next slot. soft marks the submission
+// as having crossed the soft watermark, which expedites the flush. The
+// worker is rung only when it can be waiting on this enqueue: parked on
+// an empty queue, or sleeping out a window that expedite just cut.
+//
+// A submission that reserved capacity before Close but arrives after it
+// finds the queue final (the worker may be gone) and is resolved here,
+// on the caller's goroutine, as a batch of one.
+func (s *shard) enqueue(cb *callback, soft bool) {
+	r := s.r
+	armed := r.met.FlightEnabled()
 	s.mu.Lock()
-	s.queue = append(s.queue, cb)
-	if s.queueOldestNs == 0 || cb.atNs < s.queueOldestNs {
-		s.queueOldestNs = cb.atNs
+	opens := len(s.queue) == 0
+	if opens || armed || s.closed {
+		cb.atNs = r.clock.Now()
 	}
+	if s.closed {
+		s.mu.Unlock()
+		s.process([]callback{*cb}, false)
+		return
+	}
+	s.queue = append(s.queue, *cb)
+	ring := opens || (soft && !s.expedite)
 	if soft {
 		s.expedite = true
 	}
 	s.mu.Unlock()
-	s.r.submitting.Add(-1)
+	if ring {
+		s.kickWorker()
+	}
+}
+
+// close marks the queue final and wakes the worker to drain it and exit.
+func (s *shard) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.kickWorker()
 }
 
@@ -108,57 +143,65 @@ func (s *shard) worker() {
 	r := s.r
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !r.isClosed() {
+		for len(s.queue) == 0 && !s.closed {
 			s.mu.Unlock()
 			<-s.kick
 			s.mu.Lock()
 		}
 		if len(s.queue) == 0 {
-			// Closed and drained: the close protocol guarantees no
-			// further enqueues, so the backlog here is final.
+			// Closed and drained: enqueue refuses a closed shard, so the
+			// backlog here is final.
 			s.mu.Unlock()
 			return
 		}
 		delay := r.Pacing()
-		wait := delay > 0 && !s.expedite && !r.isClosed()
+		wait := delay > 0 && !s.expedite && !s.closed
 		s.mu.Unlock()
 		if wait {
 			s.accumulate(delay)
 		}
 		s.mu.Lock()
 		batch := s.queue
-		s.queue = nil
+		s.queue, s.spare = s.spare, nil
 		s.inFlight = len(batch)
-		s.inFlightOldestNs = s.queueOldestNs
-		s.queueOldestNs = 0
+		s.inFlightOldestNs = batch[0].atNs
 		expedited := s.expedite
 		s.expedite = false
 		s.mu.Unlock()
 
 		s.process(batch, expedited)
 
+		// Cleared before it is handed back, so no retired object stays
+		// reachable through a slot the next queue has not overwritten yet.
+		clear(batch)
 		s.mu.Lock()
 		s.inFlight = 0
 		s.inFlightOldestNs = 0
+		if batch = batch[:0]; cap(batch) <= maxRecycledBatch {
+			if cap(s.queue) == 0 {
+				s.queue = batch // nothing was enqueued meanwhile
+			} else {
+				s.spare = batch
+			}
+		}
 		s.mu.Unlock()
 		s.idle.Broadcast()
 	}
 }
 
-// oldestNs returns the submission stamp of the shard's oldest
-// unresolved callback, queued or in flight (0 = none).
+// oldestNs returns the enqueue stamp of the shard's oldest unresolved
+// batch, queued or in flight (0 = none). The in-flight batch was taken
+// before the queue's first member arrived, so it is the older of the two.
 func (s *shard) oldestNs() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	oldest := int64(0)
 	if s.inFlight > 0 {
-		oldest = s.inFlightOldestNs
+		return s.inFlightOldestNs
 	}
-	if len(s.queue) > 0 && s.queueOldestNs > 0 &&
-		(oldest == 0 || s.queueOldestNs < oldest) {
-		oldest = s.queueOldestNs
+	if len(s.queue) > 0 {
+		return s.queue[0].atNs
 	}
-	return oldest
+	return 0
 }
 
 // accumulate sleeps out the batching window so a retirement burst can
@@ -173,9 +216,9 @@ func (s *shard) accumulate(d time.Duration) {
 			return
 		case <-s.kick:
 			s.mu.Lock()
-			cut := s.expedite
+			cut := s.expedite || s.closed
 			s.mu.Unlock()
-			if cut || s.r.isClosed() {
+			if cut {
 				return
 			}
 		}
@@ -183,14 +226,17 @@ func (s *shard) accumulate(d time.Duration) {
 }
 
 // process resolves one batch: coalesce into wait groups, run one grace
-// period per group, then complete and release every member.
+// period per group, then complete every member and release the group's
+// capacity at once.
 //
 // With the flight recorder armed, each wait group becomes one causal
 // span chain under a fresh GP ID: per-member retire spans (queue
 // residency, converted from the reclaimer's clock onto the metrics
-// clock), a coalesce span (linked to a pending autotuner expedite, if
-// any), the engine's own wait span (the GP ID travels down via the wait
-// Context), and a callback-execution span.
+// clock; a member enqueued before the recorder was armed carries no
+// stamp and takes the batch's oldest), a coalesce span (linked to a
+// pending autotuner expedite, if any), the engine's own wait span (the
+// GP ID travels down via the wait Context), and a callback-execution
+// span.
 func (s *shard) process(batch []callback, expedited bool) {
 	r := s.r
 	reg := r.met.ReclaimFlushBegin()
@@ -221,9 +267,13 @@ func (s *shard) process(batch []callback, expedited bool) {
 		if flight {
 			gp = obs.NextGP()
 			for _, ci := range g.cbs {
+				at := batch[ci].atNs
+				if at == 0 {
+					at = batch[0].atNs
+				}
 				r.met.FlightRecord(obs.FlightSpan{
 					GP: gp, Kind: obs.SpanRetire, Track: track,
-					StartNs: batch[ci].atNs + clockOff, EndNs: takenNs, Count: 1,
+					StartNs: at + clockOff, EndNs: takenNs, Count: 1,
 				})
 			}
 			r.met.FlightRecord(obs.FlightSpan{
@@ -243,14 +293,16 @@ func (s *shard) process(batch []callback, expedited bool) {
 		if flight {
 			cbStart = r.met.FlightNow()
 		}
+		var dropped int
+		var bytes int64
 		for _, ci := range g.cbs {
 			cb := &batch[ci]
-			freed := cb.run(err)
-			if !freed {
-				r.dropped.Add(1)
+			if !cb.run(err) {
+				dropped++
 			}
-			r.release(cb, freed)
+			bytes += cb.bytes
 		}
+		r.release(len(g.cbs), dropped, bytes)
 		if flight {
 			r.met.FlightRecord(obs.FlightSpan{
 				GP: gp, Kind: obs.SpanCallback, Track: track,
