@@ -30,8 +30,8 @@ go test -race -short -timeout 300s . ./internal/core ./citrus ./hashtable ./guar
 echo "== go test -race (reclaimer backlog/backpressure stress) =="
 go test -race -timeout 300s ./internal/reclaim
 
-echo "== go test -race (export plane: exposition format, trace ring, health) =="
-go test -race -timeout 300s ./internal/obshttp
+echo "== go test -race (flight recorder + export plane: span ring, exposition format, health) =="
+go test -race -timeout 300s ./internal/obs ./internal/obshttp
 
 echo "== go test -race (reader churn stress) =="
 go test -race -run 'TestReaderChurnConcurrentWaits|TestUncappedRegisterNeverFails' \

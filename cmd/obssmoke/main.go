@@ -106,7 +106,8 @@ func run() error {
 			return fmt.Errorf("/metrics missing %s", series)
 		}
 	}
-	for _, fam := range []string{"prcu_wait_duration_seconds_bucket", "prcu_reclaim_pending", "le=\"+Inf\""} {
+	for _, fam := range []string{"prcu_wait_duration_seconds_bucket", "prcu_reclaim_pending", "le=\"+Inf\"",
+		"prcu_flight_overwritten_spans_total"} {
 		if !strings.Contains(metrics, fam) {
 			return fmt.Errorf("/metrics missing %s", fam)
 		}
@@ -125,6 +126,14 @@ func run() error {
 
 	if err := checkTracez(base, flightEngine); err != nil {
 		return err
+	}
+	// The flat listing is the same ring: the waits tracez drew are in it.
+	flat, err := scrape(base + "/debug/prcu/trace?engine=" + flightEngine)
+	if err != nil {
+		return err
+	}
+	if !strings.Contains(flat, "track=wait") {
+		return fmt.Errorf("/debug/prcu/trace lists no wait span: %s", flat)
 	}
 
 	// Unknown-engine probes must 404 and name what *is* registered.

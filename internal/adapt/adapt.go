@@ -22,18 +22,19 @@
 //     PolicyInline (the paper's §2.1 synchronous variant as a safety
 //     valve: the backlog provably cannot grow past the watermark),
 //     waiters park between polls, and — unless KeepObservability is
-//     set — the trace ring, flight recorder, and runtime attribution
-//     are shed to drop their overhead from the hot path. Everything
-//     shed is remembered and restored on the way back down.
+//     set — the flight recorder and runtime attribution are shed to
+//     drop their overhead from the wait path. Everything shed is
+//     remembered and restored on the way back down.
 //
 // Expedited flushes kicked on escalation are announced to the flight
 // recorder first (obs.FlightExpedite), so the recorder can link the
 // autotuner's decision to the coalesce span of the flush it caused.
 //
 // Every transition is recorded through obs.AdaptDecision, which counts
-// it and emits an EvAdapt trace event; the hysteresis is itself the
-// rate limit — a flapping signal cannot log faster than one decision
-// per BreachAfter/EaseAfter window. Controller state is published via
+// it and leaves a SpanAdapt ("normal→elevated") in the flight recorder;
+// the hysteresis is itself the rate limit — a flapping signal cannot log
+// faster than one decision per BreachAfter/EaseAfter window. Controller
+// state is published via
 // obs.RegisterController, so /metrics and /debug/prcu/health show the
 // mode, the counters, and the last tick's measurements against the
 // envelope.
@@ -166,8 +167,8 @@ type Config struct {
 	// EaseAfter is how many consecutive calm ticks ease one rung
 	// (0 = 4: recovery is deliberately slower than reaction).
 	EaseAfter int
-	// KeepObservability stops degraded mode from shedding the trace
-	// ring and runtime attribution.
+	// KeepObservability stops degraded mode from shedding the flight
+	// recorder and runtime attribution.
 	KeepObservability bool
 
 	// MigrateTo and Migrate together arm the degraded-state escape
@@ -219,7 +220,6 @@ type Controller struct {
 	baseTunings []core.WaitTuning
 
 	// Observability shed in degraded mode, remembered for restore.
-	shedTraceCap  int
 	shedFlightCap int
 	shedAttr      bool
 
@@ -432,9 +432,7 @@ func (c *Controller) transition(mode Mode) {
 	c.decisions++
 	c.apply(mode)
 	if c.cfg.Metrics != nil {
-		// The trace Value reads as from→to in decimal: 1 = normal→
-		// elevated, 12 = elevated→degraded, 21, 10, …
-		c.cfg.Metrics.AdaptDecision(uint64(from)*10 + uint64(mode))
+		c.cfg.Metrics.AdaptDecision(from.String() + "→" + mode.String())
 	}
 }
 
@@ -503,15 +501,12 @@ func (c *Controller) tightMarks() (int, int64) {
 	return tp, tb
 }
 
-// shedObservability drops the trace ring and runtime attribution,
+// shedObservability drops the flight recorder and runtime attribution,
 // remembering what was on so restoreObservability can undo it.
 func (c *Controller) shedObservability() {
 	met := c.cfg.Metrics
 	if met == nil {
 		return
-	}
-	if n := met.DisableTrace(); n > 0 {
-		c.shedTraceCap = n
 	}
 	if n := met.DisableFlightRecorder(); n > 0 {
 		c.shedFlightCap = n
@@ -527,10 +522,6 @@ func (c *Controller) restoreObservability() {
 	met := c.cfg.Metrics
 	if met == nil {
 		return
-	}
-	if c.shedTraceCap > 0 {
-		met.EnableTrace(c.shedTraceCap)
-		c.shedTraceCap = 0
 	}
 	if c.shedFlightCap > 0 {
 		met.EnableFlightRecorder(c.shedFlightCap)

@@ -49,7 +49,7 @@ func wedge(t *testing.T, e core.RCU) func() {
 func TestLadderDeterministic(t *testing.T) {
 	eng := core.NewTimeRCU(8, nil)
 	met := obs.New()
-	met.EnableTrace(128)
+	met.EnableFlightRecorder(128)
 	rec := reclaim.New(eng, reclaim.Config{Shards: 1, FlushDelay: time.Millisecond, Metrics: met})
 	defer rec.Close()
 
@@ -94,8 +94,8 @@ func TestLadderDeterministic(t *testing.T) {
 	if rec.Policy() != reclaim.PolicyInline {
 		t.Error("degraded mode did not flip PolicyBlock → PolicyInline")
 	}
-	if met.TraceEnabled() {
-		t.Error("degraded mode did not shed the trace ring")
+	if met.FlightEnabled() {
+		t.Error("degraded mode did not shed the flight recorder")
 	}
 	tun := eng.WaitTuning()
 	if tun.Park == 0 {
@@ -136,8 +136,8 @@ func TestLadderDeterministic(t *testing.T) {
 	if rec.Policy() != reclaim.PolicyBlock {
 		t.Error("easing out of degraded did not restore the policy")
 	}
-	if !met.TraceEnabled() {
-		t.Error("easing out of degraded did not restore the trace ring")
+	if !met.FlightEnabled() {
+		t.Error("easing out of degraded did not restore the flight recorder")
 	}
 
 	c.Step()
@@ -159,16 +159,16 @@ func TestLadderDeterministic(t *testing.T) {
 	if st := c.State(); st.Decisions != wantEvents {
 		t.Errorf("decisions = %d, want %d", st.Decisions, wantEvents)
 	}
-	var adaptEvents int
-	for _, ev := range met.TraceSnapshot() {
-		if ev.Kind == obs.EvAdapt {
-			adaptEvents++
+	// The recorder was shed while degraded; at minimum the post-restore
+	// decisions must be in it, labelled in words.
+	labels := map[string]bool{}
+	for _, sp := range met.FlightSnapshot() {
+		if sp.Kind == obs.SpanAdapt {
+			labels[sp.Label] = true
 		}
 	}
-	// The ring was shed while degraded; at minimum the post-restore
-	// decisions (degraded→elevated, elevated→normal) must be in it.
-	if adaptEvents < 2 {
-		t.Errorf("trace ring holds %d adapt events, want >= 2", adaptEvents)
+	if !labels["degraded→elevated"] || !labels["elevated→normal"] {
+		t.Errorf("flight recorder's adapt spans = %v, want degraded→elevated and elevated→normal", labels)
 	}
 }
 
@@ -216,11 +216,11 @@ func TestHysteresis(t *testing.T) {
 }
 
 // TestKeepObservability pins the escape hatch: degraded mode must not
-// shed the trace ring when the operator asked to keep it.
+// shed the flight recorder when the operator asked to keep it.
 func TestKeepObservability(t *testing.T) {
 	eng := core.NewTimeRCU(8, nil)
 	met := obs.New()
-	met.EnableTrace(64)
+	met.EnableFlightRecorder(64)
 	rec := reclaim.New(eng, reclaim.Config{Shards: 1, Metrics: met})
 	defer rec.Close()
 	c := New(Config{
@@ -242,8 +242,8 @@ func TestKeepObservability(t *testing.T) {
 	if c.Mode() != ModeDegraded {
 		t.Fatalf("mode = %v, want degraded", c.Mode())
 	}
-	if !met.TraceEnabled() {
-		t.Fatal("KeepObservability was ignored: trace ring shed in degraded mode")
+	if !met.FlightEnabled() {
+		t.Fatal("KeepObservability was ignored: flight recorder shed in degraded mode")
 	}
 }
 

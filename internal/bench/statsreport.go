@@ -12,8 +12,8 @@ import (
 // predicate selectivity (readers scanned versus waited for), wait
 // resolution (spin versus scheduler-yield), D-PRCU drain outcomes, and
 // sampled reader critical-section durations. Each engine's metrics are
-// also published through expvar (as "prcu.<engine>") for processes that
-// embed this report.
+// also bound in the export registry (under the engine's name) for
+// processes that embed this report.
 //
 // This surfaces the quantities the paper's argument rests on: PRCU's
 // selectivity is why its waits are short, and the section-duration
@@ -40,7 +40,6 @@ func Stats(cfg Config) error {
 		if _, err := runMix(s, workload.Mixed, cfg.SmallKeys, threads, cfg.Duration); err != nil {
 			return err
 		}
-		obs.Publish("prcu."+e.Name, m)
 		obs.Register(e.Name, m)
 		m.Snapshot().Dump(cfg.Out, e.Name)
 	}

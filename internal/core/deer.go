@@ -95,7 +95,7 @@ func (r *deerReader) Enter(v Value) {
 	n.value.Store(v)
 	n.time.Store(r.d.clock.Now())
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -103,7 +103,7 @@ func (r *deerReader) Enter(v Value) {
 func (r *deerReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.table[hashValue(v)&r.d.mask].time.Store(tsc.Infinity)
 }

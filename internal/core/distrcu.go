@@ -58,7 +58,7 @@ func (r *distReader) Enter(v Value) {
 	r.check()
 	r.gen.Add(1)
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -66,7 +66,7 @@ func (r *distReader) Enter(v Value) {
 func (r *distReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.gen.Add(1)
 }

@@ -158,7 +158,7 @@ func (r *dReader) Enter(v Value) {
 		if r.d.tbl.Load() == t {
 			r.node, r.tbl, r.b, r.inCS = n, t, b, true
 			if r.lane != nil {
-				r.lane.OnEnter(v)
+				r.lane.OnEnter()
 			}
 			return
 		}
@@ -176,7 +176,7 @@ func (r *dReader) Exit(v Value) {
 		panic("prcu: Exit value does not match Enter value")
 	}
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.node.readers[r.b].Add(-1)
 	r.node, r.tbl, r.inCS = nil, nil, false

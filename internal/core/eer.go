@@ -86,7 +86,7 @@ func (r *eerReader) Enter(v Value) {
 	// Algorithm 1 line 6's TSO fence — ordering the time store before the
 	// critical section's reads — is implied by the SC atomic store above.
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -94,7 +94,7 @@ func (r *eerReader) Enter(v Value) {
 func (r *eerReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.node.time.Store(tsc.Infinity)
 }

@@ -116,12 +116,12 @@ func TestMetricsCountWaitedReaders(t *testing.T) {
 }
 
 // TestMetricsSharedAcrossEngines checks that one Metrics can serve
-// several engines, merging their numbers, and that trace events from
-// reader and waiter sides interleave in time order.
+// several engines, merging their numbers, and that their waits land in
+// its flight recorder as time-ordered SpanWait spans.
 func TestMetricsSharedAcrossEngines(t *testing.T) {
 	m := obs.New()
 	m.EnsureReaders(4)
-	m.EnableTrace(256)
+	m.EnableFlightRecorder(256)
 	a := NewEER(4, nil)
 	b := NewTimeRCU(4, nil)
 	a.SetMetrics(m)
@@ -138,13 +138,17 @@ func TestMetricsSharedAcrossEngines(t *testing.T) {
 	if s.Waits != 2 {
 		t.Fatalf("shared metrics saw %d waits, want 2", s.Waits)
 	}
-	evs := m.TraceSnapshot()
-	if len(evs) < 4 {
-		t.Fatalf("trace captured %d events, want >= 4 (enter, exit, 2x wait begin/end)", len(evs))
+	spans := m.FlightSnapshot()
+	if len(spans) != 2 {
+		t.Fatalf("flight recorder holds %d spans, want the 2 waits: %+v", len(spans), spans)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].TimeNs < evs[i-1].TimeNs {
-			t.Fatal("trace events out of time order")
+	for i, sp := range spans {
+		// The reader had exited before either wait began.
+		if sp.Kind != obs.SpanWait || sp.Count != 0 || sp.GP == 0 {
+			t.Fatalf("span %d = %+v, want a wait on no readers with a minted GP", i, sp)
+		}
+		if sp.EndNs < sp.StartNs || (i > 0 && sp.StartNs < spans[i-1].EndNs) {
+			t.Fatal("wait spans out of time order")
 		}
 	}
 }

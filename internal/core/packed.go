@@ -105,7 +105,7 @@ func (r *packedReader) Enter(v Value) {
 	r.check()
 	r.word.Store(r.p.gp.Load() | packedActive)
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -114,7 +114,7 @@ func (r *packedReader) Enter(v Value) {
 func (r *packedReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.word.Store(0)
 }

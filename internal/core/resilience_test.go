@@ -372,10 +372,12 @@ func TestStallWatchdogSelectivity(t *testing.T) {
 }
 
 // TestStallMetrics checks the stall counters flow into the engine's
-// observability snapshot.
+// observability snapshot, and that the report lands in the flight
+// recorder on the grace period of the wait it fired in.
 func TestStallMetrics(t *testing.T) {
 	r := NewEER(16, nil)
 	met := obs.New()
+	met.EnableFlightRecorder(16)
 	r.SetMetrics(met)
 	clk := tsc.NewManual(0)
 	var col stallCollector
@@ -400,6 +402,14 @@ func TestStallMetrics(t *testing.T) {
 	}
 	if s.StalledReaders != 1 {
 		t.Errorf("Snapshot.StalledReaders = %d, want 1", s.StalledReaders)
+	}
+	spans := met.FlightSnapshot()
+	if len(spans) != 2 || spans[0].Kind != obs.SpanStall || spans[1].Kind != obs.SpanWait {
+		t.Fatalf("spans = %+v, want the stall then the wait it interrupted", spans)
+	}
+	if stall, wait := spans[0], spans[1]; stall.GP != wait.GP || stall.Count != 1 ||
+		stall.StartNs < wait.StartNs || stall.StartNs > wait.EndNs {
+		t.Errorf("stall %+v is not inside wait %+v on its GP", stall, wait)
 	}
 }
 

@@ -206,7 +206,7 @@ func (s *waitSession) checkStall() {
 		Elapsed:   time.Duration(now - s.startNs),
 		Readers:   s.e.self.stalledReaders(s.pred),
 	}
-	s.m.StallDetected(uint64(len(rep.Readers)))
+	s.m.StallDetected(s.span, uint64(len(rep.Readers)))
 	if st.cfg.OnStall != nil {
 		st.cfg.OnStall(rep)
 	}

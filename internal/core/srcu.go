@@ -66,7 +66,7 @@ func (r *srcuReader) Enter(v Value) {
 	n.readers[b].Add(1)
 	r.b, r.inCS = b, true
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -77,7 +77,7 @@ func (r *srcuReader) Exit(v Value) {
 		panic("prcu: Exit without matching Enter")
 	}
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.s.node.readers[r.b].Add(-1)
 	r.inCS = false

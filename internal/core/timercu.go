@@ -55,7 +55,7 @@ func (r *timeReader) Enter(v Value) {
 	r.check()
 	r.node.time.Store(r.t.clock.Now())
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -63,7 +63,7 @@ func (r *timeReader) Enter(v Value) {
 func (r *timeReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.node.time.Store(tsc.Infinity)
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"prcu/internal/obs"
 )
 
 // Torture test in the style of the Linux kernel's rcutorture: readers
@@ -175,25 +177,35 @@ func TestTorture(t *testing.T) {
 }
 
 // TestTortureWithMetrics repeats a short torture run with the
-// observability layer attached and tracing on, checking that metrics
-// survive concurrent recording (this is the hook-path race test).
+// observability layer attached and the flight recorder armed, checking
+// that metrics survive concurrent recording (this is the hook-path race
+// test).
 func TestTortureWithMetrics(t *testing.T) {
 	d := scaleDur(150*time.Millisecond, 60*time.Millisecond)
 	for name, r := range meteredEngines(16) {
 		t.Run(name, func(t *testing.T) {
 			c := r.(MetricsCarrier)
-			c.Metrics().EnableTrace(1024)
+			c.Metrics().EnableFlightRecorder(1024)
 			runTorture(t, r, d)
 			s := r.Stats()
 			if s.Waits == 0 || s.Enters == 0 {
 				t.Fatalf("metrics empty after torture: waits=%d enters=%d", s.Waits, s.Enters)
 			}
-			if s.TraceLen == 0 {
-				t.Fatal("trace buffer empty after torture with tracing enabled")
+			if s.FlightLen == 0 {
+				t.Fatal("flight recorder empty after torture with it armed")
 			}
-			// Concurrent snapshots must be safe while traffic is still
-			// conceivable; exercise the aggregation path once more.
-			_ = c.Metrics().TraceSnapshot()
+			// Every wait left a span whose Count is the readers it waited
+			// on, so the buffered ones can sum to no more than the total.
+			var waited uint64
+			for _, sp := range c.Metrics().FlightSnapshot() {
+				if sp.Kind != obs.SpanWait || sp.EndNs < sp.StartNs {
+					t.Fatalf("unexpected span %+v", sp)
+				}
+				waited += uint64(sp.Count)
+			}
+			if waited > s.ReadersWaited {
+				t.Fatalf("wait spans count %d readers waited, metrics only %d", waited, s.ReadersWaited)
+			}
 		})
 	}
 }

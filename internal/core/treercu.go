@@ -145,7 +145,7 @@ func (r *treeReader) Enter(v Value) {
 	r.check()
 	r.state.Add(1)
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -154,7 +154,7 @@ func (r *treeReader) Enter(v Value) {
 func (r *treeReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.state.Add(1)
 	tl := r.t.tree.Load()

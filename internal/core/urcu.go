@@ -68,7 +68,7 @@ func (r *urcuReader) Enter(v Value) {
 	r.check()
 	r.ctr.Store(r.u.gp.Load())
 	if r.lane != nil {
-		r.lane.OnEnter(v)
+		r.lane.OnEnter()
 	}
 }
 
@@ -76,7 +76,7 @@ func (r *urcuReader) Enter(v Value) {
 func (r *urcuReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
-		r.lane.OnExit(v)
+		r.lane.OnExit()
 	}
 	r.ctr.Store(0)
 }

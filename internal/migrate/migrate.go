@@ -105,24 +105,14 @@ type Config struct {
 	StallTimeout time.Duration
 	// OnStall, when non-nil, additionally receives escalated reports.
 	OnStall func(core.StallReport)
-	// Metrics, when non-nil, records protocol transitions (MigrateEvent
-	// counters + EvMigrate trace events).
+	// Metrics, when non-nil, records protocol transitions: the
+	// MigrateEvent counter plus a SpanMigrate in the flight recorder
+	// labelled "begin", "drained", "handover", "complete", "rollback" or
+	// "stuck-rollback" (a rollback whose mandatory target drain has
+	// failed stuckRollbackAttempts times in a row and is parked retrying
+	// it in the visible phase of that name).
 	Metrics *obs.Metrics
 }
-
-// Packed phase words recorded via Metrics.MigrateEvent and carried by
-// EvMigrate trace events.
-const (
-	EventBegin uint64 = iota + 1
-	EventDrained
-	EventHandover
-	EventComplete
-	EventRollback
-	// EventStuck marks a rollback whose mandatory target drain has
-	// failed stuckRollbackAttempts times in a row; the migrator is
-	// parked retrying it in the visible "stuck-rollback" phase.
-	EventStuck
-)
 
 // stuckRollbackAttempts is how many consecutive target-drain failures a
 // rollback tolerates before parking in the "stuck-rollback" phase
@@ -208,7 +198,7 @@ func (m *Migrator) update(fn func(*obs.MigrationState)) {
 }
 
 // event records a protocol transition in the metrics plane.
-func (m *Migrator) event(code uint64) { m.cfg.Metrics.MigrateEvent(code) }
+func (m *Migrator) event(phase string) { m.cfg.Metrics.MigrateEvent(phase) }
 
 // Migrate moves the live workload from source to target: rec (optional)
 // is switched into dual-coverage mode, every front is flipped onto
@@ -242,7 +232,7 @@ func (m *Migrator) Migrate(ctx context.Context, source, target core.RCU, fronts 
 		st.Started++
 		st.LastError = ""
 	})
-	m.event(EventBegin)
+	m.event("begin")
 
 	finish := func(err error) error {
 		m.update(func(st *obs.MigrationState) {
@@ -280,7 +270,7 @@ func (m *Migrator) Migrate(ctx context.Context, source, target core.RCU, fronts 
 
 	rollback := func(cause error) error {
 		m.update(func(st *obs.MigrationState) { st.Phase = "rollback" })
-		m.event(EventRollback)
+		m.event("rollback")
 		for i, f := range fronts {
 			f.SwapEngine(prevs[i])
 		}
@@ -313,7 +303,7 @@ func (m *Migrator) Migrate(ctx context.Context, source, target core.RCU, fronts 
 				}
 			})
 			if attempt == stuckRollbackAttempts {
-				m.event(EventStuck)
+				m.event("stuck-rollback")
 			}
 		}
 		m.update(func(st *obs.MigrationState) { st.Phase = "rollback" })
@@ -339,7 +329,7 @@ func (m *Migrator) Migrate(ctx context.Context, source, target core.RCU, fronts 
 		return rollback(fmt.Errorf("phase 1 (source drain): %w", err))
 	}
 	m.settleFronts(fronts)
-	m.event(EventDrained)
+	m.event("drained")
 
 	// Phase 2: flush the retirement backlog submitted before the flip
 	// under the dual-coverage window, so the source can be
@@ -354,11 +344,11 @@ func (m *Migrator) Migrate(ctx context.Context, source, target core.RCU, fronts 
 		}
 		rec.CompleteHandover()
 	}
-	m.event(EventHandover)
+	m.event("handover")
 
 	restoreStall()
 	m.update(func(st *obs.MigrationState) { st.Completed++ })
-	m.event(EventComplete)
+	m.event("complete")
 	return finish(nil)
 }
 

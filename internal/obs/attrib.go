@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime/pprof"
 	rttrace "runtime/trace"
-	"sync/atomic"
 )
 
 // Runtime attribution ties the engine's internal phases to Go's own
@@ -15,10 +14,10 @@ import (
 // attributes grace-period and reclamation time to the engine that spent
 // it.
 //
-// The gate follows the trace ring's discipline exactly: a single atomic
-// pointer that is nil when attribution is off, so every hook costs one
-// pointer load and one never-taken branch on the disabled path — the
-// wait path allocates nothing and calls nothing extra. Even enabled, the
+// The gate (Metrics.attr) is a single atomic pointer that is nil when
+// attribution is off, so every hook costs one pointer load and one
+// never-taken branch on the disabled path — the wait path allocates
+// nothing and calls nothing extra. Even enabled, the
 // label contexts are built once at EnableRuntimeAttribution, so a wait
 // performs no per-call allocation (runtime/trace regions are no-ops
 // unless an execution trace is actually being collected).
@@ -73,15 +72,6 @@ func (m *Metrics) DisableRuntimeAttribution() {
 
 // AttributionEnabled reports whether runtime attribution is on.
 func (m *Metrics) AttributionEnabled() bool { return m != nil && m.attr.Load() != nil }
-
-// attrHolder is the hook-visible atomic handle, mirroring traceHolder.
-type attrHolder struct {
-	p atomic.Pointer[attrib]
-}
-
-func (h *attrHolder) Load() *attrib          { return h.p.Load() }
-func (h *attrHolder) Store(a *attrib)        { h.p.Store(a) }
-func (h *attrHolder) Swap(a *attrib) *attrib { return h.p.Swap(a) }
 
 // WaitSpan is the per-wait handle WaitBegin returns and WaitEnd
 // consumes. It travels by value on the waiter's stack — the hook adds no

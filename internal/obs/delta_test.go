@@ -17,8 +17,8 @@ func TestDeltaRates(t *testing.T) {
 	m.EnsureReaders(1)
 	l := m.Lane(0)
 	for i := 0; i < 50; i++ {
-		l.OnEnter(1)
-		l.OnExit(1)
+		l.OnEnter()
+		l.OnExit()
 	}
 	cur := m.Snapshot()
 

@@ -15,16 +15,19 @@ import (
 // batch group the callback landed in, with its merged predicate) → wait
 // (the engine-internal WaitForReaders, with per-slot blame samples) →
 // callback execution, plus linked spans for migrate handover drains and
-// autotuner-triggered expedited flushes. /debug/prcu/tracez renders the
-// chain as Chrome trace-event JSON; the blame table it aggregates names
-// the reader slots that actually delay grace periods.
+// autotuner-triggered expedited flushes. Point events — stall reports,
+// reclaimer overloads, controller decisions, migration phase changes —
+// are zero-duration spans in the same ring (mark), so it is the module's
+// only event log. /debug/prcu/tracez renders it as Chrome trace-event
+// JSON and /debug/prcu/trace as a flat listing; the blame table it
+// aggregates names the reader slots that actually delay grace periods.
 //
-// Gating follows the trace ring and RuntimeAttribution exactly: a single
-// atomic pointer that is nil when the recorder is off, so every hook on
-// the wait and reclaim paths costs one pointer load and one never-taken
-// branch when disabled. Span recording itself takes a mutex — spans
-// occur at wait/flush frequency, never on the reader fast path, so a
-// lock there costs nothing that matters.
+// The gate (Metrics.flight) is a single atomic pointer that is nil when
+// the recorder is off, so every hook on the wait and reclaim paths costs
+// one pointer load and one never-taken branch when disabled. Span
+// recording itself takes a mutex — spans occur at wait/flush frequency,
+// never on the reader fast path, so a lock there costs nothing that
+// matters.
 
 // gpSeq is the process-wide grace-period ID allocator. One sequence
 // across all engines and reclaimers keeps IDs unique, so linked spans
@@ -79,6 +82,18 @@ const (
 	// SpanExpedite marks an autotuner-triggered expedited flush; the
 	// flush's coalesce span links back to it via Link.
 	SpanExpedite
+	// SpanStall marks a watchdog stall report, on the GP of the wait it
+	// fired in; Count is the number of open sections the report named.
+	SpanStall
+	// SpanOverload marks a retirement hitting the reclaimer's hard
+	// watermark; Count is the backlog then, Label how the caller degraded.
+	SpanOverload
+	// SpanAdapt marks an adaptive-controller mode change; Label reads
+	// "from→to".
+	SpanAdapt
+	// SpanMigrate marks a live-migration protocol transition; Label is
+	// the phase reached.
+	SpanMigrate
 )
 
 // String returns the span kind's mnemonic.
@@ -96,6 +111,14 @@ func (k SpanKind) String() string {
 		return "migrate-drain"
 	case SpanExpedite:
 		return "expedite"
+	case SpanStall:
+		return "stall"
+	case SpanOverload:
+		return "overload"
+	case SpanAdapt:
+		return "adapt"
+	case SpanMigrate:
+		return "migrate"
 	default:
 		return "?"
 	}
@@ -116,11 +139,11 @@ type FlightSpan struct {
 	GP uint64 `json:"gp"`
 	// Link, when non-zero, references another chain's GP: an expedited
 	// flush's coalesce span links the SpanExpedite that triggered it.
-	Link    uint64   `json:"link,omitempty"`
-	Kind    SpanKind `json:"kind"`
-	// Track is the rendering lane: "wait" for engine waits,
-	// "reclaim/<shard>" for the reclaimer stages, "migrate" and
-	// "autotune" for the linked spans.
+	Link uint64   `json:"link,omitempty"`
+	Kind SpanKind `json:"kind"`
+	// Track is the rendering lane: "wait" for engine waits and stalls,
+	// "reclaim/<shard>" for the reclaimer stages ("reclaim" for its
+	// overloads), "migrate" and "autotune" for those layers' spans.
 	Track   string `json:"track"`
 	StartNs int64  `json:"start_ns"`
 	EndNs   int64  `json:"end_ns"`
@@ -156,15 +179,6 @@ type flightRecorder struct {
 	expedite atomic.Uint64
 }
 
-// flightHolder is the hook-visible atomic gate, mirroring traceHolder:
-// nil means the recorder is off and every hook costs one pointer load
-// and a never-taken branch.
-type flightHolder struct {
-	p atomic.Pointer[flightRecorder]
-}
-
-func (h *flightHolder) load() *flightRecorder { return h.p.Load() }
-
 // MaxFlightCapacity bounds the span ring: 2^16 spans is far past
 // post-mortem use and keeps the rounding below trivially safe.
 const MaxFlightCapacity = 1 << 16
@@ -176,7 +190,7 @@ const DefaultFlightCapacity = 4096
 // EnableFlightRecorder arms the grace-period flight recorder with a
 // span ring of at least capacity entries (minimum 16, clamped to
 // MaxFlightCapacity). Non-positive capacities are a caller bug and
-// panic, like EnableTrace.
+// panic.
 func (m *Metrics) EnableFlightRecorder(capacity int) {
 	if capacity <= 0 {
 		panic("prcu/obs: EnableFlightRecorder capacity must be positive")
@@ -190,7 +204,7 @@ func (m *Metrics) EnableFlightRecorder(capacity int) {
 	if capacity < 16 {
 		capacity = 16
 	}
-	m.flight.p.Store(&flightRecorder{
+	m.flight.Store(&flightRecorder{
 		spans: make([]FlightSpan, 0, capacity),
 		blame: map[int]*blameCell{},
 	})
@@ -198,20 +212,29 @@ func (m *Metrics) EnableFlightRecorder(capacity int) {
 
 // DisableFlightRecorder disarms the recorder, returning its span-ring
 // capacity (0 when it was off) so the adaptive controller can shed and
-// later restore it like the trace ring. Hooks racing the disarm finish
-// into the old recorder, which is then unreachable.
+// later restore it. Hooks racing the disarm finish into the old
+// recorder, which is then unreachable.
 func (m *Metrics) DisableFlightRecorder() int {
 	if m == nil {
 		return 0
 	}
-	if fr := m.flight.p.Swap(nil); fr != nil {
+	if fr := m.flight.Swap(nil); fr != nil {
 		return cap(fr.spans)
 	}
 	return 0
 }
 
+// recorder returns the armed flight recorder, nil when it is off or m is
+// the nil Metrics.
+func (m *Metrics) recorder() *flightRecorder {
+	if m == nil {
+		return nil
+	}
+	return m.flight.Load()
+}
+
 // FlightEnabled reports whether the flight recorder is armed.
-func (m *Metrics) FlightEnabled() bool { return m != nil && m.flight.load() != nil }
+func (m *Metrics) FlightEnabled() bool { return m.recorder() != nil }
 
 // FlightNow reads the Metrics clock — the timebase every FlightSpan is
 // stamped on. Layers with their own clocks (the reclaimer) convert
@@ -227,20 +250,13 @@ func (m *Metrics) FlightNow() int64 {
 // reclaim/migrate/adapt layers and for tests synthesizing deterministic
 // chains; a disarmed recorder drops the span.
 func (m *Metrics) FlightRecord(sp FlightSpan) {
-	if m == nil {
-		return
-	}
-	if fr := m.flight.load(); fr != nil {
+	if fr := m.recorder(); fr != nil {
 		fr.record(sp)
 	}
 }
 
 func (f *flightRecorder) record(sp FlightSpan) {
 	f.mu.Lock()
-	if cap(f.spans) == 0 {
-		f.mu.Unlock()
-		return
-	}
 	if len(f.spans) < cap(f.spans) {
 		f.spans = append(f.spans, sp)
 	} else {
@@ -273,59 +289,65 @@ func (f *flightRecorder) reset() {
 	f.expedite.Store(0)
 }
 
+// mark records a point event as a zero-duration span stamped now, on gp
+// or (gp == 0) on a fresh ID of its own — unrelated events must not
+// share a flow chain. It returns the recorder and the ID used, nil and 0
+// when the recorder is off. Cold: every caller is a rare transition.
+func (m *Metrics) mark(kind SpanKind, track string, gp uint64, count int, label string) (*flightRecorder, uint64) {
+	fr := m.recorder()
+	if fr == nil {
+		return nil, 0
+	}
+	if gp == 0 {
+		gp = NextGP()
+	}
+	now := m.now()
+	fr.record(FlightSpan{GP: gp, Kind: kind, Track: track,
+		StartNs: now, EndNs: now, Count: count, Label: label})
+	return fr, gp
+}
+
 // FlightExpedite records an autotuner-triggered expedited flush as a
 // SpanExpedite with its own fresh GP and remembers that GP so the next
 // expedited reclaim flush can link its coalesce span back to the
 // trigger. label names the trigger (the controller mode).
 func (m *Metrics) FlightExpedite(label string) {
-	if m == nil {
-		return
+	if fr, gp := m.mark(SpanExpedite, "autotune", 0, 0, label); fr != nil {
+		fr.expedite.Store(gp)
 	}
-	fr := m.flight.load()
-	if fr == nil {
-		return
-	}
-	gp := NextGP()
-	now := m.now()
-	fr.record(FlightSpan{GP: gp, Kind: SpanExpedite, Track: "autotune",
-		StartNs: now, EndNs: now, Label: label})
-	fr.expedite.Store(gp)
 }
 
 // FlightExpediteLink consumes the pending expedited-flush link (0 when
 // none is pending). The reclaimer calls it on each expedited flush.
 func (m *Metrics) FlightExpediteLink() uint64 {
-	if m == nil {
-		return 0
-	}
-	if fr := m.flight.load(); fr != nil {
+	if fr := m.recorder(); fr != nil {
 		return fr.expedite.Swap(0)
 	}
 	return 0
 }
 
+// counts returns the number of spans buffered and the number the ring
+// has overwritten since it was armed or last reset.
+func (f *flightRecorder) counts() (buffered int, overwritten uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.spans), f.head - uint64(len(f.spans))
+}
+
 // FlightLen returns the number of spans currently buffered.
 func (m *Metrics) FlightLen() int {
-	if m == nil {
-		return 0
+	if fr := m.recorder(); fr != nil {
+		n, _ := fr.counts()
+		return n
 	}
-	fr := m.flight.load()
-	if fr == nil {
-		return 0
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return len(fr.spans)
+	return 0
 }
 
 // FlightSnapshot returns the buffered spans oldest-first (nil when the
 // recorder is off). Blame slices are shared with the ring, not copied;
 // treat them as read-only.
 func (m *Metrics) FlightSnapshot() []FlightSpan {
-	if m == nil {
-		return nil
-	}
-	fr := m.flight.load()
+	fr := m.recorder()
 	if fr == nil {
 		return nil
 	}
@@ -358,10 +380,7 @@ type BlameEntry struct {
 // descending (all slots when k <= 0 or exceeds the table). Nil when the
 // recorder is off or nothing has been blamed.
 func (m *Metrics) TopBlame(k int) []BlameEntry {
-	if m == nil {
-		return nil
-	}
-	fr := m.flight.load()
+	fr := m.recorder()
 	if fr == nil {
 		return nil
 	}

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"context"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestFlightGating(t *testing.T) {
@@ -48,6 +50,149 @@ func TestFlightRingWrap(t *testing.T) {
 		if want := uint64(25 + i); sp.GP != want {
 			t.Fatalf("spans[%d].GP = %d, want %d", i, sp.GP, want)
 		}
+	}
+	// The loss is counted, and Snapshot agrees with the ring about both.
+	if s := m.Snapshot(); s.FlightLen != 16 || s.FlightOverwritten != 24 {
+		t.Fatalf("FlightLen/FlightOverwritten = %d/%d, want 16/24", s.FlightLen, s.FlightOverwritten)
+	}
+	m.Reset()
+	if s := m.Snapshot(); s.FlightOverwritten != 0 {
+		t.Fatalf("Reset left FlightOverwritten = %d", s.FlightOverwritten)
+	}
+}
+
+// TestFlightSnapshotConcurrent hammers the ring from several writers
+// while snapshotting (under -race this checks the mutex discipline):
+// every snapshot stays within the ring capacity, holds no zero-Kind
+// span, and shows each writer's spans in the order it recorded them.
+func TestFlightSnapshotConcurrent(t *testing.T) {
+	m := New()
+	m.EnableFlightRecorder(128)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 1; w <= 3; w++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			for n := 1; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m.FlightRecord(FlightSpan{GP: id, Kind: SpanWait, Count: n})
+			}
+		}(uint64(w))
+	}
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for time.Now().Before(deadline) && !t.Failed() {
+		spans := m.FlightSnapshot()
+		if len(spans) > 128 {
+			t.Errorf("snapshot longer than ring: %d", len(spans))
+		}
+		last := map[uint64]int{}
+		for i, sp := range spans {
+			if sp.Kind == 0 {
+				t.Errorf("span %d zero: %+v", i, sp)
+			}
+			if sp.Count <= last[sp.GP] {
+				t.Errorf("span %d: writer %d's count %d after %d", i, sp.GP, sp.Count, last[sp.GP])
+			}
+			last[sp.GP] = sp.Count
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestEnableFlightRecorderClampAndPanic covers the capacity guard rails:
+// requests clamp into [16, MaxFlightCapacity], non-positive ones panic.
+func TestEnableFlightRecorderClampAndPanic(t *testing.T) {
+	m := New()
+	m.EnableFlightRecorder(MaxFlightCapacity * 4)
+	if got := m.DisableFlightRecorder(); got != MaxFlightCapacity {
+		t.Fatalf("clamped ring size = %d, want %d", got, MaxFlightCapacity)
+	}
+	m.EnableFlightRecorder(1)
+	if got := m.DisableFlightRecorder(); got != 16 {
+		t.Fatalf("minimum ring size = %d, want 16", got)
+	}
+	// The guard must fire even on the nil (disabled) receiver, so a bug
+	// does not hide behind observability being off.
+	for _, recv := range []*Metrics{m, nil} {
+		for _, capacity := range []int{0, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("EnableFlightRecorder(%d) on %p did not panic", capacity, recv)
+					}
+				}()
+				recv.EnableFlightRecorder(capacity)
+			}()
+		}
+	}
+}
+
+func TestSpanKindString(t *testing.T) {
+	for k, want := range map[SpanKind]string{
+		SpanRetire: "retire", SpanCoalesce: "coalesce", SpanWait: "wait",
+		SpanCallback: "callback", SpanMigrateDrain: "migrate-drain", SpanExpedite: "expedite",
+		SpanStall: "stall", SpanOverload: "overload", SpanAdapt: "adapt", SpanMigrate: "migrate",
+		SpanKind(0): "?",
+	} {
+		if got := k.String(); got != want {
+			t.Fatalf("SpanKind(%d).String() = %q, want %q", k, got, want)
+		}
+	}
+}
+
+// TestPointEventsAreSpans: the hooks that used to feed a second ring
+// leave zero-duration spans on their layer's track, readable labels
+// instead of packed words, a stall on the GP of the wait it fired in and
+// every other event on a GP of its own.
+func TestPointEventsAreSpans(t *testing.T) {
+	m := New()
+	m.EnableFlightRecorder(32)
+	wait := m.WaitBeginCtx(WithGP(context.Background(), 99))
+	m.StallDetected(wait, 2)
+	m.WaitEnd(wait, 4, 2, 1)
+	m.ReclaimOverload(OverloadBackpressure, 7)
+	m.ReclaimOverload(OverloadInline, 8)
+	m.AdaptDecision("normal→elevated")
+	m.MigrateEvent("handover")
+
+	want := []FlightSpan{
+		{GP: 99, Kind: SpanStall, Track: "wait", Count: 2},
+		{GP: 99, Kind: SpanWait, Track: "wait", Count: 2},
+		{Kind: SpanOverload, Track: "reclaim", Count: 7, Label: "backpressure"},
+		{Kind: SpanOverload, Track: "reclaim", Count: 8, Label: "inline"},
+		{Kind: SpanAdapt, Track: "autotune", Label: "normal→elevated"},
+		{Kind: SpanMigrate, Track: "migrate", Label: "handover"},
+	}
+	got := m.FlightSnapshot()
+	if len(got) != len(want) {
+		t.Fatalf("got %d spans, want %d: %+v", len(got), len(want), got)
+	}
+	seen := map[uint64]bool{}
+	for i, w := range want {
+		g := got[i]
+		if g.Kind != w.Kind || g.Track != w.Track || g.Count != w.Count || g.Label != w.Label {
+			t.Errorf("span %d = %+v, want %+v", i, g, w)
+		}
+		if g.Kind != SpanWait && g.StartNs != g.EndNs {
+			t.Errorf("span %d (%v) has a duration: %d..%d", i, g.Kind, g.StartNs, g.EndNs)
+		}
+		if w.GP != 0 && g.GP != w.GP {
+			t.Errorf("span %d GP = %d, want the wait's %d", i, g.GP, w.GP)
+		}
+		if w.GP == 0 && (g.GP == 0 || seen[g.GP]) {
+			t.Errorf("span %d GP = %d, want a fresh non-zero ID", i, g.GP)
+		}
+		seen[g.GP] = true
+	}
+	if s := m.Snapshot(); s.Stalls != 1 || s.ReclaimBackpressure != 1 || s.ReclaimInline != 1 ||
+		s.AdaptDecisions != 1 || s.MigrateEvents != 1 {
+		t.Errorf("counters did not follow the spans: %+v", s)
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package obs is the engine-level observability layer: low-overhead
-// metrics and event tracing for the RCU engines in internal/core.
+// metrics and a grace-period flight recorder (flight.go, the one event
+// log) for the RCU engines in internal/core.
 //
 // The paper's entire evaluation turns on quantities only visible inside
 // the grace-period machinery — how long a wait-for-readers really takes,
@@ -27,7 +28,6 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"runtime/pprof"
 	rttrace "runtime/trace"
 	"sync"
@@ -125,13 +125,15 @@ type Metrics struct {
 	// count moves here so Snapshot.Enters stays a monotone total.
 	retiredEnters pad.Uint64
 
-	trace  traceHolder
-	attr   attrHolder
-	flight flightHolder
+	// The two optional recorders' gates (attrib.go, flight.go), nil when
+	// off. Every wait loads both, so they sit after the last padded cell,
+	// on a line no hook writes.
+	attr   atomic.Pointer[attrib]
+	flight atomic.Pointer[flightRecorder]
 }
 
 // New returns an enabled Metrics with the default section sampling rate
-// and no trace buffer.
+// and both recorders off.
 func New() *Metrics {
 	return &Metrics{clock: tsc.NewMonotonic(), sampleShift: DefaultSectionSampleShift}
 }
@@ -153,7 +155,7 @@ func (m *Metrics) EnsureReaders(n int) {
 	m.laneMu.Lock()
 	defer m.laneMu.Unlock()
 	for len(m.lanes) < n {
-		m.lanes = append(m.lanes, &ReaderLane{m: m, slot: int32(len(m.lanes))})
+		m.lanes = append(m.lanes, &ReaderLane{m: m})
 	}
 }
 
@@ -186,10 +188,7 @@ func (m *Metrics) WaitBeginCtx(ctx context.Context) WaitSpan {
 		pprof.SetGoroutineLabels(a.waitCtx)
 		sp.labeled = true
 	}
-	if tr := m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: sp.StartNs, Kind: EvWaitBegin})
-	}
-	if fr := m.flight.load(); fr != nil {
+	if fr := m.flight.Load(); fr != nil {
 		sp.fr = fr
 		if sp.gp = GPFromContext(ctx); sp.gp == 0 {
 			sp.gp = NextGP()
@@ -214,9 +213,6 @@ func (m *Metrics) WaitEnd(sp WaitSpan, scanned, waited, parked uint64) {
 	}
 	if parked != 0 {
 		m.parks.Add(parked)
-	}
-	if tr := m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: end, Kind: EvWaitEnd, Value: waited})
 	}
 	if sp.fr != nil {
 		sp.fr.record(FlightSpan{
@@ -250,8 +246,10 @@ const (
 )
 
 // StallDetected records one watchdog stall report naming stalled open
-// critical sections, and traces it (Value carries the stalled count).
-func (m *Metrics) StallDetected(stalled uint64) {
+// critical sections, fired inside the wait sp: the SpanStall it leaves
+// carries that wait's GP, so the report lines up with the SpanWait it
+// interrupted.
+func (m *Metrics) StallDetected(sp WaitSpan, stalled uint64) {
 	if m == nil {
 		return
 	}
@@ -262,9 +260,7 @@ func (m *Metrics) StallDetected(stalled uint64) {
 		// wedged process shows the report inside the blocked wait region.
 		rttrace.Log(a.taskCtx, "prcu:stall", a.engine)
 	}
-	if tr := m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: m.now(), Kind: EvStall, Reader: -1, Value: stalled})
-	}
+	m.mark(SpanStall, "wait", sp.gp, int(stalled), "")
 }
 
 // DrainCounts records a batch of counter-node drain outcomes.
@@ -323,7 +319,7 @@ func (m *Metrics) ReclaimResolve(freed, dropped int, bytes int64) {
 	}
 }
 
-// / ReclaimFlush records one shard batch flush: how many callbacks it
+// ReclaimFlush records one shard batch flush: how many callbacks it
 // resolved, how many grace periods the coalescer actually issued for
 // them, how long the whole flush took, and whether it was expedited
 // (soft-watermark or explicit Flush) rather than delay-batched.
@@ -337,9 +333,6 @@ func (m *Metrics) ReclaimFlush(batch int, graces uint64, durNs int64, expedited 
 	if expedited {
 		m.reclaimExpedited.Add(1)
 	}
-	if tr := m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: m.now(), Kind: EvReclaimFlush, Reader: -1, Value: uint64(batch)})
-	}
 }
 
 // ReclaimOverload records a retirement hitting the hard watermark, with
@@ -348,14 +341,14 @@ func (m *Metrics) ReclaimOverload(kind OverloadKind, backlog uint64) {
 	if m == nil {
 		return
 	}
+	label := "inline"
 	if kind == OverloadBackpressure {
 		m.reclaimBackpressure.Add(1)
+		label = "backpressure"
 	} else {
 		m.reclaimInline.Add(1)
 	}
-	if tr := m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: m.now(), Kind: EvReclaimOverload, Reader: -1, Value: backlog})
-	}
+	m.mark(SpanOverload, "reclaim", 0, int(backlog), label)
 }
 
 // SetReclaimAgeProbe installs (or, with nil, removes) the pull probe
@@ -385,35 +378,30 @@ func (m *Metrics) ReclaimOldestNs() int64 {
 	return 0
 }
 
-// AdaptDecision records one adaptive-controller decision: code is the
-// controller's packed decision word (mode in the low bits; see
-// internal/adapt). The decision lands in the trace ring as an EvAdapt
-// event, giving post-mortems the controller's actuation history in line
-// with the waits and overloads that drove it. The controller rate-limits
-// its own logging; this hook records whatever it is handed.
-func (m *Metrics) AdaptDecision(code uint64) {
+// AdaptDecision records one adaptive-controller decision, described by
+// label ("normal→elevated"; see internal/adapt). It lands in the flight
+// recorder as a SpanAdapt, giving post-mortems the controller's
+// actuation history in line with the waits and overloads that drove it.
+// The controller rate-limits its own logging; this hook records whatever
+// it is handed.
+func (m *Metrics) AdaptDecision(label string) {
 	if m == nil {
 		return
 	}
 	m.adaptDecisions.Add(1)
-	if tr := m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: m.now(), Kind: EvAdapt, Reader: -1, Value: code})
-	}
+	m.mark(SpanAdapt, "autotune", 0, 0, label)
 }
 
-// MigrateEvent records one live engine-migration protocol transition:
-// code is the migrator's packed phase word (see internal/migrate). The
-// transition lands in the trace ring as an EvMigrate event, putting the
-// handover's begin/drain/complete/rollback history in line with the
-// waits and stalls that surrounded it.
-func (m *Metrics) MigrateEvent(code uint64) {
+// MigrateEvent records one live engine-migration protocol transition,
+// named by phase (see internal/migrate). It lands in the flight recorder
+// as a SpanMigrate, putting the handover's begin/drain/complete/rollback
+// history in line with the waits and stalls that surrounded it.
+func (m *Metrics) MigrateEvent(phase string) {
 	if m == nil {
 		return
 	}
 	m.migrateEvents.Add(1)
-	if tr := m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: m.now(), Kind: EvMigrate, Reader: -1, Value: code})
-	}
+	m.mark(SpanMigrate, "migrate", 0, 0, phase)
 }
 
 // ReaderLane is one reader slot's private metrics cell. Its counter is a
@@ -421,7 +409,6 @@ func (m *Metrics) MigrateEvent(code uint64) {
 // and the sampling scratch fields are owner-only.
 type ReaderLane struct {
 	m      *Metrics
-	slot   int32
 	enters pad.Uint64
 	// startNs/sampling are accessed only by the owning reader goroutine.
 	startNs  int64
@@ -443,33 +430,27 @@ func (l *ReaderLane) Recycle() {
 // current owner (since the last Recycle).
 func (l *ReaderLane) Enters() uint64 { return l.enters.Load() }
 
-// OnEnter records a critical-section entry on v. Called by the engine's
-// Enter after its own bookkeeping.
-func (l *ReaderLane) OnEnter(v uint64) {
+// OnEnter records a critical-section entry. Called by the engine's Enter
+// after its own bookkeeping.
+func (l *ReaderLane) OnEnter() {
 	n := l.enters.Add(1)
 	if (n-1)&(1<<l.m.sampleShift-1) == 0 {
 		l.startNs = l.m.now()
 		l.sampling = true
 	}
-	if tr := l.m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: l.m.now(), Kind: EvEnter, Reader: l.slot, Value: v})
-	}
 }
 
-// OnExit records the critical-section exit on v, completing a sampled
+// OnExit records the critical-section exit, completing a sampled
 // duration measurement if OnEnter started one.
-func (l *ReaderLane) OnExit(v uint64) {
+func (l *ReaderLane) OnExit() {
 	if l.sampling {
 		l.m.sectionNs.Record(l.m.now() - l.startNs)
 		l.sampling = false
 	}
-	if tr := l.m.trace.load(); tr != nil {
-		tr.add(Event{TimeNs: l.m.now(), Kind: EvExit, Reader: l.slot, Value: v})
-	}
 }
 
-// Reset clears every counter, histogram and the trace buffer (the buffer
-// stays enabled). Reader lanes are preserved.
+// Reset clears every counter and histogram and empties the flight
+// recorder (which stays armed). Reader lanes are preserved.
 func (m *Metrics) Reset() {
 	if m == nil {
 		return
@@ -504,45 +485,7 @@ func (m *Metrics) Reset() {
 		l.enters.Store(0)
 	}
 	m.laneMu.Unlock()
-	if tr := m.trace.load(); tr != nil {
-		tr.reset()
-	}
-	if fr := m.flight.load(); fr != nil {
+	if fr := m.flight.Load(); fr != nil {
 		fr.reset()
 	}
-}
-
-// expvar bookkeeping: expvar.Publish panics on duplicate names, so
-// Publish keeps its own registry and republishing a name just swaps the
-// backing Metrics.
-var (
-	expvarMu  sync.Mutex
-	published = map[string]*publishedMetrics{}
-)
-
-type publishedMetrics struct {
-	mu sync.Mutex
-	m  *Metrics
-}
-
-// Publish exports m's Snapshot under the given expvar name (e.g.
-// "prcu.EER-PRCU"), making it visible on /debug/vars wherever the
-// process serves expvar. Publishing an already-published name rebinds it.
-func Publish(name string, m *Metrics) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if p, ok := published[name]; ok {
-		p.mu.Lock()
-		p.m = m
-		p.mu.Unlock()
-		return
-	}
-	p := &publishedMetrics{m: m}
-	published[name] = p
-	expvar.Publish(name, expvar.Func(func() any {
-		p.mu.Lock()
-		mm := p.m
-		p.mu.Unlock()
-		return mm.Snapshot()
-	}))
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"prcu/internal/pad"
 )
 
 func TestNilMetricsIsSafe(t *testing.T) {
@@ -13,12 +16,16 @@ func TestNilMetricsIsSafe(t *testing.T) {
 		t.Fatal("nil Metrics must hand out nil lanes")
 	}
 	m.Reset()
-	m.EnableTrace(128)
-	if m.TraceEnabled() {
-		t.Fatal("nil Metrics cannot enable tracing")
+	m.EnableFlightRecorder(128)
+	if m.FlightEnabled() {
+		t.Fatal("nil Metrics cannot arm the flight recorder")
 	}
-	if evs := m.TraceSnapshot(); evs != nil {
-		t.Fatalf("nil Metrics returned %d trace events", len(evs))
+	m.StallDetected(WaitSpan{}, 1)
+	m.ReclaimOverload(OverloadInline, 1)
+	m.AdaptDecision("normal→elevated")
+	m.MigrateEvent("begin")
+	if spans := m.FlightSnapshot(); spans != nil {
+		t.Fatalf("nil Metrics returned %d spans", len(spans))
 	}
 	s := m.Snapshot()
 	if s.Enabled {
@@ -73,8 +80,8 @@ func TestSectionSampling(t *testing.T) {
 	l := m.Lane(0)
 	const n = 64
 	for i := 0; i < n; i++ {
-		l.OnEnter(7)
-		l.OnExit(7)
+		l.OnEnter()
+		l.OnExit()
 	}
 	s := m.Snapshot()
 	if s.Enters != n {
@@ -95,85 +102,32 @@ func TestDrainCounts(t *testing.T) {
 	}
 }
 
-func TestTraceRing(t *testing.T) {
-	m := New()
-	m.EnableTrace(64)
-	if !m.TraceEnabled() {
-		t.Fatal("trace not enabled")
-	}
-	l := m.Lane(1)
-	for i := 0; i < 10; i++ {
-		l.OnEnter(uint64(i))
-		l.OnExit(uint64(i))
-	}
-	start := m.WaitBegin()
-	m.WaitEnd(start, 1, 1, 0)
-
-	evs := m.TraceSnapshot()
-	if len(evs) != 22 {
-		t.Fatalf("got %d events, want 22", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].TimeNs < evs[i-1].TimeNs {
-			t.Fatal("events out of order")
-		}
-	}
-	if evs[0].Kind != EvEnter || evs[0].Reader != 1 || evs[0].Value != 0 {
-		t.Fatalf("first event = %+v", evs[0])
-	}
-	last := evs[len(evs)-1]
-	if last.Kind != EvWaitEnd || last.Value != 1 {
-		t.Fatalf("last event = %+v", last)
-	}
-	if s := m.Snapshot(); s.TraceLen != 22 {
-		t.Fatalf("snapshot TraceLen = %d, want 22", s.TraceLen)
-	}
-}
-
-func TestTraceWraps(t *testing.T) {
-	m := New()
-	m.EnableTrace(1) // rounds up to the 64 minimum
-	l := m.Lane(0)
-	for i := 0; i < 100; i++ {
-		l.OnEnter(uint64(i))
-	}
-	evs := m.TraceSnapshot()
-	if len(evs) != 64 {
-		t.Fatalf("ring kept %d events, want 64", len(evs))
-	}
-	// The ring keeps the newest events: values 36..99.
-	if evs[0].Value != 36 || evs[len(evs)-1].Value != 99 {
-		t.Fatalf("ring window [%d, %d], want [36, 99]", evs[0].Value, evs[len(evs)-1].Value)
-	}
-}
-
 func TestReset(t *testing.T) {
 	m := New()
-	m.EnableTrace(64)
 	l := m.Lane(0)
-	l.OnEnter(1)
-	l.OnExit(1)
+	l.OnEnter()
+	l.OnExit()
 	m.WaitEnd(m.WaitBegin(), 4, 2, 1)
 	m.DrainCounts(1, 1, 1)
 	m.Reset()
 	s := m.Snapshot()
 	if s.Waits != 0 || s.Enters != 0 || s.ReadersScanned != 0 || s.DrainsGate != 0 ||
-		s.WaitNs.Count != 0 || s.SectionNs.Count != 0 || s.TraceLen != 0 {
+		s.WaitNs.Count != 0 || s.SectionNs.Count != 0 {
 		t.Fatalf("Reset left state behind: %+v", s)
-	}
-	if !m.TraceEnabled() {
-		t.Fatal("Reset must keep the trace enabled")
 	}
 }
 
-func TestEventKindString(t *testing.T) {
-	for k, want := range map[EventKind]string{
-		EvEnter: "enter", EvExit: "exit",
-		EvWaitBegin: "wait-begin", EvWaitEnd: "wait-end",
-		EventKind(0): "?",
+// TestGatesOffWaiterLines pins the layout the hooks rely on: the two
+// recorder gates every wait loads sit a full cache line past the last
+// padded counter's value, so no hook's write invalidates them.
+func TestGatesOffWaiterLines(t *testing.T) {
+	var m Metrics
+	last := unsafe.Offsetof(m.retiredEnters)
+	for name, off := range map[string]uintptr{
+		"attr": unsafe.Offsetof(m.attr), "flight": unsafe.Offsetof(m.flight),
 	} {
-		if got := k.String(); got != want {
-			t.Fatalf("EventKind(%d).String() = %q, want %q", k, got, want)
+		if off < last+pad.CacheLineSize {
+			t.Errorf("%s at offset %d shares a line with retiredEnters at %d", name, off, last)
 		}
 	}
 }
@@ -182,8 +136,8 @@ func TestSnapshotJSONAndDump(t *testing.T) {
 	m := New()
 	m.SetSectionSampleShift(0)
 	l := m.Lane(0)
-	l.OnEnter(1)
-	l.OnExit(1)
+	l.OnEnter()
+	l.OnExit()
 	m.WaitEnd(m.WaitBegin(), 2, 1, 0)
 	m.DrainCounts(1, 0, 0)
 
@@ -209,10 +163,4 @@ func TestSnapshotJSONAndDump(t *testing.T) {
 	if !strings.Contains(sb2.String(), "disabled") {
 		t.Fatal("disabled snapshot dump must say so")
 	}
-}
-
-func TestPublishRebinds(t *testing.T) {
-	m1, m2 := New(), New()
-	Publish("obs-test", m1)
-	Publish("obs-test", m2) // must not panic (expvar.Publish would)
 }

@@ -5,64 +5,88 @@ import (
 	"sync"
 )
 
-// The named metrics registry is what the export plane (internal/obshttp)
-// serves: every name→Metrics binding becomes an `engine="name"` label
-// set on /metrics and an entry on the debug endpoints. It is distinct
-// from Publish (expvar) — Publish hands a snapshot to whatever already
-// serves /debug/vars, the registry feeds the handlers this module mounts
-// itself — but it shares Publish's rebind semantics: registering an
-// already-registered name atomically swaps the backing Metrics, so a
-// benchmark sweep that rebuilds its engine per data point keeps one
-// stable series name.
-var (
-	regMu      sync.Mutex
-	registered = map[string]*Metrics{}
-)
+// named is one name→value table of the process-wide export registry that
+// internal/obshttp serves. Binding a bound name swaps its value in
+// place, so a benchmark sweep that rebuilds its engine per data point
+// keeps one stable series name.
+type named[T any] struct {
+	mu sync.Mutex
+	m  map[string]T
+}
 
-// Register binds name to m in the process-wide export registry.
-// Registering a bound name rebinds it; registering a nil Metrics removes
-// the binding. Empty names are ignored.
-func Register(name string, m *Metrics) {
+// set binds name to v, or removes the binding when bound is false. Empty
+// names are ignored.
+func (r *named[T]) set(name string, v T, bound bool) {
 	if name == "" {
 		return
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if m == nil {
-		delete(registered, name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !bound {
+		delete(r.m, name)
 		return
 	}
-	registered[name] = m
+	if r.m == nil {
+		r.m = map[string]T{}
+	}
+	r.m[name] = v
 }
 
-// Registered returns the Metrics bound to name, nil when unbound.
-func Registered(name string) *Metrics {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return registered[name]
+func (r *named[T]) get(name string) (T, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.m[name]
+	return v, ok
 }
 
-// RegisteredNames returns the bound names in sorted order.
-func RegisteredNames() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registered))
-	for n := range registered {
+// names returns the bound names in sorted order.
+func (r *named[T]) names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.m))
+	for n := range r.m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// EachRegistered calls f for every binding in sorted name order. f runs
-// outside the registry lock, so it may snapshot, register or rebind.
-func EachRegistered(f func(name string, m *Metrics)) {
-	for _, n := range RegisteredNames() {
-		if m := Registered(n); m != nil {
-			f(n, m)
+// each calls f for every binding in sorted name order. f runs outside
+// the lock, so it may probe, snapshot, register or rebind.
+func (r *named[T]) each(f func(name string, v T)) {
+	for _, n := range r.names() {
+		if v, ok := r.get(n); ok {
+			f(n, v)
 		}
 	}
 }
+
+// The three tables: every name→Metrics binding becomes an
+// `engine="name"` label set on /metrics and an entry on the debug
+// endpoints; controllers and migrators bind a state probe each.
+var (
+	registered  named[*Metrics]
+	controllers named[func() ControllerState]
+	migrations  named[func() MigrationState]
+)
+
+// Register binds name to m in the process-wide export registry.
+// Registering a bound name rebinds it; registering a nil Metrics removes
+// the binding. Empty names are ignored.
+func Register(name string, m *Metrics) { registered.set(name, m, m != nil) }
+
+// Registered returns the Metrics bound to name, nil when unbound.
+func Registered(name string) *Metrics {
+	m, _ := registered.get(name)
+	return m
+}
+
+// RegisteredNames returns the bound names in sorted order.
+func RegisteredNames() []string { return registered.names() }
+
+// EachRegistered calls f for every binding in sorted name order. f runs
+// outside the registry lock, so it may snapshot, register or rebind.
+func EachRegistered(f func(name string, m *Metrics)) { registered.each(f) }
 
 // ControllerState is an adaptive controller's self-report for the export
 // plane: its mode ladder position, decision counters, and the last tick's
@@ -98,48 +122,23 @@ func (c ControllerState) Breached() bool {
 		(c.MaxWaitP99Ns > 0 && c.WaitP99Ns > float64(c.MaxWaitP99Ns))
 }
 
-var (
-	ctrlMu      sync.Mutex
-	controllers = map[string]func() ControllerState{}
-)
-
 // RegisterController binds a controller's state probe under name in the
 // process-wide export registry (rebinding like Register; nil probe
 // removes the binding). The probe is called on every scrape and must be
 // safe for concurrent use.
 func RegisterController(name string, probe func() ControllerState) {
-	if name == "" {
-		return
-	}
-	ctrlMu.Lock()
-	defer ctrlMu.Unlock()
-	if probe == nil {
-		delete(controllers, name)
-		return
-	}
-	controllers[name] = probe
+	controllers.set(name, probe, probe != nil)
 }
 
 // Controllers returns every registered controller's current state in
 // sorted name order. Probes run outside the registry lock.
 func Controllers() []ControllerState {
-	ctrlMu.Lock()
-	names := make([]string, 0, len(controllers))
-	for n := range controllers {
-		names = append(names, n)
-	}
-	probes := make([]func() ControllerState, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		probes = append(probes, controllers[n])
-	}
-	ctrlMu.Unlock()
-	out := make([]ControllerState, 0, len(names))
-	for i, p := range probes {
-		st := p()
-		st.Name = names[i]
+	var out []ControllerState
+	controllers.each(func(name string, probe func() ControllerState) {
+		st := probe()
+		st.Name = name
 		out = append(out, st)
-	}
+	})
 	return out
 }
 
@@ -184,47 +183,22 @@ type MigrationState struct {
 	LastError      string `json:"last_error,omitempty"`
 }
 
-var (
-	migMu      sync.Mutex
-	migrations = map[string]func() MigrationState{}
-)
-
 // RegisterMigration binds a migrator's state probe under name in the
 // process-wide export registry (rebinding like Register; nil probe
 // removes the binding). The probe is called on every scrape and must be
 // safe for concurrent use.
 func RegisterMigration(name string, probe func() MigrationState) {
-	if name == "" {
-		return
-	}
-	migMu.Lock()
-	defer migMu.Unlock()
-	if probe == nil {
-		delete(migrations, name)
-		return
-	}
-	migrations[name] = probe
+	migrations.set(name, probe, probe != nil)
 }
 
 // Migrations returns every registered migrator's current state in sorted
 // name order. Probes run outside the registry lock.
 func Migrations() []MigrationState {
-	migMu.Lock()
-	names := make([]string, 0, len(migrations))
-	for n := range migrations {
-		names = append(names, n)
-	}
-	probes := make([]func() MigrationState, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		probes = append(probes, migrations[n])
-	}
-	migMu.Unlock()
-	out := make([]MigrationState, 0, len(names))
-	for i, p := range probes {
-		st := p()
-		st.Name = names[i]
+	var out []MigrationState
+	migrations.each(func(name string, probe func() MigrationState) {
+		st := probe()
+		st.Name = name
 		out = append(out, st)
-	}
+	})
 	return out
 }

@@ -112,13 +112,12 @@ type Snapshot struct {
 	Enters    uint64
 	SectionNs HistSummary
 
-	// TraceLen is the number of events currently buffered (0 when
-	// tracing is disabled).
-	TraceLen int
-
 	// FlightLen is the number of grace-period flight-recorder spans
-	// currently buffered (0 when the recorder is off).
-	FlightLen int
+	// currently buffered (0 when the recorder is off), and
+	// FlightOverwritten the number the ring has lost to wrap-around
+	// since it was armed or last Reset.
+	FlightLen         int
+	FlightOverwritten uint64
 	// BlameSamples / BlameNs total the flight recorder's per-slot blame
 	// attribution across all slots; BlameTop is the worst offender slots
 	// by cumulative delay (at most 5 here — ask TopBlame for more).
@@ -175,11 +174,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.Enters += l.enters.Load()
 	}
 	m.laneMu.Unlock()
-	if tr := m.trace.load(); tr != nil {
-		s.TraceLen = tr.len()
-	}
-	if m.FlightEnabled() {
-		s.FlightLen = m.FlightLen()
+	if fr := m.flight.Load(); fr != nil {
+		s.FlightLen, s.FlightOverwritten = fr.counts()
 		if all := m.TopBlame(0); len(all) > 0 {
 			for _, b := range all {
 				s.BlameSamples += b.Samples
@@ -248,11 +244,9 @@ func (s Snapshot) Dump(w io.Writer, name string) {
 		fmt.Fprintln(w, "reader section duration histogram (sampled):")
 		dumpBuckets(w, s.SectionNs.Buckets)
 	}
-	if s.TraceLen > 0 {
-		fmt.Fprintf(w, "trace buffer:     %d events\n", s.TraceLen)
-	}
 	if s.FlightLen > 0 {
-		fmt.Fprintf(w, "flight recorder:  %d spans buffered\n", s.FlightLen)
+		fmt.Fprintf(w, "flight recorder:  %d spans buffered, %d overwritten\n",
+			s.FlightLen, s.FlightOverwritten)
 	}
 	if s.BlameSamples > 0 {
 		fmt.Fprintf(w, "reader blame:     %d samples, %s cumulative delay\n",

@@ -4,8 +4,8 @@
 //
 //	GET /metrics            Prometheus text exposition (v0.0.4)
 //	GET /debug/prcu/stats   full JSON Snapshot per engine
-//	GET /debug/prcu/trace   event-ring dump for one engine (?engine=X)
-//	GET /debug/prcu/tracez  flight-recorder spans as Chrome trace JSON (?engine=X)
+//	GET /debug/prcu/trace   flight-recorder spans, flat listing (?engine=X)
+//	GET /debug/prcu/tracez  the same spans as Chrome trace JSON (?engine=X)
 //	GET /debug/prcu/health  stall/backlog-aware status (200 ok, 503 degraded)
 //
 // It is pull-only and stdlib-only: scraping takes Snapshots, which read
@@ -69,33 +69,45 @@ func statsHandler(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(out)
 }
 
-func traceHandler(w http.ResponseWriter, r *http.Request) {
-	engine := r.URL.Query().Get("engine")
+// flightSpans resolves ?engine= for the two flight-recorder endpoints,
+// replying 400 (parameter missing) or 404 (nothing bound to it) itself;
+// ok is false once it has.
+func flightSpans(w http.ResponseWriter, r *http.Request) (engine string, spans []obs.FlightSpan, ok bool) {
+	engine = r.URL.Query().Get("engine")
 	if engine == "" {
 		http.Error(w, "missing ?engine= (registered: "+
 			strings.Join(obs.RegisteredNames(), ", ")+")", http.StatusBadRequest)
-		return
+		return "", nil, false
 	}
 	m := obs.Registered(engine)
 	if m == nil {
 		http.Error(w, fmt.Sprintf("no engine registered as %q (registered: %s)",
 			engine, strings.Join(obs.RegisteredNames(), ", ")), http.StatusNotFound)
+		return "", nil, false
+	}
+	return engine, m.FlightSnapshot(), true
+}
+
+// traceHandler lists one engine's flight-recorder contents flat, one
+// span per line in recording order — the grep-able view of the ring that
+// tracezHandler renders for a trace viewer.
+func traceHandler(w http.ResponseWriter, r *http.Request) {
+	engine, spans, ok := flightSpans(w, r)
+	if !ok {
 		return
 	}
-	evs := m.TraceSnapshot()
 	if r.URL.Query().Get("format") == "json" {
-		type jsonEvent struct {
-			TimeNs int64  `json:"time_ns"`
-			Kind   string `json:"kind"`
-			Reader int32  `json:"reader"`
-			Value  uint64 `json:"value"`
+		// The embedded span's numeric kind is shadowed by its mnemonic.
+		type event struct {
+			obs.FlightSpan
+			Kind string `json:"kind"`
 		}
 		out := struct {
-			Engine string      `json:"engine"`
-			Events []jsonEvent `json:"events"`
-		}{Engine: engine, Events: make([]jsonEvent, 0, len(evs))}
-		for _, ev := range evs {
-			out.Events = append(out.Events, jsonEvent{ev.TimeNs, ev.Kind.String(), ev.Reader, ev.Value})
+			Engine string  `json:"engine"`
+			Events []event `json:"events"`
+		}{Engine: engine, Events: make([]event, 0, len(spans))}
+		for _, sp := range spans {
+			out.Events = append(out.Events, event{sp, sp.Kind.String()})
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -104,13 +116,23 @@ func traceHandler(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "# engine %s: %d events, oldest first; +offset from first event\n", engine, len(evs))
-	if len(evs) == 0 {
+	fmt.Fprintf(w, "# engine %s: %d spans, oldest first; +offset from first span's start\n", engine, len(spans))
+	if len(spans) == 0 {
 		return
 	}
-	base := evs[0].TimeNs
-	for _, ev := range evs {
-		fmt.Fprintf(w, "+%-12d %-16s reader=%-4d value=%d\n",
-			ev.TimeNs-base, ev.Kind, ev.Reader, ev.Value)
+	base := spans[0].StartNs
+	for _, sp := range spans {
+		fmt.Fprintf(w, "+%-12d %-14s gp=%-6d track=%-12s dur=%-10d count=%d",
+			sp.StartNs-base, sp.Kind, sp.GP, sp.Track, sp.EndNs-sp.StartNs, sp.Count)
+		if sp.Link != 0 {
+			fmt.Fprintf(w, " link=%d", sp.Link)
+		}
+		if sp.Label != "" {
+			fmt.Fprintf(w, " label=%q", sp.Label)
+		}
+		for _, b := range sp.Blame {
+			fmt.Fprintf(w, " blame=%d:%d", b.Slot, b.DelayNs)
+		}
+		fmt.Fprintln(w)
 	}
 }

@@ -37,7 +37,7 @@ func registerAllEngines(t *testing.T) {
 		m := obs.New()
 		m.SetSectionSampleShift(0)
 		m.EnsureReaders(8)
-		m.EnableTrace(256)
+		m.EnableFlightRecorder(256)
 		r.(core.MetricsCarrier).SetMetrics(m)
 
 		rd, err := r.Register()
@@ -375,8 +375,8 @@ func TestTraceEndpoint(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("text trace = %d", code)
 	}
-	if !strings.Contains(body, "wait-begin") || !strings.Contains(body, "enter") {
-		t.Fatalf("text trace missing events:\n%s", body)
+	if !strings.Contains(body, "3 spans") || strings.Count(body, "track=wait") != 3 {
+		t.Fatalf("text trace is not the 3 waits:\n%s", body)
 	}
 	code, body = scrape(t, "/debug/prcu/trace?engine=EER&format=json")
 	if code != 200 {
@@ -391,8 +391,8 @@ func TestTraceEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("trace not JSON: %v", err)
 	}
-	if out.Engine != "EER" || len(out.Events) == 0 {
-		t.Fatalf("json trace: engine=%q events=%d", out.Engine, len(out.Events))
+	if out.Engine != "EER" || len(out.Events) != 3 || out.Events[0].Kind != "wait" {
+		t.Fatalf("json trace: engine=%q events=%+v", out.Engine, out.Events)
 	}
 }
 
@@ -414,7 +414,7 @@ func TestHealthEndpoint(t *testing.T) {
 
 	// A stall report in the window degrades the next scrape; the one
 	// after (clean window) recovers.
-	obs.Registered("EER").StallDetected(2)
+	obs.Registered("EER").StallDetected(obs.WaitSpan{}, 2)
 	code, body = req()
 	if code != 503 || !strings.Contains(body, "grace-period stalls in window") {
 		t.Fatalf("stalled scrape = %d: %s", code, body)
@@ -454,7 +454,7 @@ func TestHandlerIndependentHealthWindows(t *testing.T) {
 	if hA() != 200 {
 		t.Fatal("a: priming scrape not ok")
 	}
-	obs.Registered("EER").StallDetected(1)
+	obs.Registered("EER").StallDetected(obs.WaitSpan{}, 1)
 	if hA() != 503 {
 		t.Fatal("a: did not see the stall")
 	}

@@ -82,11 +82,10 @@ func writePrometheus(w *bufio.Writer) {
 	f.counter("prcu_migrate_events_total", "Live engine-migration protocol transitions recorded against the engine's metrics.",
 		func(s obs.Snapshot) float64 { return float64(s.MigrateEvents) })
 
-	f.gauge("prcu_trace_buffered_events", "Events currently held in the engine's trace ring (0 when tracing is off).",
-		func(s obs.Snapshot) float64 { return float64(s.TraceLen) })
-
 	f.gauge("prcu_flight_buffered_spans", "Spans currently held in the engine's flight recorder (0 when the recorder is off).",
 		func(s obs.Snapshot) float64 { return float64(s.FlightLen) })
+	f.counter("prcu_flight_overwritten_spans_total", "Spans the flight recorder's ring has overwritten since it was armed or reset.",
+		func(s obs.Snapshot) float64 { return float64(s.FlightOverwritten) })
 	f.counter("prcu_blame_samples_total", "Per-slot reader-blame samples recorded by blocked waits.",
 		func(s obs.Snapshot) float64 { return float64(s.BlameSamples) })
 	f.counter("prcu_blame_seconds_total", "Cumulative reader delay charged to slots by blocked waits.",

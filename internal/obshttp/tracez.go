@@ -2,10 +2,8 @@ package obshttp
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 
 	"prcu/internal/obs"
 )
@@ -20,20 +18,12 @@ import (
 // Spans carrying a Link (an autotuner expedite's GP) join that GP's flow
 // too, connecting the controller's decision to the flush it caused.
 func tracezHandler(w http.ResponseWriter, r *http.Request) {
-	engine := r.URL.Query().Get("engine")
-	if engine == "" {
-		http.Error(w, "missing ?engine= (registered: "+
-			strings.Join(obs.RegisteredNames(), ", ")+")", http.StatusBadRequest)
-		return
-	}
-	m := obs.Registered(engine)
-	if m == nil {
-		http.Error(w, fmt.Sprintf("no engine registered as %q (registered: %s)",
-			engine, strings.Join(obs.RegisteredNames(), ", ")), http.StatusNotFound)
+	engine, spans, ok := flightSpans(w, r)
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeChromeTrace(w, engine, m.FlightSnapshot())
+	writeChromeTrace(w, engine, spans)
 }
 
 // writeChromeTrace emits spans as {"traceEvents": [...]} for engine. The

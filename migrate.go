@@ -53,8 +53,8 @@ type MigratorConfig struct {
 	// configuration is restored exactly afterwards.
 	StallTimeout time.Duration
 	OnStall      func(StallReport)
-	// Metrics, when non-nil, records protocol transitions (EvMigrate
-	// trace events + the migrate-event counter).
+	// Metrics, when non-nil, records protocol transitions (SpanMigrate
+	// flight-recorder spans + the migrate-event counter).
 	Metrics *Metrics
 }
 

@@ -61,9 +61,9 @@
 // predicate selectivity (readers scanned versus actually waited for),
 // sampled reader critical-section durations, spin-versus-park wait
 // resolution, and D-PRCU counter-drain outcomes. Read them back with
-// RCU.Stats, export them with PublishMetrics (expvar), or serve the full
-// export plane with ObsHandler: Prometheus /metrics, JSON stats, trace
-// dumps and a health endpoint for every engine bound by RegisterMetrics.
+// RCU.Stats, or serve the export plane with ObsHandler: Prometheus
+// /metrics, JSON stats, flight-recorder listings and a health endpoint
+// for every engine bound by RegisterMetrics.
 // Options.RuntimeAttribution additionally tags wait and reclaim-flush
 // work with runtime/trace regions and pprof labels. With Metrics unset
 // (the default) every hook reduces to one predictable nil-check branch.
@@ -475,10 +475,10 @@ func NewSimulated(inner RCU, waitNs int64) RCU { return core.NewSimulated(inner,
 func NewNop(maxReaders int) RCU { return core.NewNop(maxReaders) }
 
 // Metrics is an engine's observability state: cache-line-padded atomic
-// counters, per-reader lanes, latency histograms and an optional event
-// trace. Construct with NewMetrics, attach via Options.Metrics, read via
-// RCU.Stats or Metrics.Snapshot. See internal/obs for the layout rules
-// that keep recording off the contended paths.
+// counters, per-reader lanes, latency histograms and an optional flight
+// recorder. Construct with NewMetrics, attach via Options.Metrics, read
+// via RCU.Stats or Metrics.Snapshot. See internal/obs for the layout
+// rules that keep recording off the contended paths.
 type Metrics = obs.Metrics
 
 // Snapshot is a point-in-time aggregation of a Metrics, as returned by
@@ -488,13 +488,10 @@ type Snapshot = obs.Snapshot
 // HistSummary is a Snapshot's digest of one latency histogram.
 type HistSummary = obs.HistSummary
 
-// TraceEvent is one entry of the optional event-trace ring buffer
-// (enable with Metrics.EnableTrace, read with Metrics.TraceSnapshot).
-type TraceEvent = obs.Event
-
 // FlightSpan is one entry of the grace-period flight recorder: a causal
-// span (retire, coalesce, wait, callback, migrate-drain or expedite)
-// stamped with its grace period's GP ID. Enable the recorder with
+// span (retire, coalesce, wait, callback, migrate-drain or expedite) or
+// zero-duration event (stall, overload, adapt, migrate) stamped with a
+// grace-period ID. Enable the recorder with
 // Options.FlightRecorder or Metrics.EnableFlightRecorder, read spans
 // back with Metrics.FlightSnapshot, or serve them as Chrome trace JSON
 // on /debug/prcu/tracez.
@@ -512,6 +509,10 @@ const (
 	SpanCallback     = obs.SpanCallback
 	SpanMigrateDrain = obs.SpanMigrateDrain
 	SpanExpedite     = obs.SpanExpedite
+	SpanStall        = obs.SpanStall
+	SpanOverload     = obs.SpanOverload
+	SpanAdapt        = obs.SpanAdapt
+	SpanMigrate      = obs.SpanMigrate
 )
 
 // BlameSample names one reader slot a blocked wait was delayed by and
@@ -548,10 +549,6 @@ type StallConfig = core.StallConfig
 // NewMetrics returns an enabled metrics collector to pass as
 // Options.Metrics.
 func NewMetrics() *Metrics { return obs.New() }
-
-// PublishMetrics exports m's live Snapshot through expvar under the
-// given name, visible on /debug/vars wherever the process serves it.
-func PublishMetrics(name string, m *Metrics) { obs.Publish(name, m) }
 
 // RegisterMetrics binds m to name in the export plane served by
 // ObsHandler: name becomes the engine="name" label on /metrics and the

@@ -186,7 +186,7 @@ func TestStallWatchdogViaOptions(t *testing.T) {
 // reader reuse, context cancellation, panic-safe Do) live in the
 // conformance suite, conformance_test.go, which runs over Flavors().
 
-// TestRegisterMetricsRebinds mirrors the PublishMetrics rebind test:
+// TestRegisterMetricsRebinds pins the export registry's rebind contract:
 // binding a live name must swap the backing collector, not panic, so
 // sweeps that rebuild engines per data point keep one series name.
 func TestRegisterMetricsRebinds(t *testing.T) {
