@@ -74,8 +74,9 @@ esac
 echo "== export plane HTTP smoke (loopback /metrics, health+blame, tracez) =="
 go run ./cmd/obssmoke
 
-echo "== bench smoke: recorder-off read fast paths (flight recorder must not tax disabled hot paths) and the retire path =="
+echo "== bench smoke: recorder-off read fast paths (flight recorder must not tax disabled hot paths), the wait that finds nobody (0 allocs asserted) and the retire path =="
 go test -run '^$' -bench 'BenchmarkEnterExit' -benchtime 100x -timeout 120s .
+go test -run '^$' -bench 'BenchmarkWaitQuiescent' -benchtime 100x -timeout 120s ./internal/core
 go test -run '^$' -bench 'BenchmarkRetire' -benchtime 100x -timeout 120s ./internal/reclaim
 go test -run '^$' -bench 'BenchmarkGuardedRead' -benchtime 100x -timeout 120s ./hashtable
 

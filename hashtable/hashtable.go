@@ -468,13 +468,6 @@ func (m *Map[K, V]) Delete(k K) bool {
 	return true
 }
 
-// splitPredicate covers readers of the two buckets an old bucket splits
-// into: values b and b+oldSize (an iterable predicate with two values, the
-// form D-PRCU drains in O(1)).
-func splitPredicate(b, oldSize uint64) prcu.Predicate {
-	return prcu.Iterable(b, b+oldSize, func(v prcu.Value) prcu.Value { return v + oldSize })
-}
-
 // Expand doubles the bucket array while lookups proceed concurrently.
 // Updates are blocked for its duration. Safe to call from one goroutine at
 // a time per table; concurrent calls serialize.
@@ -509,17 +502,21 @@ func (m *Map[K, V]) Expand() {
 	m.tbl.Publish(nt)
 	m.maskHint.Store(nt.mask)
 
-	// Unzip every old chain (Figure 3b–3d).
+	// Unzip every old chain (Figure 3b–3d). Bucket b's waits cover readers
+	// of the two buckets it splits into, values b and b+oldSize: an
+	// iterable predicate with two values (the form D-PRCU drains in O(1)),
+	// all of them sharing the expansion's one iterator.
+	next := func(v prcu.Value) prcu.Value { return v + oldSize }
 	for b := uint64(0); b < oldSize; b++ {
-		m.unzip(old, nt, b, oldSize)
+		m.waits.Add(m.unzip(old, nt, b, prcu.Iterable(b, b+oldSize, next)))
 	}
 }
 
 // unzip separates old bucket b's chain into the two new chains, calling
 // WaitForReaders before every pointer change so no traversal that might
-// still rely on the old link can be stranded.
-func (m *Map[K, V]) unzip(old, nt *table[K, V], b, oldSize uint64) {
-	pred := splitPredicate(b, oldSize)
+// still rely on the old link can be stranded. It returns the number of
+// waits it made.
+func (m *Map[K, V]) unzip(old, nt *table[K, V], b uint64, pred prcu.Predicate) (waits int64) {
 	cur := old.heads[b].LoadLocked()
 	for cur != nil {
 		d := m.hash(cur.key) & nt.mask
@@ -530,7 +527,7 @@ func (m *Map[K, V]) unzip(old, nt *table[K, V], b, oldSize uint64) {
 			next = cur.next.LoadLocked()
 		}
 		if next == nil {
-			return // fully split
+			break // fully split
 		}
 		// next begins a run of the other destination; find the first
 		// node after it that belongs to d again.
@@ -541,11 +538,12 @@ func (m *Map[K, V]) unzip(old, nt *table[K, V], b, oldSize uint64) {
 		// Pre-existing readers of bucket d may be traversing the foreign
 		// run to reach their nodes beyond it; let them finish before
 		// cutting the link.
-		m.waits.Add(1)
+		waits++
 		m.waitForReaders(pred)
 		cur.next.Store(q)
 		cur = next
 	}
+	return waits
 }
 
 // Compile-time check of the live-migration front contract.

@@ -130,6 +130,33 @@ func TestExpandPreservesContents(t *testing.T) {
 	}
 }
 
+// TestExpandAllocatesPerTableNotPerBucket: an expansion allocates its new
+// table and one split iterator, not a predicate closure per old bucket,
+// and counts its waits exactly.
+func TestExpandAllocatesPerTableNotPerBucket(t *testing.T) {
+	const buckets, n = 1 << 10, 1 << 13
+	m := NewModulo(prcu.NewDEER(prcu.Options{}), buckets)
+	for k := uint64(0); k < n; k++ {
+		m.Insert(k, k)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Expand()
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > 32 {
+		t.Errorf("Expand of %d buckets made %d allocations, want a handful", buckets, got)
+	}
+	// Keys 0..n-1 under the modulo hash: every old chain alternates between
+	// its two destinations, so each of its nodes but the last gets its link
+	// cut, behind one wait.
+	if got, want := m.ExpansionWaits(), int64(n-buckets); got != want {
+		t.Errorf("ExpansionWaits = %d, want %d", got, want)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLoadFactor(t *testing.T) {
 	m := NewModulo(prcu.NewEER(prcu.Options{MaxReaders: 2}), 8)
 	for k := uint64(0); k < 16; k++ {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"prcu/internal/core"
+	"prcu/internal/tsc"
 )
 
 // engines mirrors the core test harness's engine list: every flavor,
@@ -64,107 +65,144 @@ type csRecord struct {
 // injected nothing proves nothing).
 func TestChaosTortureSafety(t *testing.T) {
 	for name, mk := range engines(16) {
-		t.Run(name, func(t *testing.T) {
-			e := Wrap(mk(), Config{
-				Seed:         0x5eed_0001,
-				EnterJitter:  0.10,
-				ExitDelay:    0.05,
-				ExitDelayDur: 100 * time.Microsecond,
-				WaitJitter:   0.25,
+		t.Run(name, func(t *testing.T) { chaosTorture(t, mk()) })
+	}
+}
+
+// TestChaosTortureJitteredClock runs the same schedule over the three
+// timestamp engines with a jittering clock plugged in, on both the
+// monotonic and the logical (fetch-add) source. A wait on these engines
+// reads its clock late — after its first look at a reader's node — and
+// the jitter stretches exactly that window, as it does the reader's
+// window between posting its value and its timestamp.
+func TestChaosTortureJitteredClock(t *testing.T) {
+	sources := map[string]func() core.Clock{
+		"Monotonic": func() core.Clock { return tsc.NewMonotonic() },
+		"Logical":   func() core.Clock { return tsc.NewLogical() },
+	}
+	flavors := map[string]func(c core.Clock) core.RCU{
+		"EER":  func(c core.Clock) core.RCU { return core.NewEER(16, c) },
+		"DEER": func(c core.Clock) core.RCU { return core.NewDEER(16, 16, c) },
+		"Time": func(c core.Clock) core.RCU { return core.NewTimeRCU(16, c) },
+	}
+	for fname, mk := range flavors {
+		for sname, src := range sources {
+			t.Run(fname+"/"+sname, func(t *testing.T) {
+				clock := newJitterClock(src(), 0x5eed_0002, 1.0/32, 1.0/512)
+				chaosTorture(t, mk(clock))
+				if clock.jitters.Load() == 0 {
+					t.Fatal("the jittering clock injected no jitter")
+				}
 			})
-			const readers = 6
-			records := make([]csRecord, readers)
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			fail := make(chan string, 8)
-			for id := 0; id < readers; id++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					rd, err := e.Register()
-					if err != nil {
-						fail <- "register: " + err.Error()
+		}
+	}
+}
+
+// chaosTorture is the torture run of the two tests above over inner.
+func chaosTorture(t *testing.T, inner core.RCU) {
+	e := Wrap(inner, Config{
+		Seed:         0x5eed_0001,
+		EnterJitter:  0.10,
+		ExitDelay:    0.05,
+		ExitDelayDur: 100 * time.Microsecond,
+		WaitJitter:   0.25,
+	})
+	const readers = 6
+	records := make([]csRecord, readers)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	fail := make(chan string, 8)
+	for id := 0; id < readers; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			rd, err := e.Register()
+			if err != nil {
+				fail <- "register: " + err.Error()
+				return
+			}
+			defer rd.Unregister()
+			rec := &records[id]
+			for i := 0; !stop.Load(); i++ {
+				v := core.Value((id*31 + i) % 24)
+				rec.val.Store(uint64(v))
+				rd.Enter(v)
+				rec.seq.Add(1) // open
+				if i%4 == 0 {
+					// Hold every fourth section open across a reschedule, so
+					// that waiters do snapshot open sections.
+					runtime.Gosched()
+				}
+				rec.seq.Add(1) // closed
+				rd.Exit(v)
+				if i%32 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(id)
+	}
+	preds := []core.Predicate{
+		core.All(),
+		core.Singleton(7),
+		core.Interval(4, 12),
+	}
+	for _, p := range preds {
+		wg.Add(1)
+		go func(p core.Predicate, waits int) {
+			defer wg.Done()
+			type snap struct {
+				idx int
+				seq uint64
+			}
+			var snaps []snap
+			for n := 0; n < waits && !stop.Load(); n++ {
+				snaps = snaps[:0]
+				for i := range records {
+					rec := &records[i]
+					s := rec.seq.Load()
+					if s&1 == 1 && p.Holds(core.Value(rec.val.Load())) {
+						snaps = append(snaps, snap{i, s})
+					}
+				}
+				if n%2 == 0 {
+					e.WaitForReaders(p)
+				} else if err := e.WaitForReadersCtx(context.Background(), p); err != nil {
+					fail <- "uncancelled ctx wait failed: " + err.Error()
+					return
+				}
+				for _, s := range snaps {
+					if records[s.idx].seq.Load() == s.seq {
+						fail <- "covered critical section survived a chaos-schedule wait"
+						stop.Store(true)
 						return
 					}
-					defer rd.Unregister()
-					rec := &records[id]
-					for i := 0; !stop.Load(); i++ {
-						v := core.Value((id*31 + i) % 24)
-						rec.val.Store(uint64(v))
-						rd.Enter(v)
-						rec.seq.Add(1) // open
-						rec.seq.Add(1) // closed
-						rd.Exit(v)
-						if i%32 == 0 {
-							runtime.Gosched()
-						}
-					}
-				}(id)
-			}
-			preds := []core.Predicate{
-				core.All(),
-				core.Singleton(7),
-				core.Interval(4, 12),
-			}
-			for _, p := range preds {
-				wg.Add(1)
-				go func(p core.Predicate, waits int) {
-					defer wg.Done()
-					type snap struct {
-						idx int
-						seq uint64
-					}
-					var snaps []snap
-					for n := 0; n < waits && !stop.Load(); n++ {
-						snaps = snaps[:0]
-						for i := range records {
-							rec := &records[i]
-							s := rec.seq.Load()
-							if s&1 == 1 && p.Holds(core.Value(rec.val.Load())) {
-								snaps = append(snaps, snap{i, s})
-							}
-						}
-						if n%2 == 0 {
-							e.WaitForReaders(p)
-						} else if err := e.WaitForReadersCtx(context.Background(), p); err != nil {
-							fail <- "uncancelled ctx wait failed: " + err.Error()
-							return
-						}
-						for _, s := range snaps {
-							if records[s.idx].seq.Load() == s.seq {
-								fail <- "covered critical section survived a chaos-schedule wait"
-								stop.Store(true)
-								return
-							}
-						}
-					}
-				}(p, scale(150, 50))
-			}
-			timer := time.AfterFunc(scaleDur(250*time.Millisecond, 80*time.Millisecond),
-				func() { stop.Store(true) })
-			defer timer.Stop()
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case msg := <-fail:
-				stop.Store(true)
-				<-done
-				t.Fatal(msg)
-			case <-done:
-				select {
-				case msg := <-fail:
-					t.Fatal(msg)
-				default:
 				}
-			case <-time.After(30 * time.Second):
-				stop.Store(true)
-				t.Fatal("chaos torture deadlocked (possible wait livelock)")
 			}
-			c := e.Counts()
-			if c.EnterJitters+c.ExitDelays+c.WaitJitters == 0 {
-				t.Fatalf("chaos schedule injected no faults: %+v", c)
-			}
-		})
+		}(p, scale(150, 50))
+	}
+	timer := time.AfterFunc(scaleDur(250*time.Millisecond, 80*time.Millisecond),
+		func() { stop.Store(true) })
+	defer timer.Stop()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case msg := <-fail:
+		stop.Store(true)
+		<-done
+		t.Fatal(msg)
+	case <-done:
+		select {
+		case msg := <-fail:
+			t.Fatal(msg)
+		default:
+		}
+	case <-time.After(30 * time.Second):
+		stop.Store(true)
+		t.Fatal("chaos torture deadlocked (possible wait livelock)")
+	}
+	c := e.Counts()
+	if c.EnterJitters+c.ExitDelays+c.WaitJitters == 0 {
+		t.Fatalf("chaos schedule injected no faults: %+v", c)
 	}
 }
 

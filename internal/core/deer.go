@@ -134,45 +134,49 @@ func (d *DEER) WaitForReaders(p Predicate) { d.WaitForReadersCtx(nil, p) }
 // P on the posted value, as §4.3 describes. The scan is read-only, so an
 // abandoned wait leaves nothing behind.
 //
-// Per-node waiting uses EER's blocking test, covered: stop once time > t0.
-// The pseudo code's lines 16–18 as printed (break on t > t0, then break on
-// t != Infinity) would never wait; the per-node single-writer argument of
-// Proposition 1 applies verbatim here — a pre-existing covered critical
-// section stored t <= t0 in its node, and the node's time can only move
-// past t0 via that section's exit or a later re-entry, both of which mean
-// the pre-existing section has exited. A node found on an uncovered
-// (hash-colliding) value does not block either: any covered pre-existing
-// section on it has already exited.
+// Per-node waiting uses EER's tests: a node at Infinity, or on a value p
+// does not hold for, costs those loads and nothing else — no clock, no
+// closure, no session call — and any other goes to awaitSection, which
+// stops once time > t0. The pseudo code's lines 16–18 as printed (break on
+// t > t0, then break on t != Infinity) would never wait; the per-node
+// single-writer argument of Proposition 1 applies verbatim here — a
+// pre-existing covered critical section stored t <= t0 in its node, and
+// the node's time can only move past t0 via that section's exit or a later
+// re-entry, both of which mean the pre-existing section has exited. A node
+// found on an uncovered (hash-colliding) value does not block either: any
+// covered pre-existing section on it has already exited.
 func (d *DEER) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	s := waitSession{e: &d.hooks}
 	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	t0 := d.clock.Now()
 	d.reg.forEachActive(func(tbl *[]timeNode, slot int) bool {
 		s.scanned++
 		table := *tbl
-		visit := func(n *timeNode) bool {
-			return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
-		}
 		if !p.Enumerable() {
 			for i := range table {
-				if !visit(&table[i]) {
+				if n := &table[i]; n.time.Load() != tsc.Infinity && p.Holds(n.value.Load()) && !s.awaitSection(d.clock, n, slot, p) {
 					return false
 				}
 			}
 			return true
 		}
-		ok := true
+		// ForEach's loop, written out so that it needs no closure.
 		var visited uint64 // nodesPer <= 64 covered by one word
-		p.ForEach(func(v Value) bool {
+		for v, i := p.first, 0; ; v, i = p.next(v), i+1 {
 			if idx := hashValue(v) & d.mask; visited&(1<<idx) == 0 {
 				visited |= 1 << idx
-				ok = visit(&table[idx])
+				if n := &table[idx]; n.time.Load() != tsc.Infinity && p.Holds(n.value.Load()) && !s.awaitSection(d.clock, n, slot, p) {
+					return false
+				}
 			}
-			return ok
-		})
-		return ok
+			if v == p.last {
+				return true
+			}
+			if i >= maxEnum {
+				panic("core: iterable predicate did not reach vk (bad iterator?)")
+			}
+		}
 	})
 	return s.end()
 }

@@ -138,18 +138,23 @@ func (e *EER) WaitForReaders(p Predicate) { e.WaitForReadersCtx(nil, p) }
 // is quiescent while waiting, so its own node reads Infinity and is skipped
 // immediately. This removes the paper's "for each thread Tj != Ti"
 // bookkeeping without changing behavior.
+//
+// Algorithm 1 line 10's fence orders the updater's prior writes before the
+// scan, not before the clock: it is implied by SC ordering of the atomic
+// node loads below against the caller's preceding atomic stores. The scan
+// is quiescent-first: a node at Infinity, or inside a section on a value p
+// does not hold for, is passed on those loads alone — time before value, as
+// in covered: Enter stores them in the opposite order, so a value read
+// after a section's time is that section's or a later one's — and the
+// clock (line 11) is read by awaitSection, only for a node that is neither.
 func (e *EER) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	s := waitSession{e: &e.hooks}
 	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	// Algorithm 1 line 10's fence (make the updater's prior writes visible
-	// before reading the clock) is implied by SC ordering of the atomic
-	// node loads below against the caller's preceding atomic stores.
-	t0 := e.clock.Now()
 	e.reg.forEachActive(func(n *timeNode, slot int) bool {
 		s.scanned++
-		return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
+		return n.time.Load() == tsc.Infinity || !p.Holds(n.value.Load()) || s.awaitSection(e.clock, n, slot, p)
 	})
 	return s.end()
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the one wait path shared by every engine. The nine
-// wait-for-readers algorithms differ only in their pre-scan step (clock
-// read, epoch flip, tree seeding, node selection) and in the test that
+// wait-for-readers algorithms differ only in their pre-scan step (epoch
+// flip, tree seeding, node selection) and in the test that
 // says "this slot still blocks me"; everything else a wait does — the
 // back-off ladder, cancellation, the stall watchdog, blame sampling, the
 // scanned/waited/parked counters and the WaitBegin/WaitEnd bracket — lives
@@ -91,6 +91,10 @@ type waitSession struct {
 	pred    Predicate
 	startNs int64 // stall clock at wait start
 	err     error
+	// t0 is a timestamp engine's reading of its clock for this wait, valid
+	// once timed: awaitSection takes it when a scan first needs it.
+	t0    int64
+	timed bool
 }
 
 // begin opens the session. A plain wait with no metrics attached and the
@@ -146,6 +150,24 @@ func (s *waitSession) await(slot int, blocked func() bool) bool {
 		s.parked++
 	}
 	return s.err == nil
+}
+
+// awaitSection is the timestamp engines' (EER, DEER, Time RCU) wait for a
+// node found inside a section on a value p holds for. They test that
+// inline, from loads alone, so this is the only place a wait reads the
+// clock — once, on the first such node; a wait that finds nobody to wait
+// for reads no clock at all. A t0 read this late is still a valid wait
+// start for Proposition 1: a section that preceded the wait read its clock
+// before the wait began, hence before this read, and posted T <= t0 (a
+// later t0 only widens the set waited for); and a node seen at Infinity
+// after the wait began holds no such section, because its own Exit is the
+// only store of Infinity. The full argument is in DESIGN.md §5.
+func (s *waitSession) awaitSection(c Clock, n *timeNode, slot int, p Predicate) bool {
+	if !s.timed {
+		s.t0, s.timed = c.Now(), true
+	}
+	t0 := s.t0
+	return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
 }
 
 // rearm restarts the back-off ladder from its first spin under the tuning

@@ -251,11 +251,7 @@ func TestDGeneralPredicate(t *testing.T) {
 // TestPluggableClockEngines: the timestamp engines accept any Clock,
 // including the logical fetch-add clock (§4.1's portable alternative).
 func TestLogicalClockEngines(t *testing.T) {
-	for _, mk := range []func() RCU{
-		func() RCU { return NewEER(8, tsc.NewLogical()) },
-		func() RCU { return NewDEER(8, 16, tsc.NewLogical()) },
-		func() RCU { return NewTimeRCU(8, tsc.NewLogical()) },
-	} {
+	for _, mk := range logicalClockEngines(8) {
 		r := mk()
 		h := newSafetyHarness(r, 4)
 		for i := 0; i < 4; i++ {

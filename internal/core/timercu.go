@@ -88,17 +88,17 @@ func (t *TimeRCU) WaitForReaders(p Predicate) { t.WaitForReadersCtx(nil, p) }
 // WaitForReadersCtx implements RCU: wait-for-readers, bounded by ctx when
 // it is non-nil. The predicate is ignored (it is kept for stall
 // diagnostics): every reader whose section began no later than the wait
-// is waited for, as with standard RCU. The scan is read-only, so an
-// abandoned wait leaves nothing behind.
+// is waited for, as with standard RCU — the clock being read only once a
+// reader is found inside a section (awaitSection). The scan is read-only,
+// so an abandoned wait leaves nothing behind.
 func (t *TimeRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	s := waitSession{e: &t.hooks}
 	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	t0 := t.clock.Now()
 	t.reg.forEachActive(func(n *timeNode, slot int) bool {
 		s.scanned++
-		return n.time.Load() > t0 || s.await(slot, func() bool { return n.time.Load() <= t0 })
+		return n.time.Load() == tsc.Infinity || s.awaitSection(t.clock, n, slot, All())
 	})
 	return s.end()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"prcu/internal/obs"
+	"prcu/internal/tsc"
 )
 
 // Torture test in the style of the Linux kernel's rcutorture: readers
@@ -164,12 +166,26 @@ func runTorture(t *testing.T, r RCU, d time.Duration) {
 	t.Logf("%s: %d reads, %d updates, 0 violations", r.Name(), st.reads.Load(), st.updates.Load())
 }
 
+// logicalClockEngines lists the three timestamp engines on the logical
+// fetch-add clock (engines builds them on the monotonic one). It ticks
+// only when read, so a wait's t0 exceeds the newest section's timestamp by
+// exactly one: the blocking test gets no slack from elapsed time.
+func logicalClockEngines(maxReaders int) map[string]func() RCU {
+	return map[string]func() RCU{
+		"EER-Logical":  func() RCU { return NewEER(maxReaders, tsc.NewLogical()) },
+		"DEER-Logical": func() RCU { return NewDEER(maxReaders, 16, tsc.NewLogical()) },
+		"Time-Logical": func() RCU { return NewTimeRCU(maxReaders, tsc.NewLogical()) },
+	}
+}
+
 // TestTorture runs the rcutorture-style workload on every engine. The
 // per-engine budget keeps the whole test well under 5s per engine even
 // with the race detector on; -short trims it further.
 func TestTorture(t *testing.T) {
 	d := scaleDur(250*time.Millisecond, 100*time.Millisecond)
-	for name, mk := range engines(16) {
+	all := engines(16)
+	maps.Copy(all, logicalClockEngines(16))
+	for name, mk := range all {
 		t.Run(name, func(t *testing.T) {
 			runTorture(t, mk(), d)
 		})

@@ -17,6 +17,18 @@
 // nanosecond as the waiter's start merely keeps the waiter waiting until the
 // reader's exit posts infinity.
 //
+// The two sides of a wait lean on different properties. A reader needs a
+// timestamp that a wait starting after its prcu_enter cannot undercut:
+// property 2 between the reader's read and the waiter's, plus Infinity
+// comparing above everything. A waiter needs only a t0 that no reader's
+// earlier read exceeds — any read taken at or after the wait began will do,
+// so the engines take it as late as they can: on finding the first reader
+// inside a covered critical section, and not at all when there is none.
+// Property 1 is what lets a waiter keep polling against the same t0: a
+// reader that re-enters later posts a time that can only have grown.
+// Neither side needs the clock to order memory: Logical's fetch-add happens
+// to fence, Monotonic's read does not, and the engines assume the weaker.
+//
 // A logical fetch-add clock (an alternative the paper suggests for machines
 // without a usable hardware counter) and a manually advanced clock for
 // deterministic tests are also provided.
