@@ -27,6 +27,9 @@ go test -count=20 -short -timeout 600s .
 echo "== go test -race -short (API + engines + structures + typed guard layer) =="
 go test -race -short -timeout 300s . ./internal/core ./citrus ./hashtable ./guard
 
+echo "== go test -race -count=3 (CITRUS concurrent updates: the nil-edge tag protocol) =="
+go test -race -count=3 -run 'Concurrent|Permanent|Reclaim|Reinsert' -timeout 300s ./citrus
+
 echo "== go test -race (reclaimer backlog/backpressure stress) =="
 go test -race -timeout 300s ./internal/reclaim
 

@@ -20,8 +20,10 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"prcu"
+	"prcu/internal/pad"
 )
 
 // sentinelKey is the reserved key of the root sentinel; user keys must be
@@ -29,16 +31,24 @@ import (
 // sentinel itself can never be deleted.
 const sentinelKey = math.MaxUint64
 
-// node is a tree node. key is immutable; the child pointers are guarded
-// cells — readers traverse them only through an open *prcu.Scope, updaters
-// through the LoadLocked/Store side under the fine-grained locks; the tags
-// version nil-child slots so an optimistic traversal that observed nil can
-// detect an intervening insert+delete when it validates; marked flags a
-// node that has been spliced out or replaced, and is guarded by mu.
+// node is a tree node's search half, 32 bytes so two share a cache line
+// (DESIGN.md "CITRUS layout"); a search that returns no value never loads
+// w. key is immutable; the child pointers are guarded cells — readers
+// traverse them only through an open *prcu.Scope, updaters through the
+// LoadLocked/Store side under the fine-grained locks.
 type node struct {
-	key    uint64
-	value  atomic.Uint64
-	child  [2]prcu.Cell[node]
+	key   uint64
+	child [2]prcu.Cell[node]
+	w     *nodeSync
+}
+
+// nodeSync is a node's writer half. value is immutable once the node is
+// published; the tags version nil-child slots so an optimistic traversal
+// that observed nil can detect an intervening insert+delete when it
+// validates; marked flags a node that has been spliced out or replaced,
+// and is guarded by mu.
+type nodeSync struct {
+	value  uint64
 	tag    [2]atomic.Uint64
 	mu     sync.Mutex
 	marked bool
@@ -125,24 +135,24 @@ type enginePair struct {
 }
 
 // Tree is a CITRUS tree. Construct with New; obtain a Handle per goroutine.
+// A full line separates the read-mostly head from the counters each
+// update writes, so no update invalidates a search's first line.
 type Tree struct {
 	eng    atomic.Pointer[enginePair]
 	pool   *prcu.ReaderPool
 	domain Domain
 	root   *node
-	size   atomic.Int64
-
 	// rec, when set, moves two-child deletions' grace-period waits off
 	// the deleting goroutine; see SetReclaimer.
-	rec      *prcu.Reclaimer
+	rec *prcu.Reclaimer
+
+	_        [pad.CacheLineSize]byte
+	size     atomic.Int64
 	deferred atomic.Uint64
 }
 
-// nodeApproxBytes is the backlog byte declaration for one deferred
-// unlink: the successor node itself plus its share of bookkeeping. An
-// estimate is all the reclaimer needs — the watermark bounds memory in
-// these units.
-const nodeApproxBytes = 96
+// nodeBytes is the backlog byte declaration for one deferred unlink.
+const nodeBytes = int(unsafe.Sizeof(node{}) + unsafe.Sizeof(nodeSync{}))
 
 // SetReclaimer switches two-child deletions to asynchronous
 // reclamation: instead of blocking the deleting goroutine on
@@ -179,7 +189,7 @@ func New(r prcu.RCU, domain Domain) *Tree {
 	t := &Tree{
 		pool:   prcu.NewReaderPool(r),
 		domain: domain,
-		root:   &node{key: sentinelKey},
+		root:   &node{key: sentinelKey, w: &nodeSync{}},
 	}
 	t.eng.Store(&enginePair{cur: r})
 	return t
@@ -296,73 +306,84 @@ func dirFor(k uint64, n *node) int {
 }
 
 // traverse walks from the root toward k, returning the last edge followed:
-// prev, the direction taken from prev, the tag of that edge observed
-// *before* reading the child, and curr (nil, or the node holding k).
-// The scope s witnesses the read-side critical section the walk requires.
+// prev, the direction taken from prev, and curr (nil, or the node holding
+// k); when curr is nil, tag is that edge's tag, read before the last load
+// of the child. The scope s witnesses the read-side critical section.
+// A tag is read only at an edge whose child loads nil, then the child is
+// re-loaded: any run is a run, executed later, of the loop reading every
+// edge's tag before its child, since the tags this skips were of non-nil
+// edges and that loop discarded them unused (DESIGN.md "CITRUS layout").
 func (t *Tree) traverse(s *prcu.Scope, k uint64) (prev *node, dir int, tag uint64, curr *node) {
-	prev, dir = t.root, 0
-	tag = prev.tag[0].Load()
-	curr = prev.child[0].Load(s)
-	for curr != nil && curr.key != k {
-		prev = curr
-		dir = dirFor(k, curr)
-		tag = prev.tag[dir].Load()
-		curr = prev.child[dir].Load(s)
+	prev = t.root
+	for {
+		if curr = prev.child[dir].Load(s); curr == nil {
+			tag = prev.w.tag[dir].Load()
+			if curr = prev.child[dir].Load(s); curr == nil {
+				return prev, dir, tag, nil
+			}
+		}
+		if curr.key == k {
+			return prev, dir, 0, curr
+		}
+		prev, dir = curr, dirFor(k, curr)
 	}
-	return prev, dir, tag, curr
 }
 
-// Contains reports whether k is in the tree. It is wait-free: one RCU
-// traversal, no locks, no retries.
-func (h *Handle) Contains(k uint64) bool {
-	_, ok := h.Get(k)
-	return ok
-}
-
-// lookup walks to the node holding k, reading its value in place. The
-// scope s witnesses the read-side critical section on MapKey(k).
-func (t *Tree) lookup(s *prcu.Scope, k uint64) (uint64, bool) {
+// lookup walks to the node holding k, reading its value in place only
+// when val is non-nil. The scope s witnesses the section on MapKey(k).
+func (t *Tree) lookup(s *prcu.Scope, k uint64, val *uint64) bool {
 	curr := t.root.child[0].Load(s)
 	for curr != nil && curr.key != k {
 		curr = curr.child[dirFor(k, curr)].Load(s)
 	}
-	if curr == nil {
-		return 0, false
+	if curr != nil && val != nil {
+		*val = curr.w.value
 	}
-	return curr.value.Load(), true
+	return curr != nil
 }
 
-// Get returns the value stored under k. The traversal runs under
-// GuardedReader.Read, so a panicking lookup re-raises with the critical
-// section closed instead of wedging every future covering grace period.
+// Contains reports whether k is in the tree. It is wait-free: one RCU
+// traversal, no locks, no retries.
+func (h *Handle) Contains(k uint64) bool { return h.read(k, nil) }
+
+// Get returns the value stored under k.
 func (h *Handle) Get(k uint64) (val uint64, ok bool) {
+	ok = h.read(k, &val)
+	return val, ok
+}
+
+// read runs lookup under GuardedReader.Read, so a panicking lookup
+// re-raises with the critical section closed instead of wedging every
+// future covering grace period.
+func (h *Handle) read(k uint64, val *uint64) (ok bool) {
 	checkKey(k)
 	h.g.Read(h.t.domain.MapKey(k), func(s *prcu.Scope) {
-		val, ok = h.t.lookup(s, k)
+		ok = h.t.lookup(s, k, val)
 	})
-	return val, ok
+	return ok
 }
 
 // Get is the one-shot form: it borrows a pooled reader for a single
 // lookup. Hot loops should hold a Handle instead and amortize the borrow.
-// The section is opened with Enter/Exit, not Read: a typed reader whose
-// scope is only handed to lookup stays on this frame, so the borrow
-// allocates nothing, and the deferred calls close the section and return
-// the reader even if the lookup panics.
-func (t *Tree) Get(k uint64) (uint64, bool) {
+func (t *Tree) Get(k uint64) (val uint64, ok bool) {
+	ok = t.read(k, &val)
+	return val, ok
+}
+
+// Contains is the one-shot membership test; see Get.
+func (t *Tree) Contains(k uint64) bool { return t.read(k, nil) }
+
+// read is the one-shot lookup, on Enter/Exit rather than Read so the typed
+// reader stays on this frame and the borrow allocates nothing; the deferred
+// calls close the section and return the reader even if lookup panics.
+func (t *Tree) read(k uint64, val *uint64) bool {
 	checkKey(k)
 	rd := t.pool.Get()
 	defer t.pool.Put(rd)
 	g := prcu.WrapReader(rd)
 	s := g.Enter(t.domain.MapKey(k))
 	defer g.Exit(s)
-	return t.lookup(s, k)
-}
-
-// Contains is the one-shot membership test; see Get.
-func (t *Tree) Contains(k uint64) bool {
-	_, ok := t.Get(k)
-	return ok
+	return t.lookup(s, k, val)
 }
 
 // Insert adds k with value val. It returns false if k is already present
@@ -384,17 +405,23 @@ func (h *Handle) Insert(k, val uint64) bool {
 		if curr != nil {
 			return false
 		}
-		prev.mu.Lock()
-		if !prev.marked && prev.child[dir].LoadLocked() == nil && prev.tag[dir].Load() == tag {
-			n := &node{key: k}
-			n.value.Store(val)
-			prev.child[dir].Store(n)
-			prev.mu.Unlock()
-			t.size.Add(1)
+		if t.link(prev, dir, tag, k, val) {
 			return true
 		}
-		prev.mu.Unlock()
 	}
+}
+
+// link attaches a leaf (k, val) at prev's dir edge if traverse's
+// observation — nil, with tag — still holds under prev's lock.
+func (t *Tree) link(prev *node, dir int, tag, k, val uint64) bool {
+	prev.w.mu.Lock()
+	defer prev.w.mu.Unlock()
+	if prev.w.marked || prev.child[dir].LoadLocked() != nil || prev.w.tag[dir].Load() != tag {
+		return false
+	}
+	prev.child[dir].Store(&node{key: k, w: &nodeSync{value: val}})
+	t.size.Add(1)
+	return true
 }
 
 // Delete removes k, returning whether it was present.
@@ -419,11 +446,11 @@ func (h *Handle) Delete(k uint64) bool {
 		if curr == nil {
 			return false
 		}
-		prev.mu.Lock()
-		curr.mu.Lock()
-		if prev.marked || curr.marked || prev.child[dir].LoadLocked() != curr {
-			curr.mu.Unlock()
-			prev.mu.Unlock()
+		prev.w.mu.Lock()
+		curr.w.mu.Lock()
+		if prev.w.marked || curr.w.marked || prev.child[dir].LoadLocked() != curr {
+			curr.w.mu.Unlock()
+			prev.w.mu.Unlock()
 			continue
 		}
 		left, right := curr.child[0].LoadLocked(), curr.child[1].LoadLocked()
@@ -433,17 +460,18 @@ func (h *Handle) Delete(k uint64) bool {
 			if repl == nil {
 				repl = right
 			}
-			curr.marked = true
+			curr.w.marked = true
 			prev.child[dir].Store(repl)
 			if repl == nil {
-				prev.tag[dir].Add(1)
+				prev.w.tag[dir].Add(1)
 			}
-			curr.mu.Unlock()
-			prev.mu.Unlock()
+			curr.w.mu.Unlock()
+			prev.w.mu.Unlock()
 			t.size.Add(-1)
 			return true
 		}
-		if t.deleteInternal(prev, dir, curr, right) {
+		prevSucc, succ, succTag := successor(curr, right)
+		if t.deleteInternal(prev, dir, curr, prevSucc, succ, succTag) {
 			t.size.Add(-1)
 			return true
 		}
@@ -451,60 +479,61 @@ func (h *Handle) Delete(k uint64) bool {
 	}
 }
 
-// deleteInternal handles the two-children case. Caller holds prev and curr
-// locks and has validated them; deleteInternal releases all locks before
-// returning. It returns false if the successor validation failed and the
-// whole operation must retry.
-func (t *Tree) deleteInternal(prev *node, dir int, curr, right *node) bool {
-	// Find the successor: the leftmost node of curr's right subtree. Read
-	// each nil-candidate edge's tag before the child pointer so the
-	// validation below can detect churn. The walk runs on the updater-side
-	// (LoadLocked) cells: it is optimistic — the nodes are not yet locked —
-	// but every observation is revalidated under locks before acting, and
-	// Go's GC rules out use-after-free for the pointers themselves.
-	prevSucc, succ := curr, right
-	var succTag uint64
+// successor finds curr's successor — the leftmost node of its right
+// subtree — with its parent and its nil left edge's tag, read as in
+// traverse and correct by the same argument. The walk is optimistic, on
+// the updater-side (LoadLocked) cells of unlocked nodes: deleteInternal
+// revalidates it under locks, and Go's GC rules out use-after-free.
+func successor(curr, right *node) (prevSucc, succ *node, succTag uint64) {
+	prevSucc, succ = curr, right
 	for {
-		tag := succ.tag[0].Load()
 		next := succ.child[0].LoadLocked()
 		if next == nil {
-			succTag = tag
-			break
+			succTag = succ.w.tag[0].Load()
+			if next = succ.child[0].LoadLocked(); next == nil {
+				return prevSucc, succ, succTag
+			}
 		}
 		prevSucc, succ = succ, next
 	}
+}
+
+// deleteInternal handles the two-children case, given successor's
+// observation. Caller holds prev and curr locks and has validated them;
+// deleteInternal releases all locks before returning. It returns false if
+// the successor validation failed and the whole operation must retry.
+func (t *Tree) deleteInternal(prev *node, dir int, curr, prevSucc, succ *node, succTag uint64) bool {
 	if prevSucc != curr {
-		prevSucc.mu.Lock()
+		prevSucc.w.mu.Lock()
 	}
-	succ.mu.Lock()
+	succ.w.mu.Lock()
 
 	dirPS := 0
 	if prevSucc == curr {
 		dirPS = 1
 	}
-	ok := !prevSucc.marked && prevSucc.child[dirPS].LoadLocked() == succ &&
-		!succ.marked && succ.child[0].LoadLocked() == nil && succ.tag[0].Load() == succTag
+	ok := !prevSucc.w.marked && prevSucc.child[dirPS].LoadLocked() == succ &&
+		!succ.w.marked && succ.child[0].LoadLocked() == nil && succ.w.tag[0].Load() == succTag
 	if !ok {
-		succ.mu.Unlock()
+		succ.w.mu.Unlock()
 		if prevSucc != curr {
-			prevSucc.mu.Unlock()
+			prevSucc.w.mu.Unlock()
 		}
-		curr.mu.Unlock()
-		prev.mu.Unlock()
+		curr.w.mu.Unlock()
+		prev.w.mu.Unlock()
 		return false
 	}
 
 	// Replace curr with a copy of the successor. New operations find the
 	// successor's key at its new location immediately; the original stays
 	// reachable for pre-existing traversals until the grace period ends.
-	curr.marked = true
-	n := &node{key: succ.key}
-	n.value.Store(succ.value.Load())
+	curr.w.marked = true
+	n := &node{key: succ.key, w: &nodeSync{value: succ.w.value}}
 	n.child[0].Store(curr.child[0].LoadLocked())
 	n.child[1].Store(curr.child[1].LoadLocked())
 	// Lock the copy before publishing so no concurrent update can touch it
 	// while we are still rewiring its right edge below.
-	n.mu.Lock()
+	n.w.mu.Lock()
 	prev.child[dir].Store(n)
 
 	// finish is everything that must wait for the grace period: mark the
@@ -515,28 +544,28 @@ func (t *Tree) deleteInternal(prev *node, dir int, curr, right *node) bool {
 	// readers, whereas unlinking early is not. succ is still marked so a
 	// validation can never splice children onto the leaked node.
 	finish := func(err error) {
-		succ.marked = true
+		succ.w.marked = true
 		if err == nil {
 			succRight := succ.child[1].LoadLocked()
 			if prevSucc == curr {
 				n.child[1].Store(succRight)
 				if succRight == nil {
-					n.tag[1].Add(1)
+					n.w.tag[1].Add(1)
 				}
 			} else {
 				prevSucc.child[0].Store(succRight)
 				if succRight == nil {
-					prevSucc.tag[0].Add(1)
+					prevSucc.w.tag[0].Add(1)
 				}
 			}
 		}
-		n.mu.Unlock()
-		succ.mu.Unlock()
+		n.w.mu.Unlock()
+		succ.w.mu.Unlock()
 		if prevSucc != curr {
-			prevSucc.mu.Unlock()
+			prevSucc.w.mu.Unlock()
 		}
-		curr.mu.Unlock()
-		prev.mu.Unlock()
+		curr.w.mu.Unlock()
+		prev.w.mu.Unlock()
 	}
 
 	// The heart of §5.2: wait only for searches on keys in (k, k′] —
@@ -548,7 +577,7 @@ func (t *Tree) deleteInternal(prev *node, dir int, curr, right *node) bool {
 	pred := t.domain.WaitPredicate(curr.key, succ.key)
 	if rec := t.rec; rec != nil {
 		t.deferred.Add(1)
-		rec.Defer(pred, nodeApproxBytes, finish)
+		rec.Defer(pred, nodeBytes, finish)
 		return true
 	}
 	t.waitForReaders(pred)

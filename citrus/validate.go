@@ -30,9 +30,9 @@ func validateNode(n *node, low, high uint64, count *int) error {
 	if n.key < low || n.key >= high {
 		return fmt.Errorf("citrus: key %d outside interval [%d, %d)", n.key, low, high)
 	}
-	n.mu.Lock()
-	marked := n.marked
-	n.mu.Unlock()
+	n.w.mu.Lock()
+	marked := n.w.marked
+	n.w.mu.Unlock()
 	if marked {
 		return fmt.Errorf("citrus: marked node %d reachable in quiescent tree", n.key)
 	}

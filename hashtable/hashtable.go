@@ -38,6 +38,7 @@ import (
 
 	"prcu"
 	"prcu/guard"
+	"prcu/internal/pad"
 	"prcu/internal/spin"
 )
 
@@ -76,6 +77,9 @@ type enginePair struct {
 
 // Map is the resizable hash table. Lookups go through per-goroutine
 // Handles; Insert, Delete and Expand may be called from any goroutine.
+// Three groups of fields, a full line apart: the read-mostly head every
+// lookup and update loads, the fields updates and expansions write, and
+// the ones the reclaimer writes.
 type Map[K comparable, V any] struct {
 	eng  atomic.Pointer[enginePair]
 	pool *prcu.ReaderPool
@@ -86,6 +90,11 @@ type Map[K comparable, V any] struct {
 	// a stale hint is detected inside the section and retried.
 	tbl      guard.Guarded[table[K, V]]
 	maskHint atomic.Uint64
+	// ret, when set, recycles deleted nodes through nodePool after a
+	// covering grace period; see SetReclaimer.
+	ret *guard.Retirer[hnode[K, V]]
+
+	_ [pad.CacheLineSize]byte
 	// resizeMu serializes expansions; expanding blocks updates while one
 	// is in flight.
 	resizeMu  sync.Mutex
@@ -95,9 +104,7 @@ type Map[K comparable, V any] struct {
 	// the benchmark harness and tests).
 	waits atomic.Int64
 
-	// ret, when set, recycles deleted nodes through nodePool after a
-	// covering grace period; see SetReclaimer.
-	ret      *guard.Retirer[hnode[K, V]]
+	_        [pad.CacheLineSize]byte
 	nodePool sync.Pool
 	recycled atomic.Uint64
 }
