@@ -43,9 +43,6 @@ go test -race -run 'TestReaderChurnConcurrentWaits|TestUncappedRegisterNeverFail
 echo "== go test -race (chaos torture: fault injection over every engine) =="
 go test -race -short -timeout 300s ./internal/chaos
 
-echo "== go test -race (chaos storm suite: self-tuning controller on/off envelope, seeded) =="
-go test -race -short -timeout 300s ./internal/adapt
-
 echo "== go test -race (packed engine: litmus + conformance over all flavors) =="
 go test -race -run 'TestPacked|TestConformance' -timeout 300s ./internal/core .
 

@@ -124,21 +124,13 @@ func DefaultDomain(flavor prcu.Flavor) Domain {
 	}
 }
 
-// enginePair is the tree's engine binding, swapped wholesale behind an
-// atomic pointer. Outside a live migration old is nil; during one, old
-// holds the engine being drained and the synchronous two-child-delete
-// wait covers both (readers may exist on either engine until the
-// migrator settles the pair — over-covering is always safe).
-type enginePair struct {
-	cur prcu.RCU
-	old prcu.RCU
-}
-
 // Tree is a CITRUS tree. Construct with New; obtain a Handle per goroutine.
 // A full line separates the read-mostly head from the counters each
 // update writes, so no update invalidates a search's first line.
 type Tree struct {
-	eng    atomic.Pointer[enginePair]
+	// pool holds the tree's engine (pool.Engine()): a second copy here
+	// would push Tree out of the 128-byte size class and split the read
+	// head across cache lines in most allocations.
 	pool   *prcu.ReaderPool
 	domain Domain
 	root   *node
@@ -186,60 +178,15 @@ func New(r prcu.RCU, domain Domain) *Tree {
 	if domain.MapKey == nil || domain.WaitPredicate == nil {
 		panic("citrus: Domain with nil functions")
 	}
-	t := &Tree{
+	return &Tree{
 		pool:   prcu.NewReaderPool(r),
 		domain: domain,
 		root:   &node{key: sentinelKey, w: &nodeSync{}},
 	}
-	t.eng.Store(&enginePair{cur: r})
-	return t
 }
 
-// Engine returns the engine new readers currently register on.
-func (t *Tree) Engine() prcu.RCU { return t.eng.Load().cur }
-
-// waitForReaders runs one grace period covering pred on every engine in
-// the pair — during a live migration window readers may exist on both.
-func (t *Tree) waitForReaders(pred prcu.Predicate) {
-	ep := t.eng.Load()
-	ep.cur.WaitForReaders(pred)
-	if ep.old != nil {
-		ep.old.WaitForReaders(pred)
-	}
-}
-
-// SwapEngine implements the live-migration front contract: new handles
-// register on target, and until SettleEngine the tree's synchronous
-// deletion waits cover both target and the previous engine. Returns the
-// previous engine. Normally called only by a prcu.Migrator, which also
-// drains the previous engine's readers before settling.
-func (t *Tree) SwapEngine(target prcu.RCU) prcu.RCU {
-	for {
-		ep := t.eng.Load()
-		if t.eng.CompareAndSwap(ep, &enginePair{cur: target, old: ep.cur}) {
-			t.pool.SwapEngine(target)
-			return ep.cur
-		}
-	}
-}
-
-// SettleEngine drops the drained engine from the pair once the migrator
-// has verified it is quiescent.
-func (t *Tree) SettleEngine() {
-	for {
-		ep := t.eng.Load()
-		if ep.old == nil {
-			return
-		}
-		if t.eng.CompareAndSwap(ep, &enginePair{cur: ep.cur}) {
-			return
-		}
-	}
-}
-
-// DrainStale releases pool-cached readers stranded on a pre-swap
-// engine; the migrator calls it between registry-drain re-checks.
-func (t *Tree) DrainStale() { t.pool.DrainStale() }
+// Engine returns the engine the tree was built on.
+func (t *Tree) Engine() prcu.RCU { return t.pool.Engine() }
 
 // Handle is one goroutine's access to the tree, wrapping its reader slot
 // in a typed guard: every traversal happens inside a *prcu.Scope obtained
@@ -255,23 +202,11 @@ type Handle struct {
 // when the engine was built with a reader cap; prefer Handle for ephemeral
 // goroutines.
 func (t *Tree) NewHandle() (*Handle, error) {
-	for {
-		eng := t.Engine()
-		rd, err := eng.Register()
-		if err != nil {
-			return nil, err
-		}
-		// Re-check the engine indirection after Register: a live
-		// migration flipping the tree between the load and the Register
-		// could otherwise strand this reader on a source engine whose
-		// drain already read an empty registry (DESIGN.md "Handover
-		// safety"). Passing the re-check means the registration was
-		// visible before the swap, so the drain's poll observes it.
-		if t.Engine() == eng {
-			return &Handle{t: t, g: prcu.WrapReader(rd)}, nil
-		}
-		rd.Unregister()
+	rd, err := t.Engine().Register()
+	if err != nil {
+		return nil, err
 	}
+	return &Handle{t: t, g: prcu.WrapReader(rd)}, nil
 }
 
 // Handle borrows a pooled reader and returns a handle around it — the
@@ -580,10 +515,7 @@ func (t *Tree) deleteInternal(prev *node, dir int, curr, prevSucc, succ *node, s
 		rec.Defer(pred, nodeBytes, finish)
 		return true
 	}
-	t.waitForReaders(pred)
+	t.Engine().WaitForReaders(pred)
 	finish(nil)
 	return true
 }
-
-// Compile-time check of the live-migration front contract.
-var _ prcu.EngineFront = (*Tree)(nil)

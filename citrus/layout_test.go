@@ -24,7 +24,6 @@ func TestTreeHeadOffUpdateLines(t *testing.T) {
 	var tr Tree
 	var headEnd uintptr
 	for _, end := range []uintptr{
-		unsafe.Offsetof(tr.eng) + unsafe.Sizeof(tr.eng),
 		unsafe.Offsetof(tr.pool) + unsafe.Sizeof(tr.pool),
 		unsafe.Offsetof(tr.domain) + unsafe.Sizeof(tr.domain),
 		unsafe.Offsetof(tr.root) + unsafe.Sizeof(tr.root),
@@ -38,5 +37,15 @@ func TestTreeHeadOffUpdateLines(t *testing.T) {
 		if off < headEnd+pad.CacheLineSize {
 			t.Errorf("%s at offset %d is within a line of the read head ending at %d", name, off, headEnd)
 		}
+	}
+}
+
+// TestTreeFitsItsSizeClass pins Tree at 128 bytes or less: objects of
+// that size class start on a cache-line boundary, so the read head sits
+// in one line. The next class (144 bytes) would split it in most
+// allocations.
+func TestTreeFitsItsSizeClass(t *testing.T) {
+	if s := unsafe.Sizeof(Tree{}); s > 128 {
+		t.Fatalf("Tree is %d bytes, want at most 128", s)
 	}
 }

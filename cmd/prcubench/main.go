@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	prcubench [flags] fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|monitor|adapt|migrate|blame|all
+//	prcubench [flags] fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|monitor|blame|all
 //
 // The stats subcommand runs the mixed workload with the observability
 // layer attached and dumps each engine's internal metrics: grace-period
@@ -12,19 +12,10 @@
 // reader-section durations. The monitor subcommand runs the same
 // workload on every engine concurrently and renders a live table of
 // windowed rates (waits/s, enters/s, selectivity, latency percentiles)
-// refreshed every -refresh for -monitor-for. The adapt subcommand runs
-// the chaos storm campaign against a deliberately misconfigured
-// reclaimer twice — with and without the self-tuning controller — and
-// reports whether each run held the operator's age/backlog envelope
-// (-monitor-for sizes one run, -refresh the live display). The migrate
-// subcommand holds most grace periods on the source engine — a failure
-// no reclaimer re-tuning can fix — and runs the same storm with and
-// without the autotuner's live-migration escape hatch armed, reporting
-// whether the workload was handed over to a clean engine mid-storm. The
-// blame subcommand arms the flight recorder, plants one
-// deterministically slow reader via chaos fault injection, and reports
-// whether the recorder's per-slot blame convicts exactly that reader
-// (-monitor-for sizes the run).
+// refreshed every -refresh for -monitor-for. The blame subcommand arms
+// the flight recorder, plants one deterministically slow reader via chaos
+// fault injection, and reports whether the recorder's per-slot blame
+// convicts exactly that reader (-monitor-for sizes the run).
 //
 // With -serve ADDR any subcommand also serves the live export plane
 // while it runs — Prometheus /metrics, /debug/prcu/stats,
@@ -171,7 +162,7 @@ func main() {
 
 // subcommands is the canonical experiment list, shared by the usage
 // text and the unknown-subcommand error.
-const subcommands = "fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|monitor|adapt|migrate|blame|all"
+const subcommands = "fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|monitor|blame|all"
 
 func dispatch(cmd string, cfg bench.Config, includeLF bool, monitorFor, refresh time.Duration) error {
 	switch cmd {
@@ -195,10 +186,6 @@ func dispatch(cmd string, cfg bench.Config, includeLF bool, monitorFor, refresh 
 		return bench.Reclaim(cfg)
 	case "monitor":
 		return bench.Monitor(cfg, monitorFor, refresh)
-	case "adapt":
-		return bench.Adapt(cfg, monitorFor, refresh)
-	case "migrate":
-		return bench.Migrate(cfg, monitorFor, refresh)
 	case "blame":
 		return bench.Blame(cfg, monitorFor)
 	case "all":

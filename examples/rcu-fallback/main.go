@@ -5,8 +5,8 @@
 // The program keeps a read-mostly configuration snapshot behind an atomic
 // pointer. Readers dereference it inside read-side critical sections on a
 // wildcard-compatible value; the writer swaps in new snapshots and retires
-// old ones through prcu.Async, whose callbacks fire only after a covering
-// grace period — without ever blocking the writer.
+// old ones through a single-shard prcu.Reclaimer, whose callbacks fire
+// only after a covering grace period — without ever blocking the writer.
 //
 // Run with:
 //
@@ -31,8 +31,8 @@ type config struct {
 
 func main() {
 	rcu := prcu.NewEER(prcu.Options{})
-	async := prcu.NewAsync(rcu)
-	defer async.Close()
+	rec := prcu.NewReclaimer(rcu, prcu.ReclaimConfig{Shards: 1, FlushDelay: -1})
+	defer rec.Close()
 
 	var current atomic.Pointer[config]
 	mk := func(v uint64) *config {
@@ -79,10 +79,14 @@ func main() {
 	for v := uint64(1); time.Now().Before(deadline); v++ {
 		old := current.Load()
 		current.Store(mk(v))
-		async.Call(prcu.All(), func() { old.retired.Store(true) })
+		rec.Defer(prcu.All(), 0, func(err error) {
+			if err == nil { // nil: the grace period completed
+				old.retired.Store(true)
+			}
+		})
 		swaps++
 	}
-	async.Barrier() // all retirements completed their grace periods
+	rec.Barrier() // all retirements completed their grace periods
 	stop.Store(true)
 	wg.Wait()
 

@@ -65,23 +65,15 @@ func newTable[K comparable, V any](buckets int) *table[K, V] {
 	}
 }
 
-// enginePair is the map's engine binding, swapped wholesale behind an
-// atomic pointer. Outside a live migration old is nil; during one, old
-// holds the engine being drained and every updater-side wait covers
-// both (readers may exist on either engine until the migrator settles
-// the pair — over-covering is always safe).
-type enginePair struct {
-	cur prcu.RCU
-	old prcu.RCU
-}
-
 // Map is the resizable hash table. Lookups go through per-goroutine
 // Handles; Insert, Delete and Expand may be called from any goroutine.
 // Three groups of fields, a full line apart: the read-mostly head every
 // lookup and update loads, the fields updates and expansions write, and
 // the ones the reclaimer writes.
 type Map[K comparable, V any] struct {
-	eng  atomic.Pointer[enginePair]
+	// pool holds the map's engine (pool.Engine()): a second copy here
+	// would push Map out of the 256-byte size class and split the read
+	// head across cache lines in half of all allocations.
 	pool *prcu.ReaderPool
 	hash func(K) uint64
 	// tbl is the current generation, RCU-published: readers reach it only
@@ -204,7 +196,6 @@ func NewWithHash[K comparable, V any](r prcu.RCU, initialBuckets int, hash func(
 		panic("hashtable: NewWithHash with nil hash")
 	}
 	m := &Map[K, V]{pool: prcu.NewReaderPool(r), hash: hash}
-	m.eng.Store(&enginePair{cur: r})
 	t := newTable[K, V](initialBuckets)
 	m.tbl.Publish(t)
 	m.maskHint.Store(t.mask)
@@ -218,52 +209,8 @@ func NewModulo(r prcu.RCU, initialBuckets int) *Map[uint64, uint64] {
 	return NewWithHash[uint64, uint64](r, initialBuckets, func(k uint64) uint64 { return k })
 }
 
-// Engine returns the engine new readers currently register on.
-func (m *Map[K, V]) Engine() prcu.RCU { return m.eng.Load().cur }
-
-// waitForReaders runs one grace period covering pred on every engine in
-// the pair — during a live migration window readers may exist on both.
-func (m *Map[K, V]) waitForReaders(pred prcu.Predicate) {
-	ep := m.eng.Load()
-	ep.cur.WaitForReaders(pred)
-	if ep.old != nil {
-		ep.old.WaitForReaders(pred)
-	}
-}
-
-// SwapEngine implements the live-migration front contract: new handles
-// register on target, and until SettleEngine the map's updater-side
-// waits cover both target and the previous engine. Returns the previous
-// engine. Normally called only by a prcu.Migrator, which also drains
-// the previous engine's readers before settling.
-func (m *Map[K, V]) SwapEngine(target prcu.RCU) prcu.RCU {
-	for {
-		ep := m.eng.Load()
-		if m.eng.CompareAndSwap(ep, &enginePair{cur: target, old: ep.cur}) {
-			m.pool.SwapEngine(target)
-			return ep.cur
-		}
-	}
-}
-
-// SettleEngine drops the drained engine from the pair once the migrator
-// has verified it is quiescent; updater-side waits return to covering
-// the current engine alone.
-func (m *Map[K, V]) SettleEngine() {
-	for {
-		ep := m.eng.Load()
-		if ep.old == nil {
-			return
-		}
-		if m.eng.CompareAndSwap(ep, &enginePair{cur: ep.cur}) {
-			return
-		}
-	}
-}
-
-// DrainStale releases pool-cached readers stranded on a pre-swap
-// engine; the migrator calls it between registry-drain re-checks.
-func (m *Map[K, V]) DrainStale() { m.pool.DrainStale() }
+// Engine returns the engine the map was built on.
+func (m *Map[K, V]) Engine() prcu.RCU { return m.pool.Engine() }
 
 // Buckets returns the current bucket count.
 func (m *Map[K, V]) Buckets() int { return len(m.tbl.LoadLocked().heads) }
@@ -290,23 +237,11 @@ type Handle[K comparable, V any] struct {
 // fails when the engine was built with a reader cap; prefer Handle for
 // ephemeral goroutines.
 func (m *Map[K, V]) NewHandle() (*Handle[K, V], error) {
-	for {
-		eng := m.Engine()
-		rd, err := eng.Register()
-		if err != nil {
-			return nil, err
-		}
-		// Re-check the engine indirection after Register: a live
-		// migration flipping the map between the load and the Register
-		// could otherwise strand this reader on a source engine whose
-		// drain already read an empty registry (DESIGN.md "Handover
-		// safety"). Passing the re-check means the registration was
-		// visible before the swap, so the drain's poll observes it.
-		if m.Engine() == eng {
-			return &Handle[K, V]{m: m, g: guard.Wrap(rd)}, nil
-		}
-		rd.Unregister()
+	rd, err := m.Engine().Register()
+	if err != nil {
+		return nil, err
 	}
+	return &Handle[K, V]{m: m, g: guard.Wrap(rd)}, nil
 }
 
 // Handle borrows a pooled reader and returns a handle around it — the
@@ -546,14 +481,9 @@ func (m *Map[K, V]) unzip(old, nt *table[K, V], b uint64, pred prcu.Predicate) (
 		// run to reach their nodes beyond it; let them finish before
 		// cutting the link.
 		waits++
-		m.waitForReaders(pred)
+		m.Engine().WaitForReaders(pred)
 		cur.next.Store(q)
 		cur = next
 	}
 	return waits
 }
-
-// Compile-time check of the live-migration front contract.
-var (
-	_ prcu.EngineFront = (*Map[int, int])(nil)
-)

@@ -23,7 +23,6 @@ func TestMapHeadOffUpdateLines(t *testing.T) {
 	}
 	var headEnd uintptr
 	for _, end := range []uintptr{
-		unsafe.Offsetof(m.eng) + unsafe.Sizeof(m.eng),
 		unsafe.Offsetof(m.pool) + unsafe.Sizeof(m.pool),
 		unsafe.Offsetof(m.hash) + unsafe.Sizeof(m.hash),
 		unsafe.Offsetof(m.tbl) + unsafe.Sizeof(m.tbl),
@@ -48,4 +47,14 @@ func TestMapHeadOffUpdateLines(t *testing.T) {
 	fence("update fields", updEnd, map[string]uintptr{
 		"nodePool": unsafe.Offsetof(m.nodePool), "recycled": unsafe.Offsetof(m.recycled),
 	})
+}
+
+// TestMapFitsItsSizeClass pins Map at 256 bytes or less: objects of that
+// size class start on a cache-line boundary, so the read head sits in one
+// line. The next class (288 bytes) would split it in half of all
+// allocations.
+func TestMapFitsItsSizeClass(t *testing.T) {
+	if s := unsafe.Sizeof(Map[uint64, uint64]{}); s > 256 {
+		t.Fatalf("Map is %d bytes, want at most 256", s)
+	}
 }

@@ -89,13 +89,13 @@ func TestSharedEngineAcrossStructures(t *testing.T) {
 }
 
 // TestAsyncReclamationPattern mirrors the quickstart's pooled-reclamation
-// idiom through prcu.Async: a retired object may only be recycled after a
-// grace period covering its key, and no reader must ever observe a
-// recycled object.
+// idiom through asynchronous callbacks on a single-shard Reclaimer: a
+// retired object may only be recycled after a grace period covering its
+// key, and no reader must ever observe a recycled object.
 func TestAsyncReclamationPattern(t *testing.T) {
 	r := prcu.NewEER(prcu.Options{MaxReaders: 8})
-	async := prcu.NewAsync(r)
-	defer async.Close()
+	rec := prcu.NewReclaimer(r, prcu.ReclaimConfig{Shards: 1, FlushDelay: -1})
+	defer rec.Close()
 
 	type obj struct {
 		key     prcu.Value
@@ -134,9 +134,13 @@ func TestAsyncReclamationPattern(t *testing.T) {
 	for i := prcu.Value(2); i < 300; i++ {
 		old := current.Load()
 		current.Store(&obj{key: i})
-		async.Call(prcu.Singleton(old.key), func() { old.retired.Store(true) })
+		rec.Defer(prcu.Singleton(old.key), 0, func(err error) {
+			if err == nil {
+				old.retired.Store(true)
+			}
+		})
 	}
-	async.Barrier()
+	rec.Barrier()
 	stop.Store(true)
 	wg.Wait()
 	if n := anomalies.Load(); n != 0 {

@@ -23,11 +23,11 @@ type monitorRow struct {
 // (obs.Delta between refresh ticks) to cfg.Out: waits/s, section
 // entries/s, windowed selectivity, wait p50/p99, section p50 and the
 // reclamation backlog. Engines registered in the export plane after the
-// monitor started (a migration target wired up mid-run, say) are
-// adopted as new rows on the next tick. On a terminal the table redraws
-// in place — re-homing by the previous block's height and clearing to
-// the end of the screen, so a changing row count cannot leave stale
-// lines — with the name column clamped so narrow terminals don't wrap.
+// monitor started are adopted as new rows on the next tick. On a
+// terminal the table redraws in place — re-homing by the previous
+// block's height and clearing to the end of the screen, so a changing row
+// count cannot leave stale lines — with the name column clamped so narrow
+// terminals don't wrap.
 // On a pipe each tick appends a block. Engines with an armed flight
 // recorder additionally get a blame line naming their top offender
 // slots. The engines' collectors are also registered in the export
@@ -103,8 +103,8 @@ func Monitor(cfg Config, total, refresh time.Duration) error {
 }
 
 // adoptNewEngines appends a row for every engine registered in the
-// export plane since the last tick, so a monitor started before (say) a
-// live migration still shows the target engine once it is wired up.
+// export plane since the last tick, so a monitor started before an
+// engine is built still shows it once it is wired up.
 func adoptNewEngines(rows []*monitorRow) []*monitorRow {
 	known := make(map[string]bool, len(rows))
 	for _, r := range rows {

@@ -102,9 +102,7 @@ type Counts struct {
 }
 
 // params is a compiled fault mix: Config's probabilities turned into
-// comparison thresholds. The whole struct swaps atomically on SetConfig
-// so every fault decision sees one coherent mix (never a new
-// probability paired with an old duration).
+// comparison thresholds.
 type params struct {
 	enterThr uint64
 	delayThr uint64
@@ -115,7 +113,6 @@ type params struct {
 	stallDur time.Duration
 	holdDur  time.Duration
 	onlyIdx  uint64 // 0 = fault all readers
-	cfg      Config // as given, for readback
 }
 
 func compile(cfg Config) *params {
@@ -129,7 +126,6 @@ func compile(cfg Config) *params {
 		stallDur: cfg.StallDur,
 		holdDur:  cfg.WaitHoldDur,
 		onlyIdx:  cfg.OnlyReader,
-		cfg:      cfg,
 	}
 }
 
@@ -138,7 +134,7 @@ type Engine struct {
 	inner core.RCU
 
 	seed       uint64
-	par        atomic.Pointer[params]
+	par        *params
 	readers    atomic.Uint64 // registration index stream
 	waitSeq    atomic.Uint64 // wait-side decision stream
 	holdSeq    atomic.Uint64 // wait-hold decision stream
@@ -154,25 +150,10 @@ func Wrap(inner core.RCU, cfg Config) *Engine {
 	e := &Engine{
 		inner: inner,
 		seed:  splitmix64(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		par:   compile(cfg),
 	}
-	e.par.Store(compile(cfg))
 	return e
 }
-
-// SetConfig atomically replaces the live fault mix — the mechanism a
-// storm Schedule scripts phases through. Operations in flight finish
-// under the mix they observed. The decision streams and the seed are
-// fixed at Wrap time (cfg.Seed is ignored here): the wait-side streams
-// stay deterministic in the count of waits issued across re-configs,
-// and per-reader streams advance only for fault classes enabled when
-// the operation ran.
-func (e *Engine) SetConfig(cfg Config) {
-	cfg.Seed = e.par.Load().cfg.Seed
-	e.par.Store(compile(cfg))
-}
-
-// Config returns the live fault mix (Seed as given to Wrap).
-func (e *Engine) Config() Config { return e.par.Load().cfg }
 
 // threshold converts a probability to a uint64 comparison bound.
 func threshold(p float64) uint64 {
@@ -232,61 +213,6 @@ func (e *Engine) SetStallConfig(cfg core.StallConfig) {
 	}
 }
 
-// SetWaitTuning forwards a wait-side back-off discipline to the inner
-// engine, when it has the hook (every internal/core engine does), so the
-// adaptive controller can actuate engines through their chaos wrappers.
-func (e *Engine) SetWaitTuning(t core.WaitTuning) {
-	if wt, ok := e.inner.(core.WaitTuner); ok {
-		wt.SetWaitTuning(t)
-	}
-}
-
-// WaitTuning reports the inner engine's tuning (zero when the inner
-// engine has no hook).
-func (e *Engine) WaitTuning() core.WaitTuning {
-	if wt, ok := e.inner.(core.WaitTuner); ok {
-		return wt.WaitTuning()
-	}
-	return core.WaitTuning{}
-}
-
-// LiveReaders forwards the inner engine's registry gauge (0 when the
-// inner engine has no hook), so live migration can drain a
-// chaos-wrapped source like any other.
-func (e *Engine) LiveReaders() int {
-	if rc, ok := e.inner.(core.ReaderCounter); ok {
-		return rc.LiveReaders()
-	}
-	return 0
-}
-
-// SetFlavor forwards the flavor token to the inner engine, when it
-// carries one.
-func (e *Engine) SetFlavor(f string) {
-	if fc, ok := e.inner.(core.FlavorCarrier); ok {
-		fc.SetFlavor(f)
-	}
-}
-
-// FlavorToken reports the inner engine's flavor token (empty when the
-// inner engine has no hook).
-func (e *Engine) FlavorToken() string {
-	if fc, ok := e.inner.(core.FlavorCarrier); ok {
-		return fc.FlavorToken()
-	}
-	return ""
-}
-
-// StallConfigInForce forwards the inner engine's armed watchdog
-// configuration, so the migrator's escalate/restore discipline works
-// through the chaos wrapper.
-func (e *Engine) StallConfigInForce() (core.StallConfig, bool) {
-	if si, ok := e.inner.(core.StallInspector); ok {
-		return si.StallConfigInForce()
-	}
-	return core.StallConfig{}, false
-}
-
 // Register implements core.RCU, wrapping the inner reader with the
 // fault injector. Each reader gets its own decision stream keyed by
 // its registration index.
@@ -333,7 +259,7 @@ func (e *Engine) holdSpan(p *params) (time.Duration, bool) {
 
 // WaitForReaders implements core.RCU.
 func (e *Engine) WaitForReaders(p core.Predicate) {
-	par := e.par.Load()
+	par := e.par
 	e.waitShake(par)
 	if d, held := e.holdSpan(par); held {
 		sleep(d)
@@ -343,7 +269,7 @@ func (e *Engine) WaitForReaders(p core.Predicate) {
 
 // WaitForReadersCtx implements core.RCU.
 func (e *Engine) WaitForReadersCtx(ctx context.Context, p core.Predicate) error {
-	par := e.par.Load()
+	par := e.par
 	e.waitShake(par)
 	if d, held := e.holdSpan(par); held {
 		// Honor ctx during the hold: a deadline that lands mid-hold means
@@ -382,7 +308,7 @@ func (c *reader) faultable(p *params) bool {
 
 // Enter implements core.Reader: maybe jitter, then enter.
 func (c *reader) Enter(v core.Value) {
-	p := c.e.par.Load()
+	p := c.e.par
 	if p.enterThr != 0 && c.faultable(p) && c.r.next() < p.enterThr {
 		c.e.nJitter.Add(1)
 		yield()
@@ -396,7 +322,7 @@ func (c *reader) Enter(v core.Value) {
 // the critical section genuinely stays open — waiters must wait it out
 // and the stall watchdog must see it.
 func (c *reader) Exit(v core.Value) {
-	p := c.e.par.Load()
+	p := c.e.par
 	if !c.faultable(p) {
 		c.rd.Exit(v)
 		return

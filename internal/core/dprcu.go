@@ -330,7 +330,7 @@ func drainNode(s *waitSession, n *dNode, idx, budget int) bool {
 // polled by the session. The lock and gate stages each restart the back-off
 // ladder (rearm): what they poll changes on a different timescale from the
 // optimistic hope, whose exhausted budget has backed off to full yield
-// bursts or parks by then.
+// bursts by then.
 func drainBusyNode(s *waitSession, n *dNode, idx, budget int) bool {
 	stage, outcome := drainHoping, obs.DrainOptimistic
 	var seen0, seen1 bool

@@ -74,9 +74,7 @@ type SlotCapacitor interface {
 
 // ReaderCounter is implemented by every engine backed by the segmented
 // reader registry: LiveReaders reports the number of currently
-// registered readers. Live migration polls it to detect the source
-// engine's registry draining empty once new readers are redirected to
-// the target.
+// registered readers.
 type ReaderCounter interface {
 	LiveReaders() int
 }

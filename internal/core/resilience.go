@@ -64,9 +64,8 @@ type StallReport struct {
 	Engine string
 	// Flavor is the flavor token the engine was constructed under
 	// ("eer", "packed", ...), empty when the engine was built outside
-	// the flavor registry. In a multi-engine process — and especially in
-	// a mid-migration window, where two engines are live at once — it is
-	// what attributes a stall to the right engine instance.
+	// the flavor registry. In a multi-engine process it is what
+	// attributes a stall to the right engine instance.
 	Flavor string
 	// Predicate describes the wait's predicate (Predicate.String).
 	Predicate string
@@ -136,8 +135,8 @@ type StallCarrier interface {
 
 // FlavorCarrier is implemented by every engine via the resilient embed:
 // the flavor registry stamps each engine it constructs with its flavor
-// token so stall reports (and migration state) can attribute activity to
-// the right engine instance when several are live.
+// token so stall reports can attribute activity to the right engine
+// instance when several are live.
 type FlavorCarrier interface {
 	SetFlavor(string)
 	FlavorToken() string
@@ -152,25 +151,6 @@ func (r *resilient) FlavorToken() string {
 		return *p
 	}
 	return ""
-}
-
-// StallInspector exposes the watchdog configuration currently in force.
-// The migrator uses it to capture the source engine's baseline before
-// escalating the watchdog for a drain phase, and to restore that exact
-// baseline on completion or rollback.
-type StallInspector interface {
-	StallConfigInForce() (StallConfig, bool)
-}
-
-// StallConfigInForce implements StallInspector: it returns the armed
-// configuration (as normalized by SetStallConfig) and true, or the zero
-// config and false when the watchdog is disarmed.
-func (r *resilient) StallConfigInForce() (StallConfig, bool) {
-	st := r.stallCfg.Load()
-	if st == nil {
-		return StallConfig{}, false
-	}
-	return st.cfg, true
 }
 
 // SetStallConfig implements StallCarrier.

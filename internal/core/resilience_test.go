@@ -502,7 +502,7 @@ func TestSimulatedAndNopCtx(t *testing.T) {
 // TestStallReportCarriesFlavor pins the flavor token in the watchdog's
 // diagnostics: an engine tagged via SetFlavor reports it (and the log
 // line renders it), an untagged engine reports none — the attribution
-// that matters when two engines are live at once mid-migration.
+// that matters when several engines are live in one process.
 func TestStallReportCarriesFlavor(t *testing.T) {
 	const timeoutNs = 1_000
 	r := NewEER(16, nil)

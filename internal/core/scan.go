@@ -25,9 +25,8 @@ import (
 // Cost model: a session is a stack value, so a wait allocates nothing
 // whatever its entry point. Cancellation and the watchdog are checked only
 // on back-off steps that have crossed from spinning into scheduler yields
-// (one predictable branch per step, none per slot), and the wait tuning is
-// loaded when a slot first blocks, so a wait that finds no covered reader
-// reaches none of them.
+// (one predictable branch per step, none per slot), so a wait that finds
+// no covered reader reaches none of them.
 
 // engine is what a stall report needs from the engine that embeds hooks.
 type engine interface {
@@ -37,13 +36,12 @@ type engine interface {
 	stalledReaders(p Predicate) []StalledReader
 }
 
-// hooks is the non-generic part of base: the observability, resilience
-// and tuning hook points, and the back-pointer to the engine that embeds
+// hooks is the non-generic part of base: the observability and
+// resilience hook points, and the back-pointer to the engine that embeds
 // them.
 type hooks struct {
 	metered
 	resilient
-	tunable
 	self engine
 }
 
@@ -170,15 +168,12 @@ func (s *waitSession) awaitSection(c Clock, n *timeNode, slot int, p Predicate) 
 	return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
 }
 
-// rearm restarts the back-off ladder from its first spin under the tuning
-// in force now: await calls it as a slot starts to block, and a blocking
-// test made of several phases (the node drain) calls it as each phase
-// starts, so no phase inherits the yields or parks its predecessor had
-// backed off to. Whether the await parked is read off the last phase.
-func (s *waitSession) rearm() {
-	s.w.T = s.e.tun.Load()
-	s.w.Reset()
-}
+// rearm restarts the back-off ladder from its first spin: await calls it
+// as a slot starts to block, and a blocking test made of several phases
+// (the node drain) calls it as each phase starts, so no phase inherits
+// the yields its predecessor had backed off to. Whether the await parked
+// is read off the last phase.
+func (s *waitSession) rearm() { s.w.Reset() }
 
 // also charges the await just finished to slot as well: for waits that
 // poll one condition on behalf of several readers (Tree RCU's root word).

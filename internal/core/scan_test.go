@@ -31,8 +31,8 @@ var waitEntries = []waitEntry{
 // TestWaitCtxKeepsGPWithoutControl is the regression test for the lost
 // grace-period ID: a Context that can never be cancelled needs no
 // cancellation state, but the GP ID it carries must still reach the wait
-// span — otherwise the reclaimer→wait and migrate-drain→wait span chains
-// break whenever the watchdog happens to be unarmed.
+// span — otherwise the reclaimer→wait span chain breaks whenever the
+// watchdog happens to be unarmed.
 func TestWaitCtxKeepsGPWithoutControl(t *testing.T) {
 	const gp = 4242
 	for _, name := range flavorOrder {

@@ -14,11 +14,9 @@ import (
 // retire (queue residency of each deferred callback) → coalesce (the
 // batch group the callback landed in, with its merged predicate) → wait
 // (the engine-internal WaitForReaders, with per-slot blame samples) →
-// callback execution, plus linked spans for migrate handover drains and
-// autotuner-triggered expedited flushes. Point events — stall reports,
-// reclaimer overloads, controller decisions, migration phase changes —
-// are zero-duration spans in the same ring (mark), so it is the module's
-// only event log. /debug/prcu/tracez renders it as Chrome trace-event
+// callback execution. Point events — stall reports and reclaimer
+// overloads — are zero-duration spans in the same ring (mark), so it is
+// the module's only event log. /debug/prcu/tracez renders it as Chrome trace-event
 // JSON and /debug/prcu/trace as a flat listing; the blame table it
 // aggregates names the reader slots that actually delay grace periods.
 //
@@ -30,17 +28,15 @@ import (
 // matters.
 
 // gpSeq is the process-wide grace-period ID allocator. One sequence
-// across all engines and reclaimers keeps IDs unique, so linked spans
-// (expedited flushes, migration drains) can reference each other across
-// recorders.
+// across all engines and reclaimers keeps IDs unique across recorders.
 var gpSeq atomic.Uint64
 
 // NextGP allocates a fresh grace-period ID (never 0).
 func NextGP() uint64 { return gpSeq.Add(1) }
 
 // gpKey carries a grace-period ID through a Context from the layer that
-// opened the span chain (the reclaimer's coalescer, the migrator's
-// drain) to the engine wait that continues it.
+// opened the span chain (the reclaimer's coalescer) to the engine wait
+// that continues it.
 type gpKey struct{}
 
 // WithGP returns ctx carrying the grace-period ID gp.
@@ -76,24 +72,12 @@ const (
 	SpanWait
 	// SpanCallback is the post-wait callback execution of a wait group.
 	SpanCallback
-	// SpanMigrateDrain is a live-migration drain: the full grace period a
-	// handover runs on the engine being drained.
-	SpanMigrateDrain
-	// SpanExpedite marks an autotuner-triggered expedited flush; the
-	// flush's coalesce span links back to it via Link.
-	SpanExpedite
 	// SpanStall marks a watchdog stall report, on the GP of the wait it
 	// fired in; Count is the number of open sections the report named.
 	SpanStall
 	// SpanOverload marks a retirement hitting the reclaimer's hard
 	// watermark; Count is the backlog then, Label how the caller degraded.
 	SpanOverload
-	// SpanAdapt marks an adaptive-controller mode change; Label reads
-	// "from→to".
-	SpanAdapt
-	// SpanMigrate marks a live-migration protocol transition; Label is
-	// the phase reached.
-	SpanMigrate
 )
 
 // String returns the span kind's mnemonic.
@@ -107,18 +91,10 @@ func (k SpanKind) String() string {
 		return "wait"
 	case SpanCallback:
 		return "callback"
-	case SpanMigrateDrain:
-		return "migrate-drain"
-	case SpanExpedite:
-		return "expedite"
 	case SpanStall:
 		return "stall"
 	case SpanOverload:
 		return "overload"
-	case SpanAdapt:
-		return "adapt"
-	case SpanMigrate:
-		return "migrate"
 	default:
 		return "?"
 	}
@@ -136,14 +112,11 @@ type BlameSample struct {
 // are on the owning Metrics' clock; GP ties the chain together.
 type FlightSpan struct {
 	// GP is the grace-period ID the span belongs to.
-	GP uint64 `json:"gp"`
-	// Link, when non-zero, references another chain's GP: an expedited
-	// flush's coalesce span links the SpanExpedite that triggered it.
-	Link uint64   `json:"link,omitempty"`
+	GP   uint64   `json:"gp"`
 	Kind SpanKind `json:"kind"`
 	// Track is the rendering lane: "wait" for engine waits and stalls,
 	// "reclaim/<shard>" for the reclaimer stages ("reclaim" for its
-	// overloads), "migrate" and "autotune" for those layers' spans.
+	// overloads).
 	Track   string `json:"track"`
 	StartNs int64  `json:"start_ns"`
 	EndNs   int64  `json:"end_ns"`
@@ -173,10 +146,6 @@ type flightRecorder struct {
 	spans []FlightSpan
 	head  uint64 // total spans ever recorded; ring index = head % cap
 	blame map[int]*blameCell
-
-	// expedite holds the GP of the most recent SpanExpedite, consumed
-	// (once) by the next expedited flush to link the two chains.
-	expedite atomic.Uint64
 }
 
 // MaxFlightCapacity bounds the span ring: 2^16 spans is far past
@@ -210,20 +179,6 @@ func (m *Metrics) EnableFlightRecorder(capacity int) {
 	})
 }
 
-// DisableFlightRecorder disarms the recorder, returning its span-ring
-// capacity (0 when it was off) so the adaptive controller can shed and
-// later restore it. Hooks racing the disarm finish into the old
-// recorder, which is then unreachable.
-func (m *Metrics) DisableFlightRecorder() int {
-	if m == nil {
-		return 0
-	}
-	if fr := m.flight.Swap(nil); fr != nil {
-		return cap(fr.spans)
-	}
-	return 0
-}
-
 // recorder returns the armed flight recorder, nil when it is off or m is
 // the nil Metrics.
 func (m *Metrics) recorder() *flightRecorder {
@@ -247,7 +202,7 @@ func (m *Metrics) FlightNow() int64 {
 }
 
 // FlightRecord records sp. It is the recording entry point for the
-// reclaim/migrate/adapt layers and for tests synthesizing deterministic
+// reclaimer and for tests synthesizing deterministic
 // chains; a disarmed recorder drops the span.
 func (m *Metrics) FlightRecord(sp FlightSpan) {
 	if fr := m.recorder(); fr != nil {
@@ -286,17 +241,16 @@ func (f *flightRecorder) reset() {
 	f.head = 0
 	f.blame = map[int]*blameCell{}
 	f.mu.Unlock()
-	f.expedite.Store(0)
 }
 
 // mark records a point event as a zero-duration span stamped now, on gp
 // or (gp == 0) on a fresh ID of its own — unrelated events must not
-// share a flow chain. It returns the recorder and the ID used, nil and 0
-// when the recorder is off. Cold: every caller is a rare transition.
-func (m *Metrics) mark(kind SpanKind, track string, gp uint64, count int, label string) (*flightRecorder, uint64) {
+// share a flow chain. A disarmed recorder drops the event. Cold: every
+// caller is a rare transition.
+func (m *Metrics) mark(kind SpanKind, track string, gp uint64, count int, label string) {
 	fr := m.recorder()
 	if fr == nil {
-		return nil, 0
+		return
 	}
 	if gp == 0 {
 		gp = NextGP()
@@ -304,26 +258,6 @@ func (m *Metrics) mark(kind SpanKind, track string, gp uint64, count int, label 
 	now := m.now()
 	fr.record(FlightSpan{GP: gp, Kind: kind, Track: track,
 		StartNs: now, EndNs: now, Count: count, Label: label})
-	return fr, gp
-}
-
-// FlightExpedite records an autotuner-triggered expedited flush as a
-// SpanExpedite with its own fresh GP and remembers that GP so the next
-// expedited reclaim flush can link its coalesce span back to the
-// trigger. label names the trigger (the controller mode).
-func (m *Metrics) FlightExpedite(label string) {
-	if fr, gp := m.mark(SpanExpedite, "autotune", 0, 0, label); fr != nil {
-		fr.expedite.Store(gp)
-	}
-}
-
-// FlightExpediteLink consumes the pending expedited-flush link (0 when
-// none is pending). The reclaimer calls it on each expedited flush.
-func (m *Metrics) FlightExpediteLink() uint64 {
-	if fr := m.recorder(); fr != nil {
-		return fr.expedite.Swap(0)
-	}
-	return 0
 }
 
 // counts returns the number of spans buffered and the number the ring

@@ -24,14 +24,8 @@ func TestFlightGating(t *testing.T) {
 	if n := m.FlightLen(); n != 1 {
 		t.Fatalf("FlightLen = %d, want 1", n)
 	}
-	if got := m.DisableFlightRecorder(); got != 32 {
-		t.Fatalf("DisableFlightRecorder = %d, want the armed capacity 32", got)
-	}
-	if m.FlightEnabled() || m.FlightLen() != 0 {
-		t.Fatal("recorder still live after DisableFlightRecorder")
-	}
-	if got := m.DisableFlightRecorder(); got != 0 {
-		t.Fatalf("second DisableFlightRecorder = %d, want 0", got)
+	if got := cap(m.recorder().spans); got != 32 {
+		t.Fatalf("ring size = %d, want the armed capacity 32", got)
 	}
 }
 
@@ -110,11 +104,11 @@ func TestFlightSnapshotConcurrent(t *testing.T) {
 func TestEnableFlightRecorderClampAndPanic(t *testing.T) {
 	m := New()
 	m.EnableFlightRecorder(MaxFlightCapacity * 4)
-	if got := m.DisableFlightRecorder(); got != MaxFlightCapacity {
+	if got := cap(m.recorder().spans); got != MaxFlightCapacity {
 		t.Fatalf("clamped ring size = %d, want %d", got, MaxFlightCapacity)
 	}
 	m.EnableFlightRecorder(1)
-	if got := m.DisableFlightRecorder(); got != 16 {
+	if got := cap(m.recorder().spans); got != 16 {
 		t.Fatalf("minimum ring size = %d, want 16", got)
 	}
 	// The guard must fire even on the nil (disabled) receiver, so a bug
@@ -136,8 +130,7 @@ func TestEnableFlightRecorderClampAndPanic(t *testing.T) {
 func TestSpanKindString(t *testing.T) {
 	for k, want := range map[SpanKind]string{
 		SpanRetire: "retire", SpanCoalesce: "coalesce", SpanWait: "wait",
-		SpanCallback: "callback", SpanMigrateDrain: "migrate-drain", SpanExpedite: "expedite",
-		SpanStall: "stall", SpanOverload: "overload", SpanAdapt: "adapt", SpanMigrate: "migrate",
+		SpanCallback: "callback", SpanStall: "stall", SpanOverload: "overload",
 		SpanKind(0): "?",
 	} {
 		if got := k.String(); got != want {
@@ -158,16 +151,12 @@ func TestPointEventsAreSpans(t *testing.T) {
 	m.WaitEnd(wait, 4, 2, 1)
 	m.ReclaimOverload(OverloadBackpressure, 7)
 	m.ReclaimOverload(OverloadInline, 8)
-	m.AdaptDecision("normal→elevated")
-	m.MigrateEvent("handover")
 
 	want := []FlightSpan{
 		{GP: 99, Kind: SpanStall, Track: "wait", Count: 2},
 		{GP: 99, Kind: SpanWait, Track: "wait", Count: 2},
 		{Kind: SpanOverload, Track: "reclaim", Count: 7, Label: "backpressure"},
 		{Kind: SpanOverload, Track: "reclaim", Count: 8, Label: "inline"},
-		{Kind: SpanAdapt, Track: "autotune", Label: "normal→elevated"},
-		{Kind: SpanMigrate, Track: "migrate", Label: "handover"},
 	}
 	got := m.FlightSnapshot()
 	if len(got) != len(want) {
@@ -190,8 +179,7 @@ func TestPointEventsAreSpans(t *testing.T) {
 		}
 		seen[g.GP] = true
 	}
-	if s := m.Snapshot(); s.Stalls != 1 || s.ReclaimBackpressure != 1 || s.ReclaimInline != 1 ||
-		s.AdaptDecisions != 1 || s.MigrateEvents != 1 {
+	if s := m.Snapshot(); s.Stalls != 1 || s.ReclaimBackpressure != 1 || s.ReclaimInline != 1 {
 		t.Errorf("counters did not follow the spans: %+v", s)
 	}
 }
@@ -322,40 +310,16 @@ func TestWaitSpanMintsGP(t *testing.T) {
 	}
 }
 
-func TestFlightExpediteLink(t *testing.T) {
-	m := New()
-	m.EnableFlightRecorder(32)
-	m.FlightExpedite("adapt: elevated")
-	link := m.FlightExpediteLink()
-	if link == 0 {
-		t.Fatal("FlightExpediteLink = 0 after FlightExpedite")
-	}
-	if again := m.FlightExpediteLink(); again != 0 {
-		t.Fatalf("expedite link consumed twice: %d", again)
-	}
-	spans := m.FlightSnapshot()
-	if len(spans) != 1 || spans[0].Kind != SpanExpedite || spans[0].GP != link {
-		t.Fatalf("expedite span = %+v, want kind expedite with GP %d", spans, link)
-	}
-	if spans[0].Track != "autotune" {
-		t.Fatalf("expedite span track = %q", spans[0].Track)
-	}
-}
-
 func TestFlightResetClears(t *testing.T) {
 	m := New()
 	m.EnableFlightRecorder(32)
 	m.FlightRecord(FlightSpan{GP: 1, Kind: SpanWait, Blame: []BlameSample{{Slot: 2, DelayNs: 10}}})
-	m.FlightExpedite("x")
 	m.Reset()
 	if m.FlightLen() != 0 {
 		t.Fatal("Reset did not clear the span ring")
 	}
 	if top := m.TopBlame(0); len(top) != 0 {
 		t.Fatalf("Reset did not clear blame: %+v", top)
-	}
-	if link := m.FlightExpediteLink(); link != 0 {
-		t.Fatalf("Reset did not clear the expedite link: %d", link)
 	}
 	if !m.FlightEnabled() {
 		t.Fatal("Reset disarmed the recorder (it must only clear contents)")

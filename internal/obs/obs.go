@@ -104,20 +104,10 @@ type Metrics struct {
 	reclaimFlushNs      stats.Histogram
 
 	// ageProbe, when set, reports the reclaimer's oldest-unresolved-
-	// callback age in nanoseconds at snapshot time — the data-age gauge
-	// the adaptive controller regulates. It is a pull probe rather than a
-	// pushed gauge because age advances with wall time even when no
-	// reclaim transition fires to update it.
+	// callback age in nanoseconds at snapshot time — the data-age gauge.
+	// It is a pull probe rather than a pushed gauge because age advances
+	// with wall time even when no reclaim transition fires to update it.
 	ageProbe atomic.Pointer[func() int64]
-
-	// adaptDecisions counts adaptive-controller actuation decisions
-	// recorded against this Metrics (mode changes, watermark retunes).
-	adaptDecisions pad.Uint64
-
-	// migrateEvents counts live engine-migration protocol transitions
-	// recorded against this Metrics (begin, drained, handover, complete,
-	// rollback).
-	migrateEvents pad.Uint64
 
 	// retiredEnters accumulates the enter counts of dead readers: when a
 	// slot is recycled its lane restarts from zero for the new owner
@@ -178,7 +168,7 @@ func (m *Metrics) WaitBegin() WaitSpan { return m.WaitBeginCtx(nil) }
 
 // WaitBeginCtx is WaitBegin for waits opened under a Context that may
 // carry a grace-period ID from the layer that initiated the wait (the
-// reclaimer's coalescer, the migrator's drain). With the flight recorder
+// reclaimer's coalescer). With the flight recorder
 // armed, the span joins that chain — or mints a fresh GP ID when the
 // context carries none (plain WaitForReaders calls). ctx may be nil.
 func (m *Metrics) WaitBeginCtx(ctx context.Context) WaitSpan {
@@ -378,32 +368,6 @@ func (m *Metrics) ReclaimOldestNs() int64 {
 	return 0
 }
 
-// AdaptDecision records one adaptive-controller decision, described by
-// label ("normal→elevated"; see internal/adapt). It lands in the flight
-// recorder as a SpanAdapt, giving post-mortems the controller's
-// actuation history in line with the waits and overloads that drove it.
-// The controller rate-limits its own logging; this hook records whatever
-// it is handed.
-func (m *Metrics) AdaptDecision(label string) {
-	if m == nil {
-		return
-	}
-	m.adaptDecisions.Add(1)
-	m.mark(SpanAdapt, "autotune", 0, 0, label)
-}
-
-// MigrateEvent records one live engine-migration protocol transition,
-// named by phase (see internal/migrate). It lands in the flight recorder
-// as a SpanMigrate, putting the handover's begin/drain/complete/rollback
-// history in line with the waits and stalls that surrounded it.
-func (m *Metrics) MigrateEvent(phase string) {
-	if m == nil {
-		return
-	}
-	m.migrateEvents.Add(1)
-	m.mark(SpanMigrate, "migrate", 0, 0, phase)
-}
-
 // ReaderLane is one reader slot's private metrics cell. Its counter is a
 // padded atomic written only by the owning reader (Snapshot reads it),
 // and the sampling scratch fields are owner-only.
@@ -476,8 +440,6 @@ func (m *Metrics) Reset() {
 	m.reclaimInline.Store(0)
 	m.reclaimBatch.Reset()
 	m.reclaimFlushNs.Reset()
-	m.adaptDecisions.Store(0)
-	m.migrateEvents.Store(0)
 	m.sectionNs.Reset()
 	m.retiredEnters.Store(0)
 	m.laneMu.Lock()

@@ -22,8 +22,6 @@ func TestNilMetricsIsSafe(t *testing.T) {
 	}
 	m.StallDetected(WaitSpan{}, 1)
 	m.ReclaimOverload(OverloadInline, 1)
-	m.AdaptDecision("normal→elevated")
-	m.MigrateEvent("begin")
 	if spans := m.FlightSnapshot(); spans != nil {
 		t.Fatalf("nil Metrics returned %d spans", len(spans))
 	}

@@ -97,14 +97,6 @@ type Snapshot struct {
 	// data-age gauge: how stale the most overdue deferred free is.
 	ReclaimOldestNs int64
 
-	// AdaptDecisions counts adaptive-controller actuation decisions
-	// recorded against this Metrics.
-	AdaptDecisions uint64
-
-	// MigrateEvents counts live engine-migration protocol transitions
-	// recorded against this Metrics.
-	MigrateEvents uint64
-
 	// Enters is the total number of read-side critical sections across
 	// all reader lanes, including readers that have since unregistered
 	// (their counts retire when a slot is recycled); SectionNs is the
@@ -159,8 +151,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		ReclaimBatch:        summarize(&m.reclaimBatch),
 		ReclaimFlushNs:      summarize(&m.reclaimFlushNs),
 		ReclaimOldestNs:     m.ReclaimOldestNs(),
-		AdaptDecisions:      m.adaptDecisions.Load(),
-		MigrateEvents:       m.migrateEvents.Load(),
 	}
 	if s.ReadersScanned > 0 {
 		s.Selectivity = float64(s.ReadersWaited) / float64(s.ReadersScanned)

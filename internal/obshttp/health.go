@@ -108,52 +108,6 @@ func (h *healthState) serve(w http.ResponseWriter, _ *http.Request) {
 		engines[name] = eh
 	})
 
-	// Adaptive controllers report alongside the engines: a controller in
-	// degraded mode, or one whose last tick breached its envelope, marks
-	// the process degraded even when no raw-rate heuristic fired — the
-	// controller has strictly more context (hysteresis, the operator's
-	// declared envelope) than the per-window checks above.
-	controllers := map[string]controllerHealth{}
-	for _, cs := range obs.Controllers() {
-		ch := controllerHealth{ControllerState: cs}
-		if cs.Breached() {
-			ch.Reasons = append(ch.Reasons, "target envelope breached at last tick")
-		}
-		if cs.Mode == "degraded" {
-			ch.Reasons = append(ch.Reasons, "controller in degraded mode")
-		}
-		if len(ch.Reasons) > 0 {
-			degraded = true
-		}
-		controllers[cs.Name] = ch
-	}
-
-	// Live migrations report alongside: an in-flight migration is
-	// informational (the process keeps serving through the window), but
-	// a migration whose last run failed or rolled back marks the process
-	// degraded until a later run succeeds — the operator asked for an
-	// engine the workload is not on.
-	migrations := map[string]migrationHealth{}
-	for _, ms := range obs.Migrations() {
-		mh := migrationHealth{MigrationState: ms}
-		if ms.Active {
-			mh.Reasons = append(mh.Reasons, "migration in flight: "+ms.From+" -> "+ms.To)
-		}
-		if ms.Phase == "stuck-rollback" {
-			// A rollback whose mandatory target drain keeps failing is
-			// an incident even while technically "in flight": dual
-			// coverage is pinned open until a reader outside the
-			// migration's fronts drains or is hunted down.
-			mh.Reasons = append(mh.Reasons, "rollback target drain stuck: "+ms.LastError)
-			degraded = true
-		}
-		if ms.LastError != "" && !ms.Active {
-			mh.Reasons = append(mh.Reasons, "last migration did not complete: "+ms.LastError)
-			degraded = true
-		}
-		migrations[ms.Name] = mh
-	}
-
 	status, code := "ok", http.StatusOK
 	if degraded {
 		status, code = "degraded", http.StatusServiceUnavailable
@@ -163,23 +117,7 @@ func (h *healthState) serve(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(struct {
-		Status      string                      `json:"status"`
-		Engines     map[string]engineHealth     `json:"engines"`
-		Controllers map[string]controllerHealth `json:"controllers,omitempty"`
-		Migrations  map[string]migrationHealth  `json:"migrations,omitempty"`
-	}{status, engines, controllers, migrations})
-}
-
-// controllerHealth is one adaptive controller's row in the health
-// report: its full self-reported state plus the health verdict's reasons.
-type controllerHealth struct {
-	obs.ControllerState
-	Reasons []string `json:"reasons,omitempty"`
-}
-
-// migrationHealth is one live migrator's row in the health report: its
-// full self-reported state plus the health verdict's reasons.
-type migrationHealth struct {
-	obs.MigrationState
-	Reasons []string `json:"reasons,omitempty"`
+		Status  string                  `json:"status"`
+		Engines map[string]engineHealth `json:"engines"`
+	}{status, engines})
 }

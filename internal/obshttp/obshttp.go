@@ -124,9 +124,6 @@ func traceHandler(w http.ResponseWriter, r *http.Request) {
 	for _, sp := range spans {
 		fmt.Fprintf(w, "+%-12d %-14s gp=%-6d track=%-12s dur=%-10d count=%d",
 			sp.StartNs-base, sp.Kind, sp.GP, sp.Track, sp.EndNs-sp.StartNs, sp.Count)
-		if sp.Link != 0 {
-			fmt.Fprintf(w, " link=%d", sp.Link)
-		}
 		if sp.Label != "" {
 			fmt.Fprintf(w, " label=%q", sp.Label)
 		}

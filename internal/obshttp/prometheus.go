@@ -77,11 +77,6 @@ func writePrometheus(w *bufio.Writer) {
 	f.gauge("prcu_reclaim_oldest_age_seconds", "Age of the oldest unresolved reclamation callback (0 = empty backlog).",
 		func(s obs.Snapshot) float64 { return float64(s.ReclaimOldestNs) * 1e-9 })
 
-	f.counter("prcu_adapt_decisions_total", "Adaptive-controller actuation decisions recorded against the engine's metrics.",
-		func(s obs.Snapshot) float64 { return float64(s.AdaptDecisions) })
-	f.counter("prcu_migrate_events_total", "Live engine-migration protocol transitions recorded against the engine's metrics.",
-		func(s obs.Snapshot) float64 { return float64(s.MigrateEvents) })
-
 	f.gauge("prcu_flight_buffered_spans", "Spans currently held in the engine's flight recorder (0 when the recorder is off).",
 		func(s obs.Snapshot) float64 { return float64(s.FlightLen) })
 	f.counter("prcu_flight_overwritten_spans_total", "Spans the flight recorder's ring has overwritten since it was armed or reset.",
@@ -91,104 +86,6 @@ func writePrometheus(w *bufio.Writer) {
 	f.counter("prcu_blame_seconds_total", "Cumulative reader delay charged to slots by blocked waits.",
 		func(s obs.Snapshot) float64 { return float64(s.BlameNs) * 1e-9 })
 	f.blame()
-
-	writeControllers(w)
-	writeMigrations(w)
-}
-
-// writeMigrations renders every registered live migrator's state as
-// prcu_migrate_* families labelled migrator="name": the phase in
-// flight, lifetime outcome counters, and the last run's duration.
-func writeMigrations(w *bufio.Writer) {
-	states := obs.Migrations()
-	if len(states) == 0 {
-		return
-	}
-	m := migFamWriter{w: w, states: states}
-	m.family("prcu_migrate_active", "1 while a migration is in flight.", "gauge",
-		func(s obs.MigrationState) float64 {
-			if s.Active {
-				return 1
-			}
-			return 0
-		})
-	m.family("prcu_migrate_phase", "Protocol phase: 0 idle, 1 drain, 2 handover, 3 rollback, 4 stuck-rollback.", "gauge",
-		func(s obs.MigrationState) float64 { return float64(s.PhaseCode) })
-	m.family("prcu_migrate_started_total", "Migrations started.", "counter",
-		func(s obs.MigrationState) float64 { return float64(s.Started) })
-	m.family("prcu_migrate_completed_total", "Migrations completed (workload now on the target engine).", "counter",
-		func(s obs.MigrationState) float64 { return float64(s.Completed) })
-	m.family("prcu_migrate_rolled_back_total", "Migrations rolled back to the source wiring after a phase failure (a subset of failed).", "counter",
-		func(s obs.MigrationState) float64 { return float64(s.RolledBack) })
-	m.family("prcu_migrate_failed_total", "Migrations that did not land on the target (rolled back or refused before anything flipped); started = completed + failed.", "counter",
-		func(s obs.MigrationState) float64 { return float64(s.Failed) })
-	m.family("prcu_migrate_rollback_retries_total", "Failed rollback target-drain attempts; the drain retries until it succeeds, parking in stuck-rollback past a threshold.", "counter",
-		func(s obs.MigrationState) float64 { return float64(s.RollbackRetries) })
-	m.family("prcu_migrate_last_duration_seconds", "Wall time of the most recently finished migration.", "gauge",
-		func(s obs.MigrationState) float64 { return float64(s.LastDurationNs) * 1e-9 })
-}
-
-type migFamWriter struct {
-	w      *bufio.Writer
-	states []obs.MigrationState
-}
-
-func (m *migFamWriter) family(name, help, typ string, v func(obs.MigrationState) float64) {
-	fmt.Fprintf(m.w, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
-	for _, s := range m.states {
-		fmt.Fprintf(m.w, "%s{migrator=\"%s\"} %s\n", name, escapeLabel(s.Name), fmtFloat(v(s)))
-	}
-}
-
-// writeControllers renders every registered adaptive controller's state
-// as prcu_autotune_* families labelled controller="name": the mode
-// ladder position, the decision counters, and the last tick's
-// measurements against the operator's envelope so a dashboard can plot
-// measured-vs-limit on each axis.
-func writeControllers(w *bufio.Writer) {
-	states := obs.Controllers()
-	if len(states) == 0 {
-		return
-	}
-	c := ctrlFamWriter{w: w, states: states}
-	c.family("prcu_autotune_mode", "Controller mode: 0 normal, 1 elevated, 2 degraded.", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.ModeCode) })
-	c.family("prcu_autotune_ticks_total", "Controller sampling ticks executed.", "counter",
-		func(s obs.ControllerState) float64 { return float64(s.Ticks) })
-	c.family("prcu_autotune_decisions_total", "Controller actuation decisions (mode transitions).", "counter",
-		func(s obs.ControllerState) float64 { return float64(s.Decisions) })
-	c.family("prcu_autotune_breaches_total", "Ticks on which the target envelope was violated.", "counter",
-		func(s obs.ControllerState) float64 { return float64(s.Breaches) })
-	c.family("prcu_autotune_escapes_total", "Degraded-state escape-hatch firings (live migrations requested).", "counter",
-		func(s obs.ControllerState) float64 { return float64(s.Escapes) })
-	c.family("prcu_autotune_age_seconds", "Oldest-callback age measured at the last tick.", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.AgeNs) * 1e-9 })
-	c.family("prcu_autotune_age_limit_seconds", "Envelope limit on data age (0 = unbounded).", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.MaxAgeNs) * 1e-9 })
-	c.family("prcu_autotune_backlog", "Reclaimer backlog measured at the last tick.", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.Backlog) })
-	c.family("prcu_autotune_backlog_limit", "Envelope limit on reclaimer backlog (0 = unbounded).", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.MaxBacklog) })
-	c.family("prcu_autotune_backlog_bytes", "Reclaimer backlog bytes measured at the last tick.", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.BacklogBytes) })
-	c.family("prcu_autotune_backlog_bytes_limit", "Envelope limit on backlog bytes (0 = unbounded).", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.MaxBacklogBytes) })
-	c.family("prcu_autotune_wait_p99_seconds", "Windowed wait p99 measured at the last tick.", "gauge",
-		func(s obs.ControllerState) float64 { return s.WaitP99Ns * 1e-9 })
-	c.family("prcu_autotune_wait_p99_limit_seconds", "Envelope limit on wait p99 (0 = unbounded).", "gauge",
-		func(s obs.ControllerState) float64 { return float64(s.MaxWaitP99Ns) * 1e-9 })
-}
-
-type ctrlFamWriter struct {
-	w      *bufio.Writer
-	states []obs.ControllerState
-}
-
-func (c *ctrlFamWriter) family(name, help, typ string, v func(obs.ControllerState) float64) {
-	fmt.Fprintf(c.w, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
-	for _, s := range c.states {
-		fmt.Fprintf(c.w, "%s{controller=\"%s\"} %s\n", name, escapeLabel(s.Name), fmtFloat(v(s)))
-	}
 }
 
 // famWriter emits one metric family at a time across every engine, so

@@ -11,12 +11,10 @@ import (
 // tracezHandler renders one engine's flight-recorder contents as Chrome
 // trace-event JSON (the chrome://tracing / Perfetto "JSON Array Format"
 // wrapped in an object): one process per engine, one thread per recorder
-// track ("wait", "reclaim/<shard>", "migrate", "autotune"), every
-// FlightSpan as a ph:"X" complete event, and flow arrows (ph:"s"/"t"/"f")
-// threaded along the grace-period ID so the retire → coalesce → wait →
-// callback chain of each GP renders as connected arrows across tracks.
-// Spans carrying a Link (an autotuner expedite's GP) join that GP's flow
-// too, connecting the controller's decision to the flush it caused.
+// track ("wait", "reclaim/<shard>"), every FlightSpan as a ph:"X"
+// complete event, and flow arrows (ph:"s"/"t"/"f") threaded along the
+// grace-period ID so the retire → coalesce → wait → callback chain of
+// each GP renders as connected arrows across tracks.
 func tracezHandler(w http.ResponseWriter, r *http.Request) {
 	engine, spans, ok := flightSpans(w, r)
 	if !ok {
@@ -85,9 +83,6 @@ func writeChromeTrace(w http.ResponseWriter, engine string, spans []obs.FlightSp
 		if sp.Label != "" {
 			args["label"] = sp.Label
 		}
-		if sp.Link != 0 {
-			args["link"] = sp.Link
-		}
 		if len(sp.Blame) > 0 {
 			args["blame"] = sp.Blame
 		}
@@ -102,15 +97,10 @@ func writeChromeTrace(w http.ResponseWriter, engine string, spans []obs.FlightSp
 		})
 	}
 
-	// Flow arrows along each GP's causal chain. A span belongs to its own
-	// GP's chain, and — when it carries a Link — to the linked GP's chain
-	// as well (the expedite span that minted Link starts that chain).
+	// Flow arrows along each GP's causal chain.
 	byGP := map[uint64][]int{}
 	for i, sp := range spans {
 		byGP[sp.GP] = append(byGP[sp.GP], i)
-		if sp.Link != 0 {
-			byGP[sp.Link] = append(byGP[sp.Link], i)
-		}
 	}
 	gps := make([]uint64, 0, len(byGP))
 	for gp, members := range byGP {

@@ -20,16 +20,13 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 
 // goldenSpans is the synthetic flight-recorder content of the golden
 // test: one complete grace period's causal chain (GP 42: retire →
-// coalesce → wait → callback) plus an autotuner expedite (GP 77) linked
-// into the chain through the coalesce span. All timestamps are fixed,
-// so the rendered trace is byte-for-byte deterministic.
+// coalesce → wait → callback). All timestamps are fixed, so the rendered
+// trace is byte-for-byte deterministic.
 func goldenSpans() []obs.FlightSpan {
 	return []obs.FlightSpan{
-		{GP: 77, Kind: obs.SpanExpedite, Track: "autotune",
-			StartNs: 500, EndNs: 600, Count: 1, Label: "adapt: elevated"},
 		{GP: 42, Kind: obs.SpanRetire, Track: "reclaim/0",
 			StartNs: 1000, EndNs: 2000, Count: 1},
-		{GP: 42, Link: 77, Kind: obs.SpanCoalesce, Track: "reclaim/0",
+		{GP: 42, Kind: obs.SpanCoalesce, Track: "reclaim/0",
 			StartNs: 2000, EndNs: 2500, Count: 1, Label: "all"},
 		{GP: 42, Kind: obs.SpanWait, Track: "wait",
 			StartNs: 2500, EndNs: 4500, Count: 3,
@@ -139,15 +136,15 @@ func TestTracezGolden(t *testing.T) {
 		}
 	}
 	// The full GP 42 chain must be present as complete events.
-	for _, kind := range []string{"retire", "coalesce", "wait", "callback", "expedite"} {
+	for _, kind := range []string{"retire", "coalesce", "wait", "callback"} {
 		if !completes[kind] {
 			t.Errorf("missing %q complete event", kind)
 		}
 	}
-	// Both the GP 42 chain and the 77-link chain must pair: exactly one
-	// start and one terminal finish each.
-	if len(flows) != 2 {
-		t.Fatalf("want flow chains for GP 42 and link 77, got ids %v", flows)
+	// The GP 42 chain must pair: exactly one start and one terminal
+	// finish.
+	if len(flows) != 1 {
+		t.Fatalf("want one flow chain for GP 42, got ids %v", flows)
 	}
 	for id, fs := range flows {
 		if fs.s != 1 || fs.f != 1 || !fs.fLast {

@@ -1,18 +1,15 @@
 package reclaim
 
 import (
-	"context"
 	"sort"
 
 	"prcu/internal/core"
 )
 
 // waitGroup is one grace period covering a set of batch members: wait on
-// pred (bounded by ctx when non-nil), then resolve every callback in
-// cbs (indices into the batch).
+// pred, then resolve every callback in cbs (indices into the batch).
 type waitGroup struct {
 	pred core.Predicate
-	ctx  context.Context
 	cbs  []int
 }
 
@@ -29,11 +26,8 @@ type waitGroup struct {
 //
 // The partition:
 //
-//   - Context-bound callbacks wait individually (first, so a long merged
-//     wait cannot eat their deadline). Coalescing them would make one
-//     member's cancellation ambiguous for the rest.
 //   - If any member carries the wildcard predicate, one All wait covers
-//     every context-free member — the classic RCU batching limit case.
+//     every member — the classic RCU batching limit case.
 //   - Singleton/Interval predicates (dense ranges, via Span) sort and
 //     merge: overlapping or adjacent ranges fuse into one covering
 //     Interval. Retirement storms against a key range — the CITRUS
@@ -43,7 +37,7 @@ type waitGroup struct {
 //     These cannot be compared or merged structurally, but one wait over
 //     their union is still exactly as selective as the members combined.
 func coalesce(batch []callback) []waitGroup {
-	if len(batch) == 1 && batch[0].ctx == nil {
+	if len(batch) == 1 {
 		return []waitGroup{{pred: batch[0].pred, cbs: []int{0}}}
 	}
 	var groups []waitGroup
@@ -53,10 +47,6 @@ func coalesce(batch []callback) []waitGroup {
 
 	for i := range batch {
 		cb := &batch[i]
-		if cb.ctx != nil {
-			groups = append(groups, waitGroup{pred: cb.pred, ctx: cb.ctx, cbs: []int{i}})
-			continue
-		}
 		if cb.pred.Kind() == core.KindAll {
 			if allGroup < 0 {
 				allGroup = len(groups)
@@ -73,8 +63,8 @@ func coalesce(batch []callback) []waitGroup {
 	}
 
 	if allGroup >= 0 {
-		// The wildcard wait covers every context-free predicate; fold the
-		// rest of the batch into it rather than waiting again.
+		// The wildcard wait covers every predicate; fold the rest of the
+		// batch into it rather than waiting again.
 		g := &groups[allGroup]
 		for _, e := range spans {
 			g.cbs = append(g.cbs, e.idx)

@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,29 +101,6 @@ func TestCoalesceOpaquePredicatesFormOneUnion(t *testing.T) {
 		if got := u.Holds(tc.v); got != tc.want {
 			t.Fatalf("union(%d) = %v, want %v", tc.v, got, tc.want)
 		}
-	}
-}
-
-func TestCoalesceCtxCallbacksStayIndividual(t *testing.T) {
-	ctx := context.Background()
-	batch := []callback{
-		{pred: core.Singleton(1)},
-		{pred: core.Singleton(2), ctx: ctx},
-		{pred: core.Singleton(3), ctx: ctx},
-	}
-	groups := coalesce(batch)
-	checkPartition(t, batch, groups)
-	individual := 0
-	for _, g := range groups {
-		if g.ctx != nil {
-			if len(g.cbs) != 1 {
-				t.Fatalf("ctx-bound callbacks must not coalesce; group has %d", len(g.cbs))
-			}
-			individual++
-		}
-	}
-	if individual != 2 {
-		t.Fatalf("got %d individual ctx groups, want 2", individual)
 	}
 }
 

@@ -28,14 +28,12 @@
 //     under PolicyBlock the caller blocks until the backlog drains,
 //     under PolicyInline it synchronously waits its own grace period and
 //     frees inline — graceful degradation instead of OOM.
-//   - Shutdown follows the Async contract: Close drains everything;
-//     CloseCtx bounds the drain and drops (counting) callbacks whose
-//     grace period could not complete.
+//   - Close drains everything; CloseCtx bounds the drain and drops
+//     (counting) callbacks whose grace period could not complete.
 package reclaim
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,17 +102,13 @@ type Config struct {
 }
 
 // callback is one deferred retirement. Exactly one completion style is
-// set: free(v) runs only after a completed grace period; fn likewise
-// (closure form); fnErr always runs and receives the wait's error, nil
-// meaning the grace period completed. ctx, when non-nil, bounds this
-// callback's wait individually — such callbacks are never coalesced, so
-// their error semantics stay exact.
+// set: free(v) runs only after a completed grace period; fnErr always
+// runs and receives the wait's error, nil meaning the grace period
+// completed.
 type callback struct {
 	pred  core.Predicate
-	ctx   context.Context
 	v     any
 	free  func(any)
-	fn    func()
 	fnErr func(error)
 	bytes int64
 	// atNs is the enqueue stamp on the reclaimer's clock, taken under the
@@ -133,9 +127,7 @@ func (cb *callback) run(err error) bool {
 		cb.fnErr(err)
 		return true
 	case err == nil:
-		if cb.fn != nil {
-			cb.fn()
-		} else if cb.free != nil {
+		if cb.free != nil {
 			cb.free(cb.v)
 		}
 		return true
@@ -146,37 +138,21 @@ func (cb *callback) run(err error) bool {
 	}
 }
 
-// engineSet is the reclaimer's engine wiring, swapped wholesale behind
-// an atomic pointer. Outside a migration old is nil and every grace
-// period runs on cur. During a live handover window (BeginHandover →
-// CompleteHandover/AbortHandover) old holds the engine being drained:
-// read-side critical sections exist on BOTH engines in that window, so
-// every wait covers both — a wait on only one engine could miss a
-// reader still inside the other and free memory out from under it.
-// Over-covering the window's waits is always safe (PRCU §3.1).
-type engineSet struct {
-	cur core.RCU
-	old core.RCU
-}
-
 // Reclaimer is the sharded, bounded deferred-reclamation engine.
 // Construct with New; Close (or CloseCtx) must be called to release the
 // flush workers.
 type Reclaimer struct {
-	eng   atomic.Pointer[engineSet]
+	eng   core.RCU
 	met   *obs.Metrics
 	clock tsc.Clock // age-gauge timebase
 
-	// Tunable knobs. policy and the watermarks are guarded by capMu (the
-	// lock already held on every read path that consults them), so
-	// SetWatermarks/SetPolicy can never be observed torn. flushDelay is
-	// read locklessly by the shard workers and is therefore atomic.
+	// Fixed by Config at construction.
 	policy      Policy
 	maxPending  int
 	maxBytes    int64
-	softPending int          // 0 = derived (half of maxPending)
-	softBytes   int64        // 0 = derived (half of maxBytes)
-	flushDelay  atomic.Int64 // nanoseconds; 0 = flush immediately
+	softPending int           // 0 = none
+	softBytes   int64         // 0 = none
+	flushDelay  time.Duration // 0 = flush immediately
 
 	// workCtx is cancelled at bounded shutdown to abort in-flight waits;
 	// workers survive cancelled waits and keep draining (fast-failing).
@@ -201,10 +177,6 @@ type Reclaimer struct {
 	graces  atomic.Uint64
 	inline  atomic.Uint64
 	bp      atomic.Uint64
-
-	// closedPanic is the message for submissions after Close; the Async
-	// facade overrides it to keep its historical wording.
-	closedPanic string
 }
 
 // affinity is a shard ticket cached per-P by the sync.Pool, giving
@@ -233,6 +205,7 @@ func New(r core.RCU, cfg Config) *Reclaimer {
 		met = obs.New()
 	}
 	rc := &Reclaimer{
+		eng:         r,
 		met:         met,
 		clock:       tsc.NewMonotonic(),
 		policy:      cfg.Policy,
@@ -240,10 +213,15 @@ func New(r core.RCU, cfg Config) *Reclaimer {
 		maxBytes:    cfg.MaxBytes,
 		softPending: cfg.SoftPending,
 		softBytes:   cfg.SoftBytes,
-		closedPanic: "prcu: Retire on closed Reclaimer",
+		flushDelay:  normalizeDelay(cfg.FlushDelay),
 	}
-	rc.eng.Store(&engineSet{cur: r})
-	rc.flushDelay.Store(int64(normalizeDelay(cfg.FlushDelay)))
+	// Unset soft watermarks default to half their hard counterparts.
+	if rc.softPending == 0 {
+		rc.softPending = (cfg.MaxPending + 1) / 2
+	}
+	if rc.softBytes == 0 {
+		rc.softBytes = (cfg.MaxBytes + 1) / 2
+	}
 	met.SetReclaimAgeProbe(rc.OldestAgeNs)
 	rc.workCtx, rc.cancelWork = context.WithCancel(context.Background())
 	rc.space = sync.NewCond(&rc.capMu)
@@ -281,7 +259,7 @@ func validate(cfg Config) {
 }
 
 // normalizeDelay maps the FlushDelay convention (0 = default, negative =
-// immediate) onto the stored pacing value.
+// immediate) onto the stored accumulation window.
 func normalizeDelay(d time.Duration) time.Duration {
 	if d == 0 {
 		return DefaultFlushDelay
@@ -340,25 +318,11 @@ func (r *Reclaimer) over(bytes int64) bool {
 		(r.maxBytes > 0 && r.pendingBytes+bytes > r.maxBytes)
 }
 
-// soft reports whether the backlog has reached a soft watermark
-// (explicitly configured, or half the hard limit). Caller holds capMu.
-func (r *Reclaimer) soft() bool {
-	sp, sb := r.softMarks()
-	return (sp > 0 && r.pending >= sp) || (sb > 0 && r.pendingBytes >= sb)
-}
-
-// softMarks resolves the effective soft watermarks (0 = none). Caller
+// soft reports whether the backlog has reached a soft watermark. Caller
 // holds capMu.
-func (r *Reclaimer) softMarks() (int, int64) {
-	sp := r.softPending
-	if sp == 0 && r.maxPending > 0 {
-		sp = (r.maxPending + 1) / 2
-	}
-	sb := r.softBytes
-	if sb == 0 && r.maxBytes > 0 {
-		sb = (r.maxBytes + 1) / 2
-	}
-	return sp, sb
+func (r *Reclaimer) soft() bool {
+	return (r.softPending > 0 && r.pending >= r.softPending) ||
+		(r.softBytes > 0 && r.pendingBytes >= r.softBytes)
 }
 
 // admit reserves backlog capacity for cb, applying the configured
@@ -369,10 +333,6 @@ func (r *Reclaimer) admit(cb *callback) (soft, ok bool) {
 	overloaded := false
 	for {
 		r.capMu.Lock()
-		// Evaluated under capMu (and per iteration): the watermarks are
-		// retunable, so a callback that could never fit under the old
-		// limit may fit after a SetWatermarks loosened it, and vice versa.
-		oversize := r.maxBytes > 0 && cb.bytes > r.maxBytes
 		if r.closed {
 			r.capMu.Unlock()
 			if overloaded {
@@ -382,8 +342,9 @@ func (r *Reclaimer) admit(cb *callback) (soft, ok bool) {
 				r.inlineResolve(cb)
 				return false, false
 			}
-			panic(r.closedPanic)
+			panic("prcu: Retire on closed Reclaimer")
 		}
+		oversize := r.maxBytes > 0 && cb.bytes > r.maxBytes
 		if !oversize && !r.over(cb.bytes) {
 			r.pending++
 			r.pendingBytes += cb.bytes
@@ -422,7 +383,7 @@ func (r *Reclaimer) admit(cb *callback) (soft, ok bool) {
 // touching the backlog.
 func (r *Reclaimer) inlineResolve(cb *callback) {
 	r.inline.Add(1)
-	err := r.waitFor(cb)
+	err := r.eng.WaitForReadersCtx(r.workCtx, cb.pred)
 	if !cb.run(err) {
 		r.dropped.Add(1)
 	}
@@ -448,110 +409,8 @@ func (r *Reclaimer) release(n, dropped int, bytes int64) {
 	}
 }
 
-// waitFor runs cb's grace-period wait, bounded by the callback's own
-// context (if any) and by the shutdown context.
-func (r *Reclaimer) waitFor(cb *callback) error { return r.waitPred(cb.ctx, cb.pred) }
-
-// waitPred waits a grace period covering p, bounded by the shutdown
-// context and, when cctx is non-nil, by the callback's own context. The
-// engine set is loaded once per wait: a handover beginning mid-wait
-// does not retroactively widen it, which is safe because BeginHandover
-// runs before any reader front flips to the target — a wait wired to
-// the source alone can only have started while all readers were still
-// on the source.
-func (r *Reclaimer) waitPred(cctx context.Context, p core.Predicate) error {
-	es := r.eng.Load()
-	if cctx == nil {
-		return es.wait(r.workCtx, p)
-	}
-	mctx, cancel := context.WithCancel(cctx)
-	defer cancel()
-	stop := context.AfterFunc(r.workCtx, cancel)
-	defer stop()
-	return es.wait(mctx, p)
-}
-
-// wait runs one grace period covering p on every engine in the set. An
-// error from either engine means the grace period is incomplete and the
-// batch's callbacks must not free.
-func (es *engineSet) wait(ctx context.Context, p core.Predicate) error {
-	if err := es.cur.WaitForReadersCtx(ctx, p); err != nil {
-		return err
-	}
-	if es.old != nil {
-		return es.old.WaitForReadersCtx(ctx, p)
-	}
-	return nil
-}
-
-// Engine returns the engine grace periods currently run on (during a
-// handover window, the target).
-func (r *Reclaimer) Engine() core.RCU { return r.eng.Load().cur }
-
-// HandoverTarget reports the engine being drained during a handover
-// window (nil outside one). Note the naming from the migrator's view:
-// cur is the migration target, the returned engine is the source.
-func (r *Reclaimer) HandoverTarget() core.RCU { return r.eng.Load().old }
-
-// BeginHandover enters the dual-coverage migration window: from this
-// call until CompleteHandover or AbortHandover, every grace period the
-// reclaimer runs covers both target and the previous engine. The
-// migrator calls it BEFORE flipping any reader front to the target, so
-// no wait can miss a reader — waits issued in the begin→flip window
-// merely over-cover. Callbacks never move between queues, so each still
-// resolves exactly once, on whichever engine set its flush loads.
-func (r *Reclaimer) BeginHandover(target core.RCU) error {
-	if target == nil {
-		return errors.New("prcu/reclaim: BeginHandover with nil target")
-	}
-	for {
-		es := r.eng.Load()
-		if es.old != nil {
-			return errors.New("prcu/reclaim: handover already in progress")
-		}
-		if es.cur == target {
-			return errors.New("prcu/reclaim: handover target is already the current engine")
-		}
-		if r.eng.CompareAndSwap(es, &engineSet{cur: target, old: es.cur}) {
-			return nil
-		}
-	}
-}
-
-// CompleteHandover ends the window, decommissioning the drained source:
-// future grace periods run on the target alone. Returns the source
-// engine, or nil if no handover was in progress. The caller must have
-// already drained the source's readers and flushed the backlog that was
-// submitted before the flip (the migrator's phase 1 and 2).
-func (r *Reclaimer) CompleteHandover() core.RCU {
-	for {
-		es := r.eng.Load()
-		if es.old == nil {
-			return nil
-		}
-		if r.eng.CompareAndSwap(es, &engineSet{cur: es.cur}) {
-			return es.old
-		}
-	}
-}
-
-// AbortHandover rolls the wiring back to the pre-handover engine
-// exactly, discarding the target. Returns the abandoned target, or nil
-// if no handover was in progress. The caller must have already flipped
-// every reader front back to the source and drained the target's
-// readers (the migrator's rollback path), because waits stop covering
-// the target the moment this returns.
-func (r *Reclaimer) AbortHandover() core.RCU {
-	for {
-		es := r.eng.Load()
-		if es.old == nil {
-			return nil
-		}
-		if r.eng.CompareAndSwap(es, &engineSet{cur: es.old}) {
-			return es.cur
-		}
-	}
-}
+// Engine returns the engine grace periods run on.
+func (r *Reclaimer) Engine() core.RCU { return r.eng }
 
 // Flush expedites every shard: queued callbacks are batched and their
 // grace periods started immediately, skipping any remaining
@@ -608,120 +467,30 @@ func (r *Reclaimer) InlineWaits() uint64 { return r.inline.Load() }
 // the hard watermark before being accepted.
 func (r *Reclaimer) BackpressureWaits() uint64 { return r.bp.Load() }
 
-// SetWatermarks retunes the hard watermarks at runtime (0 = unbounded)
-// and re-derives the soft watermarks as their halves, discarding any
-// explicit Config.SoftPending/SoftBytes. It is safe against concurrent
-// Retire/Flush/Close. Tightening below the current backlog does not
-// drop anything: the backlog drains normally while new retirements see
-// the new limits (blocking or degrading inline per the policy);
-// expedited flushing is kicked so the drain starts immediately.
-// Loosening wakes callers parked at the old watermark. SetWatermarks
-// panics on negative values.
-func (r *Reclaimer) SetWatermarks(maxPending int, maxBytes int64) {
-	if maxPending < 0 {
-		panic("prcu/reclaim: negative MaxPending watermark")
-	}
-	if maxBytes < 0 {
-		panic("prcu/reclaim: negative MaxBytes watermark")
-	}
-	r.capMu.Lock()
-	r.maxPending = maxPending
-	r.maxBytes = maxBytes
-	r.softPending = 0
-	r.softBytes = 0
-	expedite := r.soft()
-	r.capMu.Unlock()
-	// Parked PolicyBlock callers re-check over() against the new limits.
-	r.space.Broadcast()
-	if expedite {
-		r.expediteAll()
-	}
-}
-
-// Watermarks returns the hard watermarks in force (0 = unbounded).
-func (r *Reclaimer) Watermarks() (maxPending int, maxBytes int64) {
-	r.capMu.Lock()
-	defer r.capMu.Unlock()
-	return r.maxPending, r.maxBytes
-}
-
-// SetPacing retunes the batch-accumulation window at runtime, with the
-// Config.FlushDelay convention: 0 restores DefaultFlushDelay, negative
-// means flush immediately. The next batch a shard opens uses the new
-// window; a window already being slept out is not cut short (use Flush
-// for that).
-func (r *Reclaimer) SetPacing(d time.Duration) {
-	r.flushDelay.Store(int64(normalizeDelay(d)))
-}
-
-// Pacing returns the batch-accumulation window in force (0 = flush
-// immediately).
-func (r *Reclaimer) Pacing() time.Duration {
-	return time.Duration(r.flushDelay.Load())
-}
-
-// SetPolicy retunes the hard-watermark overload behavior at runtime.
-// Callers parked at the watermark under PolicyBlock are woken and, under
-// a new PolicyInline, degrade to their own inline grace period.
-func (r *Reclaimer) SetPolicy(p Policy) {
-	r.capMu.Lock()
-	r.policy = p
-	r.capMu.Unlock()
-	r.space.Broadcast()
-}
-
-// Policy returns the overload policy in force.
-func (r *Reclaimer) Policy() Policy {
-	r.capMu.Lock()
-	defer r.capMu.Unlock()
-	return r.policy
-}
-
 // OldestAge returns the age of the oldest unresolved callback — the
 // reclaimer's data-age gauge: how stale the most overdue deferred
 // free is. 0 means an empty backlog. The estimate is conservative
 // within one batch (a batch's age is its oldest member's) and is taken
 // on the same monotonic clock that stamps submissions.
 func (r *Reclaimer) OldestAge() time.Duration {
-	ns := r.OldestAgeNs()
-	return time.Duration(ns)
+	return time.Duration(r.OldestAgeNs())
 }
 
 // OldestAgeNs is OldestAge in integer nanoseconds, the form the obs
-// age probe exports.
+// age probe exports. A batch carries the enqueue stamp of the member that
+// opened its queue, which every later member was enqueued after, so the
+// oldest batch stamp across all shards bounds every unresolved callback.
 func (r *Reclaimer) OldestAgeNs() int64 {
-	oldest := r.OldestSubmittedNs()
-	if oldest == 0 {
-		return 0
-	}
-	age := r.clock.Now() - oldest
-	if age < 0 {
-		age = 0
-	}
-	return age
-}
-
-// NowNs reads the reclaimer's monotonic clock — the timebase enqueue
-// stamps (OldestSubmittedNs) are on. The migrator samples it before the
-// flip so "backlog enqueued before the flip has drained" is a simple
-// stamp comparison.
-func (r *Reclaimer) NowNs() int64 { return r.clock.Now() }
-
-// OldestSubmittedNs returns the enqueue stamp (on the NowNs clock) of
-// the oldest unresolved batch across all shards, or 0 for an empty
-// backlog. A batch carries the stamp of the member that opened its
-// queue, which every later member was enqueued after: a callback
-// enqueued at or before a NowNs reading keeps the result at or below
-// that reading until it resolves. Conservative within one batch, like
-// OldestAge.
-func (r *Reclaimer) OldestSubmittedNs() int64 {
 	oldest := int64(0)
 	for _, s := range r.shards {
 		if at := s.oldestNs(); at > 0 && (oldest == 0 || at < oldest) {
 			oldest = at
 		}
 	}
-	return oldest
+	if oldest == 0 {
+		return 0
+	}
+	return max(r.clock.Now()-oldest, 0)
 }
 
 // Stats returns the attached Metrics' snapshot (zero Snapshot when no

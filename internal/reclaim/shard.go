@@ -154,7 +154,7 @@ func (s *shard) worker() {
 			s.mu.Unlock()
 			return
 		}
-		delay := r.Pacing()
+		delay := r.flushDelay
 		wait := delay > 0 && !s.expedite && !s.closed
 		s.mu.Unlock()
 		if wait {
@@ -233,10 +233,9 @@ func (s *shard) accumulate(d time.Duration) {
 // span chain under a fresh GP ID: per-member retire spans (queue
 // residency, converted from the reclaimer's clock onto the metrics
 // clock; a member enqueued before the recorder was armed carries no
-// stamp and takes the batch's oldest), a coalesce span (linked to a
-// pending autotuner expedite, if any), the engine's own wait span (the
-// GP ID travels down via the wait Context), and a callback-execution
-// span.
+// stamp and takes the batch's oldest), a coalesce span, the engine's
+// own wait span (the GP ID travels down via the wait Context), and a
+// callback-execution span.
 func (s *shard) process(batch []callback, expedited bool) {
 	r := s.r
 	reg := r.met.ReclaimFlushBegin()
@@ -244,7 +243,6 @@ func (s *shard) process(batch []callback, expedited bool) {
 	flight := r.met.FlightEnabled()
 	var track string
 	var takenNs, clockOff, coalescedNs int64
-	var link uint64
 	if flight {
 		track = "reclaim/" + strconv.Itoa(s.idx)
 		takenNs = r.met.FlightNow()
@@ -252,9 +250,6 @@ func (s *shard) process(batch []callback, expedited bool) {
 		// metrics clock. Converting durations (not instants) keeps the two
 		// bases from mixing.
 		clockOff = takenNs - r.clock.Now()
-		if expedited {
-			link = r.met.FlightExpediteLink()
-		}
 	}
 	groups := coalesce(batch)
 	if flight {
@@ -262,7 +257,7 @@ func (s *shard) process(batch []callback, expedited bool) {
 	}
 	for gi := range groups {
 		g := &groups[gi]
-		wctx := g.ctx
+		wctx := r.workCtx
 		var gp uint64
 		if flight {
 			gp = obs.NextGP()
@@ -277,18 +272,13 @@ func (s *shard) process(batch []callback, expedited bool) {
 				})
 			}
 			r.met.FlightRecord(obs.FlightSpan{
-				GP: gp, Link: link, Kind: obs.SpanCoalesce, Track: track,
+				GP: gp, Kind: obs.SpanCoalesce, Track: track,
 				StartNs: takenNs, EndNs: coalescedNs,
 				Count: len(g.cbs), Label: g.pred.String(),
 			})
-			link = 0 // only the first group carries the expedite link
-			base := g.ctx
-			if base == nil {
-				base = r.workCtx
-			}
-			wctx = obs.WithGP(base, gp)
+			wctx = obs.WithGP(r.workCtx, gp)
 		}
-		err := r.waitPred(wctx, g.pred)
+		err := r.eng.WaitForReadersCtx(wctx, g.pred)
 		var cbStart int64
 		if flight {
 			cbStart = r.met.FlightNow()

@@ -68,7 +68,7 @@ func TestWaiterYieldTransitionBoundary(t *testing.T) {
 }
 
 func TestWaiterReset(t *testing.T) {
-	w := Waiter{T: &Tuning{SpinBudget: 4}}
+	var w Waiter
 	for i := 0; i < DefaultSpinBudget+5; i++ {
 		w.Wait()
 	}
@@ -76,11 +76,8 @@ func TestWaiterReset(t *testing.T) {
 		t.Fatal("waiter never escalated to yielding")
 	}
 	w.Reset()
-	if w.spins != 0 || w.burst != 0 || w.steps != 0 || w.parked {
+	if w.spins != 0 || w.burst != 0 {
 		t.Fatal("Reset did not clear state")
-	}
-	if w.T == nil {
-		t.Fatal("Reset must keep the waiter's Tuning")
 	}
 }
 
@@ -91,62 +88,5 @@ func TestWaiterBurstCapped(t *testing.T) {
 	}
 	if w.burst > DefaultYieldBurst {
 		t.Fatalf("burst %d exceeds cap %d", w.burst, DefaultYieldBurst)
-	}
-}
-
-func TestTuningSpinBudgetOverride(t *testing.T) {
-	// Negative budget: yield from the very first step.
-	w := Waiter{T: &Tuning{SpinBudget: -1}}
-	w.Wait()
-	if !w.Yielded() {
-		t.Fatal("SpinBudget < 0 must yield on the first step")
-	}
-	// Enlarged budget: still spinning where the default would have yielded.
-	w = Waiter{T: &Tuning{SpinBudget: DefaultSpinBudget * 4}}
-	for i := 0; i < DefaultSpinBudget*2; i++ {
-		w.Wait()
-	}
-	if w.Yielded() {
-		t.Fatal("enlarged SpinBudget must extend the spin phase")
-	}
-}
-
-func TestTuningParkEscalation(t *testing.T) {
-	tun := &Tuning{SpinBudget: 1, ParkAfter: 2, Park: time.Microsecond}
-	w := Waiter{T: tun}
-	// 1 spin step + 2 yield steps: not yet parked.
-	for i := 0; i < 3; i++ {
-		w.Wait()
-	}
-	if w.Parked() {
-		t.Fatal("parked before ParkAfter yield steps elapsed")
-	}
-	w.Wait() // third yield-phase step: past ParkAfter, must park
-	if !w.Parked() {
-		t.Fatal("did not park after ParkAfter yield steps")
-	}
-	if !w.Yielded() {
-		t.Fatal("a parked waiter must also report Yielded (it left the spin phase)")
-	}
-	w.Reset()
-	if w.Parked() {
-		t.Fatal("Reset did not clear the parked flag")
-	}
-}
-
-func TestZeroTuningMatchesDefaults(t *testing.T) {
-	// A zero Tuning must behave exactly like the nil default: same spin
-	// budget boundary, same burst cap, no parking.
-	wd, wt := Waiter{}, Waiter{T: &Tuning{}}
-	for i := 0; i < DefaultSpinBudget+64; i++ {
-		wd.Wait()
-		wt.Wait()
-		if wd.Yielded() != wt.Yielded() || wd.burst != wt.burst {
-			t.Fatalf("step %d: zero Tuning diverged from defaults (burst %d vs %d)",
-				i, wt.burst, wd.burst)
-		}
-	}
-	if wt.Parked() {
-		t.Fatal("zero Tuning must never park")
 	}
 }

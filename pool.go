@@ -23,13 +23,6 @@ import (
 // leaked), a finalizer unregisters the underlying reader as a fallback,
 // so pooled slots are reclaimed rather than leaked either way.
 //
-// The pool's engine sits behind an atomic indirection: SwapEngine
-// redirects all future Gets onto a new engine while handles registered on
-// the old engine drain off it naturally as they are returned (a returned
-// handle whose engine no longer matches is unregistered, not re-cached).
-// That indirection is what live migration (Migrator) flips; it costs the
-// unswapped fast path one atomic load that the pool lookup already paid.
-//
 // Long-lived, pinned goroutines should still call RCU.Register directly
 // and keep their Reader for life — that is one pointer dereference cheaper
 // per section and gives stable per-reader observability lanes. The pool is
@@ -37,89 +30,28 @@ import (
 //
 // A ReaderPool must not be copied after first use.
 type ReaderPool struct {
-	eng    atomic.Pointer[poolEngine]
+	eng    RCU
 	pool   sync.Pool
 	closed atomic.Bool
-	// drainMu serializes the cache drains (SwapEngine, DrainStale, Close)
-	// against each other; Get/Put/Critical stay lock-free.
-	drainMu sync.Mutex
-}
-
-// poolEngine is the indirection cell: one immutable engine binding,
-// swapped wholesale so Get reads a consistent engine with a single load.
-type poolEngine struct {
-	r RCU
 }
 
 // NewReaderPool returns a pool of registered readers of r. Use it with an
 // uncapped engine (Options.MaxReaders == 0, the default): Get panics if
 // the engine refuses to register a reader.
-func NewReaderPool(r RCU) *ReaderPool {
-	p := &ReaderPool{}
-	p.eng.Store(&poolEngine{r: r})
-	return p
-}
+func NewReaderPool(r RCU) *ReaderPool { return &ReaderPool{eng: r} }
 
-// Engine returns the engine new readers currently register on.
-func (p *ReaderPool) Engine() RCU {
-	return p.eng.Load().r
-}
-
-// SwapEngine atomically redirects all future Gets onto target and returns
-// the previous engine. Cached idle readers registered on the previous
-// engine are unregistered immediately; handles currently checked out keep
-// reading on their original engine and release its slot when returned
-// (Put detects the mismatch). The caller — normally the Migrator — is
-// responsible for waiting out the drained engine's readers before
-// reclaiming anything only its grace periods covered.
-func (p *ReaderPool) SwapEngine(target RCU) RCU {
-	if target == nil {
-		panic("prcu: ReaderPool.SwapEngine with nil engine")
-	}
-	p.drainMu.Lock()
-	defer p.drainMu.Unlock()
-	prev := p.eng.Swap(&poolEngine{r: target}).r
-	if p.closed.Load() {
-		p.drainCache(nil)
-	} else {
-		p.drainCache(target)
-	}
-	return prev
-}
-
-// DrainStale unregisters cached idle readers that are still registered on
-// a pre-swap engine (sync.Pool's per-P caches can hide entries from the
-// drain SwapEngine already did). Migration's registry-drain loop calls it
-// between backoff re-checks; it is a no-op when every cached reader is on
-// the current engine.
-func (p *ReaderPool) DrainStale() {
-	p.drainMu.Lock()
-	defer p.drainMu.Unlock()
-	if p.closed.Load() {
-		p.drainCache(nil)
-		return
-	}
-	p.drainCache(p.eng.Load().r)
-}
+// Engine returns the engine the pool's readers register on.
+func (p *ReaderPool) Engine() RCU { return p.eng }
 
 // drainCache empties the sync.Pool cache, unregistering every cached
-// handle except those registered on keep, which are re-cached. Callers
-// hold drainMu.
-func (p *ReaderPool) drainCache(keep RCU) {
-	var kept []*pooledReader
+// handle.
+func (p *ReaderPool) drainCache() {
 	for {
 		h, _ := p.pool.Get().(*pooledReader)
 		if h == nil {
-			break
-		}
-		if keep != nil && h.r == keep {
-			kept = append(kept, h)
-			continue
+			return
 		}
 		h.retire()
-	}
-	for _, h := range kept {
-		p.pool.Put(h)
 	}
 }
 
@@ -128,10 +60,7 @@ func (p *ReaderPool) drainCache(keep RCU) {
 // written against the plain Reader contract (register, use, unregister)
 // works unchanged on a pooled handle.
 type pooledReader struct {
-	rd Reader
-	// r is the engine rd is registered on — compared against the pool's
-	// current engine on Get/Put to drain handles stranded by SwapEngine.
-	r    RCU
+	rd   Reader
 	pool *ReaderPool
 	// out is true while the handle is checked out. Like the rest of the
 	// Reader contract it is single-goroutine state: it exists to turn
@@ -153,46 +82,20 @@ func (p *ReaderPool) Get() Reader {
 	if p.closed.Load() {
 		panic("prcu: ReaderPool.Get after Close")
 	}
-	eng := p.eng.Load().r
-	for {
-		h, _ := p.pool.Get().(*pooledReader)
-		if h == nil {
-			break
-		}
-		if h.r == eng {
-			h.out = true
-			return h
-		}
-		// Stranded by an engine swap: release the old engine's slot and
-		// keep looking for a current handle.
-		h.retire()
-	}
-	for {
-		rd, err := eng.Register()
-		if err != nil {
-			panic("prcu: ReaderPool.Get: " + err.Error())
-		}
-		// Re-check the indirection after Register: SwapEngine may have
-		// flipped between the load above and the Register, and a
-		// registration landing on a drained source after the migrator's
-		// registry poll read zero would open critical sections no grace
-		// period covers. Passing the re-check means the registration was
-		// in the registry before the swap's store, so a post-swap
-		// LiveReaders poll observes it (atomics are seqcst); failing it
-		// means the slot may be on a draining engine — release and retry
-		// on the current one.
-		if cur := p.eng.Load().r; cur != eng {
-			rd.Unregister()
-			eng = cur
-			continue
-		}
-		h := &pooledReader{rd: rd, r: eng, pool: p, out: true}
-		// If the handle becomes unreachable — leaked by a borrower, or
-		// parked in the pool when the GC purges the pool's cache — release
-		// its registry slot instead of leaking it.
-		runtime.SetFinalizer(h, finalizePooledReader)
+	if h, _ := p.pool.Get().(*pooledReader); h != nil {
+		h.out = true
 		return h
 	}
+	rd, err := p.eng.Register()
+	if err != nil {
+		panic("prcu: ReaderPool.Get: " + err.Error())
+	}
+	h := &pooledReader{rd: rd, pool: p, out: true}
+	// If the handle becomes unreachable — leaked by a borrower, or parked
+	// in the pool when the GC purges the pool's cache — release its
+	// registry slot instead of leaking it.
+	runtime.SetFinalizer(h, finalizePooledReader)
+	return h
 }
 
 // Put returns a handle obtained from Get to the pool. The handle must be
@@ -211,10 +114,9 @@ func (p *ReaderPool) Put(rd Reader) {
 		panic("prcu: ReaderPool.Put called twice")
 	}
 	h.out = false
-	if p.closed.Load() || h.r != p.eng.Load().r {
-		// The pool is shut down, or the handle was stranded by an engine
-		// swap: release the slot now instead of parking a reader no Get
-		// will hand out again.
+	if p.closed.Load() {
+		// The pool is shut down: release the slot now instead of parking a
+		// reader no Get will hand out again.
 		h.retire()
 		return
 	}
@@ -223,22 +125,7 @@ func (p *ReaderPool) Put(rd Reader) {
 		// Close ran between the check above and the cache insert and may
 		// have finished its drain already; re-drain so the handle cannot
 		// linger registered in a cache nobody will empty.
-		p.drainMu.Lock()
-		p.drainCache(nil)
-		p.drainMu.Unlock()
-	} else if h.r != p.eng.Load().r {
-		// Likewise SwapEngine: its drain may have run between the
-		// mismatch check above and the cache insert, re-caching a handle
-		// still registered on the drained engine. Retire it
-		// deterministically instead of leaving it to a GC finalizer — a
-		// direct SwapEngine caller gets no migrator re-nudges.
-		p.drainMu.Lock()
-		if p.closed.Load() {
-			p.drainCache(nil)
-		} else {
-			p.drainCache(p.eng.Load().r)
-		}
-		p.drainMu.Unlock()
+		p.drainCache()
 	}
 }
 
@@ -253,9 +140,7 @@ func (p *ReaderPool) Put(rd Reader) {
 // to the finalizer, as unpooled leaks always have.
 func (p *ReaderPool) Close() {
 	p.closed.Store(true)
-	p.drainMu.Lock()
-	defer p.drainMu.Unlock()
-	p.drainCache(nil)
+	p.drainCache()
 }
 
 // Critical runs fn inside a read-side critical section on v, borrowing a
@@ -301,8 +186,8 @@ func (h *pooledReader) Do(v Value, fn func()) {
 }
 
 // Unregister implements Reader by returning the handle to its pool — the
-// underlying reader stays registered and warm (or, after Close or an
-// engine swap, releasing its slot). This keeps Close/teardown code
+// underlying reader stays registered and warm (or, after Close, releasing
+// its slot). This keeps Close/teardown code
 // portable between pinned and pooled readers.
 func (h *pooledReader) Unregister() {
 	h.pool.Put(h)

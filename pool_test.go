@@ -392,3 +392,55 @@ func TestReaderPoolDoPanicSafety(t *testing.T) {
 	}
 	pool.Put(rd)
 }
+
+// TestReaderPoolCloseDuringChurn races Close against concurrent
+// Critical borrowers: the only defined panic is Get-after-Close, a
+// late Put is a no-op that releases its slot, and every registered
+// reader is eventually released.
+func TestReaderPoolCloseDuringChurn(t *testing.T) {
+	r := prcu.NewD(prcu.Options{})
+	pool := prcu.NewReaderPool(r)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							s, ok := p.(string)
+							if !ok || !strings.Contains(s, "Get after Close") {
+								panic(p)
+							}
+						}
+					}()
+					pool.Critical(prcu.Value(g*64+i%64), func() {})
+				}()
+			}
+		}(g)
+	}
+
+	time.Sleep(10 * time.Millisecond)
+	pool.Close()
+	close(stop)
+	wg.Wait()
+
+	// Every slot drains: cached handles by Close's drain (or a borrower's
+	// post-Close Put), anything sync.Pool hid from both by the finalizer.
+	deadline := time.Now().Add(20 * time.Second)
+	for liveReaders(t, r) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("LiveReaders still %d after Close during churn", liveReaders(t, r))
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -52,7 +52,9 @@
 //	pool.Critical(key, func() { ... traverse ... })
 //
 // See the examples directory for complete programs and packages citrus and
-// hashtable for the paper's two showcase applications.
+// hashtable for the paper's two showcase applications. A ReaderPool,
+// Reclaimer, citrus.Tree or hashtable.Map uses the engine it was built on
+// for its whole life.
 //
 // # Observability
 //
@@ -70,8 +72,7 @@
 //
 // Options.FlightRecorder arms the grace-period flight recorder: every
 // grace period gets a monotonically increasing GP ID and a causal span
-// chain — retire → coalesce → wait → callback, plus linked spans for
-// migration drains and autotuner expedites — buffered in a fixed ring
+// chain — retire → coalesce → wait → callback — buffered in a fixed ring
 // and served as Chrome trace-event JSON on /debug/prcu/tracez (open the
 // capture in Perfetto or chrome://tracing). Blocked waits additionally
 // charge per-slot blame — which reader slots delayed the grace period,
@@ -91,17 +92,6 @@
 // ReaderPool.Close releases pooled slots deterministically at shutdown.
 // The internal chaos engine exercises all of this under fault injection
 // in the torture suite.
-//
-// # Self-tuning
-//
-// NewAutotuner closes the loop from observability back to actuation: a
-// sampling controller that holds the runtime inside an operator-declared
-// envelope (max data age, max retained backlog, max wait p99) by
-// re-tuning reclaimer pacing and watermarks, the engines' wait back-off
-// discipline (WaitTuner), and — as graceful degradation — the overload
-// policy and observability overhead, easing everything back once the
-// pressure passes. The chaos storm suite proves the envelope holds
-// under stall bursts, update floods and reader churn.
 package prcu
 
 import (
@@ -110,7 +100,6 @@ import (
 	"time"
 
 	"prcu/guard"
-	"prcu/internal/adapt"
 	"prcu/internal/core"
 	"prcu/internal/obs"
 	"prcu/internal/obshttp"
@@ -324,8 +313,8 @@ func New(flavor Flavor, opt Options) (RCU, error) {
 		return nil, fmt.Errorf("prcu: unknown flavor %q", flavor)
 	}
 	// Stamp the flavor token before any watchdog can fire: StallReport
-	// carries it so multi-engine processes (and mid-migration windows)
-	// attribute stalls to the right engine instance.
+	// carries it so multi-engine processes attribute stalls to the right
+	// engine instance.
 	if fc, ok := r.(core.FlavorCarrier); ok {
 		fc.SetFlavor(string(flavor))
 	}
@@ -410,16 +399,6 @@ func NewPacked(opt Options) RCU {
 	return opt.attach(core.NewPacked(opt.MaxReaders))
 }
 
-// NewAsync wraps r with a call_rcu-style deferral worker (§2.1): Call
-// schedules a callback to run after a grace period covering its predicate
-// without blocking the caller. Close the returned Async to release its
-// worker. Async is unbounded; use NewReclaimer when the retirement rate
-// can outrun grace periods and the backlog must stay bounded.
-func NewAsync(r RCU) *Async { return reclaim.NewAsync(r) }
-
-// Async is the deferred-callback helper returned by NewAsync.
-type Async = reclaim.Async
-
 // Reclaimer is the bounded deferred-reclamation engine: sharded
 // call_rcu-style retirement queues with batch coalescing (one grace
 // period covers many retirements), count and byte watermarks, and
@@ -489,9 +468,8 @@ type Snapshot = obs.Snapshot
 type HistSummary = obs.HistSummary
 
 // FlightSpan is one entry of the grace-period flight recorder: a causal
-// span (retire, coalesce, wait, callback, migrate-drain or expedite) or
-// zero-duration event (stall, overload, adapt, migrate) stamped with a
-// grace-period ID. Enable the recorder with
+// span (retire, coalesce, wait or callback) or zero-duration event
+// (stall, overload) stamped with a grace-period ID. Enable the recorder with
 // Options.FlightRecorder or Metrics.EnableFlightRecorder, read spans
 // back with Metrics.FlightSnapshot, or serve them as Chrome trace JSON
 // on /debug/prcu/tracez.
@@ -503,16 +481,12 @@ type SpanKind = obs.SpanKind
 
 // The FlightSpan kinds.
 const (
-	SpanRetire       = obs.SpanRetire
-	SpanCoalesce     = obs.SpanCoalesce
-	SpanWait         = obs.SpanWait
-	SpanCallback     = obs.SpanCallback
-	SpanMigrateDrain = obs.SpanMigrateDrain
-	SpanExpedite     = obs.SpanExpedite
-	SpanStall        = obs.SpanStall
-	SpanOverload     = obs.SpanOverload
-	SpanAdapt        = obs.SpanAdapt
-	SpanMigrate      = obs.SpanMigrate
+	SpanRetire   = obs.SpanRetire
+	SpanCoalesce = obs.SpanCoalesce
+	SpanWait     = obs.SpanWait
+	SpanCallback = obs.SpanCallback
+	SpanStall    = obs.SpanStall
+	SpanOverload = obs.SpanOverload
 )
 
 // BlameSample names one reader slot a blocked wait was delayed by and
@@ -643,82 +617,3 @@ type Rates = obs.Rates
 // apart (prev first). A zero prev yields since-start rates; counters
 // that moved backwards (Metrics reset between samples) clamp to zero.
 func DeltaStats(prev, cur Snapshot, dt time.Duration) Rates { return obs.Delta(prev, cur, dt) }
-
-// WaitTuning is the spin→yield→park back-off discipline an engine's
-// waiters follow while polling readers: how many spins before yielding
-// the processor, how many yields per burst, and whether (and after how
-// many yield steps) to park the goroutine in the scheduler between
-// polls. The zero value is the built-in default (a short spin budget,
-// burst-capped yields, no parking). Apply it at runtime through
-// WaitTuner — every engine implements it.
-type WaitTuning = core.WaitTuning
-
-// The stock wait disciplines. WaitTuningSpin trades CPU for latency
-// (long spin budget, rare yields) — right when waits are short and
-// cores are idle. WaitTuningYield is the zero default spelled out.
-// WaitTuningPark spins briefly then parks between polls — right on
-// oversubscribed hosts where a spinning waiter steals cycles from the
-// very readers it is waiting on. The Autotuner actuates these.
-var (
-	WaitTuningSpin  = core.WaitTuningSpin
-	WaitTuningYield = core.WaitTuningYield
-	WaitTuningPark  = core.WaitTuningPark
-)
-
-// WaitTuner is implemented by every engine: SetWaitTuning installs a
-// wait discipline atomically (a zero WaitTuning restores the default);
-// WaitTuning reads back the discipline in force. In-flight waits keep
-// the discipline they started with.
-type WaitTuner = core.WaitTuner
-
-// AutotuneEnvelope is the operator's target envelope: the bounds the
-// Autotuner must keep the runtime inside. Zero on any axis means
-// unbounded there. Headroom (default 0.7) is the fraction of each
-// bound at which the controller starts reacting — escalation begins
-// before the envelope is crossed, not after.
-type AutotuneEnvelope = adapt.Envelope
-
-// AutotuneConfig parameterizes NewAutotuner: the envelope, the sensors
-// and actuators (Metrics, Reclaimer, Engines — each optional), the
-// sampling interval, and the hysteresis (BreachAfter ticks to escalate,
-// EaseAfter calm ticks to ease; recovery is deliberately the slower of
-// the two).
-type AutotuneConfig = adapt.Config
-
-// Autotuner is the self-tuning runtime controller: a sampling feedback
-// loop from the observability plane to the runtime's own knobs. Each
-// tick it reads the reclaimer's backlog and data-age gauges and the
-// windowed wait-latency and stall rates, judges them against the
-// operator's envelope, and walks a three-mode ladder:
-//
-//	normal    the configuration the operator chose
-//	elevated  reclaim pacing drops to immediate, watermarks tighten to
-//	          the envelope, waiters yield instead of spinning
-//	degraded  additionally PolicyBlock degrades to PolicyInline (the
-//	          backlog provably cannot grow past the watermark), waiters
-//	          park between polls, and trace/attribution overhead is
-//	          shed (unless KeepObservability), all restored on the way
-//	          back down
-//
-// Drive it with Start/Stop (its own ticker) or Step (one synchronous
-// tick). Every transition is counted in Metrics and traced as an
-// "adapt" event; the controller's mode, counters and last measurements
-// are visible on /metrics (prcu_autotune_*) and /debug/prcu/health
-// under its Name. Close restores the baseline configuration.
-type Autotuner = adapt.Controller
-
-// AutotuneMode is the Autotuner's ladder rung (normal, elevated,
-// degraded).
-type AutotuneMode = adapt.Mode
-
-// The Autotuner's ladder rungs.
-const (
-	AutotuneNormal   = adapt.ModeNormal
-	AutotuneElevated = adapt.ModeElevated
-	AutotuneDegraded = adapt.ModeDegraded
-)
-
-// NewAutotuner builds a self-tuning controller over the given sensors
-// and actuators and registers its state under cfg.Name in the export
-// plane. The controller does not tick until Start (or Step) is called.
-func NewAutotuner(cfg AutotuneConfig) *Autotuner { return adapt.New(cfg) }
