@@ -16,7 +16,6 @@ import (
 )
 
 const (
-	benchReaders  = 16
 	benchKeySpace = 1 << 14
 )
 
@@ -55,7 +54,7 @@ func benchEngines() []benchEngine {
 		f := f
 		out = append(out, benchEngine{
 			name:   spec.name,
-			mk:     func() prcu.RCU { return prcu.MustNew(f, prcu.Options{MaxReaders: benchReaders}) },
+			mk:     func() prcu.RCU { return prcu.MustNew(f, prcu.Options{}) },
 			domain: spec.domain(),
 		})
 	}
@@ -117,7 +116,7 @@ func BenchmarkEnterExit(b *testing.B) {
 // of an uncontended wait-for-readers next to a hash lookup.
 func BenchmarkFig1WaitVsOp(b *testing.B) {
 	b.Run("HashLookup", func(b *testing.B) {
-		r := prcu.NewTimeRCU(prcu.Options{MaxReaders: 2})
+		r := prcu.NewTimeRCU(prcu.Options{})
 		m := hashtable.NewModulo(r, 1<<12)
 		rng := workload.NewRNG(1)
 		for n := 0; n < 2<<12; {
@@ -136,7 +135,7 @@ func BenchmarkFig1WaitVsOp(b *testing.B) {
 		}
 	})
 	b.Run("WaitForReaders", func(b *testing.B) {
-		r := prcu.NewTimeRCU(prcu.Options{MaxReaders: 2})
+		r := prcu.NewTimeRCU(prcu.Options{})
 		rd, err := r.Register()
 		if err != nil {
 			b.Fatal(err)
@@ -308,7 +307,7 @@ func BenchmarkWaitNoReaders(b *testing.B) {
 }
 
 func ExampleNew() {
-	r := prcu.MustNew(prcu.FlavorD, prcu.Options{MaxReaders: 4})
+	r := prcu.MustNew(prcu.FlavorD, prcu.Options{})
 	rd, _ := r.Register()
 	rd.Enter(42)
 	// ... read the structure region identified by 42 ...

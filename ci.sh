@@ -30,6 +30,9 @@ go test -race -short -timeout 300s . ./internal/core ./citrus ./hashtable ./guar
 echo "== go test -race -count=3 (CITRUS concurrent updates: the nil-edge tag protocol) =="
 go test -race -count=3 -run 'Concurrent|Permanent|Reclaim|Reinsert' -timeout 300s ./citrus
 
+echo "== go test -race -count=3 (the two engine kernels: five flavors' safety argument in two functions) =="
+go test -race -count=3 -run 'TestConformance|TestTorture|TestWaitReadsClockOnlyForCoveredSection|TestFrozenClockWaitSemantics|TestWaitBookkeepingExact' -timeout 300s ./internal/core .
+
 echo "== go test -race (reclaimer backlog/backpressure stress) =="
 go test -race -timeout 300s ./internal/reclaim
 

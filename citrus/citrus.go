@@ -198,9 +198,9 @@ type Handle struct {
 }
 
 // NewHandle registers a pinned reader slot and returns a handle. Call
-// Close when the goroutine is done with the tree. Registration only fails
-// when the engine was built with a reader cap; prefer Handle for ephemeral
-// goroutines.
+// Close when the goroutine is done with the tree. Registration fails only
+// on an engine outside this module that can refuse a reader; prefer Handle
+// for ephemeral goroutines.
 func (t *Tree) NewHandle() (*Handle, error) {
 	rd, err := t.Engine().Register()
 	if err != nil {

@@ -14,15 +14,15 @@ import (
 
 // treeVariants builds a fresh tree for every engine/domain pairing the
 // paper evaluates.
-func treeVariants(maxReaders int) map[string]func() *Tree {
+func treeVariants() map[string]func() *Tree {
 	return map[string]func() *Tree{
-		"EER":  func() *Tree { return New(prcu.NewEER(prcu.Options{MaxReaders: maxReaders}), FuncDomain()) },
-		"D":    func() *Tree { return New(prcu.NewD(prcu.Options{MaxReaders: maxReaders}), CompressedDomain(64)) },
-		"DEER": func() *Tree { return New(prcu.NewDEER(prcu.Options{MaxReaders: maxReaders}), CompressedDomain(64)) },
-		"Time": func() *Tree { return New(prcu.NewTimeRCU(prcu.Options{MaxReaders: maxReaders}), WildcardDomain()) },
-		"URCU": func() *Tree { return New(prcu.NewURCU(prcu.Options{MaxReaders: maxReaders}), WildcardDomain()) },
-		"Tree": func() *Tree { return New(prcu.NewTreeRCU(prcu.Options{MaxReaders: maxReaders}), WildcardDomain()) },
-		"Dist": func() *Tree { return New(prcu.NewDistRCU(prcu.Options{MaxReaders: maxReaders}), WildcardDomain()) },
+		"EER":  func() *Tree { return New(prcu.NewEER(prcu.Options{}), FuncDomain()) },
+		"D":    func() *Tree { return New(prcu.NewD(prcu.Options{}), CompressedDomain(64)) },
+		"DEER": func() *Tree { return New(prcu.NewDEER(prcu.Options{}), CompressedDomain(64)) },
+		"Time": func() *Tree { return New(prcu.NewTimeRCU(prcu.Options{}), WildcardDomain()) },
+		"URCU": func() *Tree { return New(prcu.NewURCU(prcu.Options{}), WildcardDomain()) },
+		"Tree": func() *Tree { return New(prcu.NewTreeRCU(prcu.Options{}), WildcardDomain()) },
+		"Dist": func() *Tree { return New(prcu.NewDistRCU(prcu.Options{}), WildcardDomain()) },
 	}
 }
 
@@ -36,7 +36,7 @@ func mustHandle(t *testing.T, tr *Tree) *Handle {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(prcu.NewEER(prcu.Options{MaxReaders: 4}), FuncDomain())
+	tr := New(prcu.NewEER(prcu.Options{}), FuncDomain())
 	h := mustHandle(t, tr)
 	defer h.Close()
 	if h.Contains(5) {
@@ -54,7 +54,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertContainsDelete(t *testing.T) {
-	for name, mk := range treeVariants(4) {
+	for name, mk := range treeVariants() {
 		t.Run(name, func(t *testing.T) {
 			tr := mk()
 			h := mustHandle(t, tr)
@@ -85,7 +85,7 @@ func TestInsertContainsDelete(t *testing.T) {
 }
 
 func TestSentinelKeyPanics(t *testing.T) {
-	tr := New(prcu.NewEER(prcu.Options{MaxReaders: 4}), FuncDomain())
+	tr := New(prcu.NewEER(prcu.Options{}), FuncDomain())
 	h := mustHandle(t, tr)
 	defer h.Close()
 	defer func() {
@@ -100,7 +100,7 @@ func TestSentinelKeyPanics(t *testing.T) {
 // left child, single right child, two children with adjacent successor
 // (prevSucc == curr), and two children with a deep successor.
 func TestDeleteShapes(t *testing.T) {
-	for name, mk := range treeVariants(4) {
+	for name, mk := range treeVariants() {
 		t.Run(name, func(t *testing.T) {
 			tr := mk()
 			h := mustHandle(t, tr)
@@ -174,7 +174,7 @@ func TestDeleteShapes(t *testing.T) {
 // TestSequentialAgainstModel drives one variant through a long random
 // schedule, mirroring every operation into a map and comparing outcomes.
 func TestSequentialAgainstModel(t *testing.T) {
-	for name, mk := range treeVariants(4) {
+	for name, mk := range treeVariants() {
 		t.Run(name, func(t *testing.T) {
 			tr := mk()
 			h := mustHandle(t, tr)
@@ -223,7 +223,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 // TestQuickInsertDeleteSet is a property test: any sequence of inserts and
 // deletes leaves the tree holding exactly the set a reference map holds.
 func TestQuickInsertDeleteSet(t *testing.T) {
-	tr := New(prcu.NewD(prcu.Options{MaxReaders: 4}), CompressedDomain(16))
+	tr := New(prcu.NewD(prcu.Options{}), CompressedDomain(16))
 	h, err := tr.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestQuickInsertDeleteSet(t *testing.T) {
 // TestConcurrentDisjointKeys has goroutines updating disjoint key ranges —
 // every operation must succeed exactly as in isolation.
 func TestConcurrentDisjointKeys(t *testing.T) {
-	for name, mk := range treeVariants(16) {
+	for name, mk := range treeVariants() {
 		t.Run(name, func(t *testing.T) {
 			tr := mk()
 			const gs, perG = 8, 300
@@ -319,7 +319,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 // goroutines and validates the final structure. Small ranges maximize
 // two-children deletions and successor races.
 func TestConcurrentMixedStress(t *testing.T) {
-	for name, mk := range treeVariants(16) {
+	for name, mk := range treeVariants() {
 		t.Run(name, func(t *testing.T) {
 			tr := mk()
 			const gs = 8
@@ -365,7 +365,7 @@ func TestConcurrentMixedStress(t *testing.T) {
 // be exactly the Figure 4 anomaly (successor moved up while a traversal was
 // inside the old subtree).
 func TestPermanentKeysAlwaysVisible(t *testing.T) {
-	for name, mk := range treeVariants(16) {
+	for name, mk := range treeVariants() {
 		t.Run(name, func(t *testing.T) {
 			tr := mk()
 			setup, err := tr.NewHandle()
@@ -490,18 +490,4 @@ func TestCompressedDomainZeroPanics(t *testing.T) {
 		}
 	}()
 	CompressedDomain(0)
-}
-
-func TestHandleExhaustion(t *testing.T) {
-	tr := New(prcu.NewEER(prcu.Options{MaxReaders: 1}), FuncDomain())
-	h := mustHandle(t, tr)
-	if _, err := tr.NewHandle(); err == nil {
-		t.Fatal("expected handle exhaustion error")
-	}
-	h.Close()
-	h2, err := tr.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2.Close()
 }

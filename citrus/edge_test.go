@@ -9,7 +9,7 @@ import (
 // TestExtremeKeys exercises the domain boundaries: key 0 (left edge of
 // every interval check) and MaxUint64-1 (just below the sentinel).
 func TestExtremeKeys(t *testing.T) {
-	tr := New(prcu.NewEER(prcu.Options{MaxReaders: 4}), FuncDomain())
+	tr := New(prcu.NewEER(prcu.Options{}), FuncDomain())
 	h := mustHandle(t, tr)
 	defer h.Close()
 	lo, hi := uint64(0), ^uint64(0)-1
@@ -33,7 +33,7 @@ func TestExtremeKeys(t *testing.T) {
 // TestDeleteRootWithTwoChildren forces the copy-successor path on the
 // tree's topmost real node repeatedly.
 func TestDeleteRootWithTwoChildren(t *testing.T) {
-	tr := New(prcu.NewD(prcu.Options{MaxReaders: 4}), CompressedDomain(8))
+	tr := New(prcu.NewD(prcu.Options{}), CompressedDomain(8))
 	h := mustHandle(t, tr)
 	defer h.Close()
 	// Chain of roots: each deletion of the current root (always given two
@@ -60,7 +60,7 @@ func TestDeleteRootWithTwoChildren(t *testing.T) {
 // TestSuccessorIsImmediateRightChild pins the prevSucc == curr branch of
 // deleteInternal (successor with no left subtree).
 func TestSuccessorIsImmediateRightChild(t *testing.T) {
-	tr := New(prcu.NewTimeRCU(prcu.Options{MaxReaders: 4}), WildcardDomain())
+	tr := New(prcu.NewTimeRCU(prcu.Options{}), WildcardDomain())
 	h := mustHandle(t, tr)
 	defer h.Close()
 	h.Insert(10, 1)
@@ -83,7 +83,7 @@ func TestSuccessorIsImmediateRightChild(t *testing.T) {
 // TestGetValueStability: Get must return the value stored by the insert
 // that created the key, across unrelated churn.
 func TestGetValueStability(t *testing.T) {
-	tr := New(prcu.NewDEER(prcu.Options{MaxReaders: 4}), CompressedDomain(16))
+	tr := New(prcu.NewDEER(prcu.Options{}), CompressedDomain(16))
 	h := mustHandle(t, tr)
 	defer h.Close()
 	h.Insert(7, 777)
@@ -99,7 +99,7 @@ func TestGetValueStability(t *testing.T) {
 // TestReinsertAfterInternalDelete: after the copy-successor dance, the
 // deleted key must be insertable again and land correctly.
 func TestReinsertAfterInternalDelete(t *testing.T) {
-	tr := New(prcu.NewD(prcu.Options{MaxReaders: 4}), CompressedDomain(8))
+	tr := New(prcu.NewD(prcu.Options{}), CompressedDomain(8))
 	h := mustHandle(t, tr)
 	defer h.Close()
 	for _, k := range []uint64{50, 25, 75, 60, 90} {
@@ -125,7 +125,7 @@ func TestReinsertAfterInternalDelete(t *testing.T) {
 // and the stale observation must fail Insert's validation; Insert's retry
 // then lands the key in BST order.
 func TestInsertRejectsStaleNilEdge(t *testing.T) {
-	tr := New(prcu.NewEER(prcu.Options{MaxReaders: 4}), FuncDomain())
+	tr := New(prcu.NewEER(prcu.Options{}), FuncDomain())
 	h1, h2 := mustHandle(t, tr), mustHandle(t, tr)
 	defer h1.Close()
 	defer h2.Close()
@@ -179,7 +179,7 @@ func TestDeleteInternalRejectsStaleSuccessorTag(t *testing.T) {
 		{"leftmost", []uint64{50, 30, 70, 60}, 60, 55, []uint64{30, 60, 70}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := New(prcu.NewD(prcu.Options{MaxReaders: 4}), CompressedDomain(8))
+			tr := New(prcu.NewD(prcu.Options{}), CompressedDomain(8))
 			h1, h2 := mustHandle(t, tr), mustHandle(t, tr)
 			defer h1.Close()
 			defer h2.Close()

@@ -10,7 +10,7 @@ import (
 // Build a CITRUS tree over D-PRCU with the paper's compressed key domain,
 // and run the basic operations through a handle.
 func Example() {
-	engine := prcu.NewD(prcu.Options{MaxReaders: 8})
+	engine := prcu.NewD(prcu.Options{})
 	tree := citrus.New(engine, citrus.CompressedDomain(1024))
 
 	h, err := tree.NewHandle()
@@ -38,7 +38,7 @@ func Example() {
 // flavor, so generic code can stay engine agnostic.
 func ExampleDefaultDomain() {
 	for _, f := range []prcu.Flavor{prcu.FlavorEER, prcu.FlavorD, prcu.FlavorTime} {
-		engine := prcu.MustNew(f, prcu.Options{MaxReaders: 4})
+		engine := prcu.MustNew(f, prcu.Options{})
 		tree := citrus.New(engine, citrus.DefaultDomain(f))
 		h, err := tree.NewHandle()
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 // TestSingleBucketExpansion starts from one bucket, the degenerate case
 // where the whole table is one chain and every expansion unzips it.
 func TestSingleBucketExpansion(t *testing.T) {
-	m := NewModulo(prcu.NewD(prcu.Options{MaxReaders: 4}), 1)
+	m := NewModulo(prcu.NewD(prcu.Options{}), 1)
 	h := mustHandle(t, m)
 	defer h.Close()
 	const n = 64
@@ -34,7 +34,7 @@ func TestSingleBucketExpansion(t *testing.T) {
 
 // TestExpandEmptyTable must be a no-op beyond doubling the array.
 func TestExpandEmptyTable(t *testing.T) {
-	m := NewModulo(prcu.NewTimeRCU(prcu.Options{MaxReaders: 2}), 4)
+	m := NewModulo(prcu.NewTimeRCU(prcu.Options{}), 4)
 	m.Expand()
 	if m.Buckets() != 8 || m.Size() != 0 {
 		t.Fatalf("Buckets=%d Size=%d", m.Buckets(), m.Size())
@@ -50,7 +50,7 @@ func TestExpandEmptyTable(t *testing.T) {
 // TestAlternatingRunsUnzip builds a chain that strictly alternates
 // destinations — the worst case for unzip (one wait per node).
 func TestAlternatingRunsUnzip(t *testing.T) {
-	m := NewModulo(prcu.NewEER(prcu.Options{MaxReaders: 2}), 2)
+	m := NewModulo(prcu.NewEER(prcu.Options{}), 2)
 	h := mustHandle(t, m)
 	defer h.Close()
 	// All keys in bucket 0 of a 2-bucket table (even keys), alternating
@@ -77,7 +77,7 @@ func TestAlternatingRunsUnzip(t *testing.T) {
 // TestValueUpdateVisibility: Delete+Insert of the same key must expose
 // the new value to handles.
 func TestValueUpdateVisibility(t *testing.T) {
-	m := NewModulo(prcu.NewDEER(prcu.Options{MaxReaders: 2}), 8)
+	m := NewModulo(prcu.NewDEER(prcu.Options{}), 8)
 	h := mustHandle(t, m)
 	defer h.Close()
 	m.Insert(5, 1)
@@ -92,7 +92,7 @@ func TestValueUpdateVisibility(t *testing.T) {
 // exactly a bucket pair; after many expansions over all engines the
 // table must still satisfy all invariants.
 func TestManyExpansionsAllEngines(t *testing.T) {
-	for name, mk := range mapVariants(4, 2) {
+	for name, mk := range mapVariants(2) {
 		t.Run(name, func(t *testing.T) {
 			m := mk()
 			for k := uint64(0); k < 100; k++ {

@@ -10,7 +10,7 @@ import (
 // Build the resizable hash table over D-PRCU, expand it, and observe that
 // contents and bucket structure survive.
 func Example() {
-	engine := prcu.NewD(prcu.Options{MaxReaders: 8})
+	engine := prcu.NewD(prcu.Options{})
 	m := hashtable.NewModulo(engine, 4)
 
 	for k := uint64(0); k < 16; k++ {

@@ -27,7 +27,7 @@ func FuzzHashtableResize(f *testing.F) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
-		m := NewModulo(prcu.NewEER(prcu.Options{MaxReaders: 4}), 2)
+		m := NewModulo(prcu.NewEER(prcu.Options{}), 2)
 		h, err := m.NewHandle()
 		if err != nil {
 			t.Fatal(err)

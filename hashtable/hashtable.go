@@ -233,9 +233,9 @@ type Handle[K comparable, V any] struct {
 	g *guard.R
 }
 
-// NewHandle registers a pinned reader slot for lookups. Registration only
-// fails when the engine was built with a reader cap; prefer Handle for
-// ephemeral goroutines.
+// NewHandle registers a pinned reader slot for lookups. Registration
+// fails only on an engine outside this module that can refuse a reader;
+// prefer Handle for ephemeral goroutines.
 func (m *Map[K, V]) NewHandle() (*Handle[K, V], error) {
 	rd, err := m.Engine().Register()
 	if err != nil {

@@ -12,19 +12,19 @@ import (
 	"prcu"
 )
 
-func mapVariants(maxReaders, buckets int) map[string]func() *Map[uint64, uint64] {
-	return mapVariantsOn(maxReaders, buckets, func(r prcu.RCU) prcu.RCU { return r })
+func mapVariants(buckets int) map[string]func() *Map[uint64, uint64] {
+	return mapVariantsOn(buckets, func(r prcu.RCU) prcu.RCU { return r })
 }
 
 // mapVariantsOn is mapVariants with every engine passed through wrap.
-func mapVariantsOn(maxReaders, buckets int, wrap func(prcu.RCU) prcu.RCU) map[string]func() *Map[uint64, uint64] {
+func mapVariantsOn(buckets int, wrap func(prcu.RCU) prcu.RCU) map[string]func() *Map[uint64, uint64] {
 	out := map[string]func() *Map[uint64, uint64]{}
 	for name, mk := range map[string]func(prcu.Options) prcu.RCU{
 		"EER": prcu.NewEER, "D": prcu.NewD, "DEER": prcu.NewDEER, "Time": prcu.NewTimeRCU,
 		"URCU": prcu.NewURCU, "Tree": prcu.NewTreeRCU, "Dist": prcu.NewDistRCU,
 	} {
 		out[name] = func() *Map[uint64, uint64] {
-			return NewModulo(wrap(mk(prcu.Options{MaxReaders: maxReaders})), buckets)
+			return NewModulo(wrap(mk(prcu.Options{})), buckets)
 		}
 	}
 	return out
@@ -57,11 +57,11 @@ func TestBucketCountValidation(t *testing.T) {
 			t.Fatal("non-power-of-two bucket count must panic")
 		}
 	}()
-	NewModulo(prcu.NewEER(prcu.Options{MaxReaders: 2}), 12)
+	NewModulo(prcu.NewEER(prcu.Options{}), 12)
 }
 
 func TestBasicOperations(t *testing.T) {
-	for name, mk := range mapVariants(4, 8) {
+	for name, mk := range mapVariants(8) {
 		t.Run(name, func(t *testing.T) {
 			m := mk()
 			h := mustHandle(t, m)
@@ -99,7 +99,7 @@ func TestBasicOperations(t *testing.T) {
 }
 
 func TestExpandPreservesContents(t *testing.T) {
-	for name, mk := range mapVariants(4, 4) {
+	for name, mk := range mapVariants(4) {
 		t.Run(name, func(t *testing.T) {
 			m := mk()
 			h := mustHandle(t, m)
@@ -158,7 +158,7 @@ func TestExpandAllocatesPerTableNotPerBucket(t *testing.T) {
 }
 
 func TestLoadFactor(t *testing.T) {
-	m := NewModulo(prcu.NewEER(prcu.Options{MaxReaders: 2}), 8)
+	m := NewModulo(prcu.NewEER(prcu.Options{}), 8)
 	for k := uint64(0); k < 16; k++ {
 		m.Insert(k, k)
 	}
@@ -172,7 +172,7 @@ func TestLoadFactor(t *testing.T) {
 }
 
 func TestSequentialAgainstModel(t *testing.T) {
-	m := NewModulo(prcu.NewD(prcu.Options{MaxReaders: 4}), 8)
+	m := NewModulo(prcu.NewD(prcu.Options{}), 8)
 	h := mustHandle(t, m)
 	defer h.Close()
 	model := map[uint64]uint64{}
@@ -215,7 +215,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 }
 
 func TestQuickInsertDeleteSet(t *testing.T) {
-	m := NewModulo(prcu.NewDEER(prcu.Options{MaxReaders: 4}), 16)
+	m := NewModulo(prcu.NewDEER(prcu.Options{}), 16)
 	h, err := m.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestLookupsDuringExpansion(t *testing.T) {
 	// once and each reader completes about one lookup per yield.
 	const minDuring = 500
 	var beforeWait func()
-	variants := mapVariantsOn(16, 4, func(r prcu.RCU) prcu.RCU {
+	variants := mapVariantsOn(4, func(r prcu.RCU) prcu.RCU {
 		return &hookedWaits{r, func() { beforeWait() }}
 	})
 	for name, mk := range variants {
@@ -363,7 +363,7 @@ func TestLookupsDuringExpansion(t *testing.T) {
 // TestUpdatesBlockedDuringExpansion verifies updates wait out an expansion
 // and then land correctly.
 func TestUpdatesBlockedDuringExpansion(t *testing.T) {
-	m := NewModulo(prcu.NewTimeRCU(prcu.Options{MaxReaders: 8}), 4)
+	m := NewModulo(prcu.NewTimeRCU(prcu.Options{}), 4)
 	for k := uint64(0); k < 200; k++ {
 		m.Insert(k, k)
 	}
@@ -411,7 +411,7 @@ func TestUpdatesBlockedDuringExpansion(t *testing.T) {
 
 // TestConcurrentUpdatesAndLookups stresses the non-expanding fast path.
 func TestConcurrentUpdatesAndLookups(t *testing.T) {
-	for name, mk := range mapVariants(16, 64) {
+	for name, mk := range mapVariants(64) {
 		t.Run(name, func(t *testing.T) {
 			m := mk()
 			var stop atomic.Bool
@@ -460,13 +460,4 @@ func TestConcurrentUpdatesAndLookups(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestHandleExhaustion(t *testing.T) {
-	m := NewModulo(prcu.NewEER(prcu.Options{MaxReaders: 1}), 4)
-	h := mustHandle(t, m)
-	if _, err := m.NewHandle(); err == nil {
-		t.Fatal("expected handle exhaustion")
-	}
-	h.Close()
 }

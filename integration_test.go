@@ -19,7 +19,7 @@ import (
 // one engine simultaneously: reader slots, values and predicates from the
 // two structures must coexist (values are opaque to PRCU, §3.1).
 func TestSharedEngineAcrossStructures(t *testing.T) {
-	r := prcu.NewD(prcu.Options{MaxReaders: 32})
+	r := prcu.NewD(prcu.Options{})
 	tree := citrus.New(r, citrus.CompressedDomain(64))
 	table := hashtable.NewModulo(r, 16)
 
@@ -93,7 +93,7 @@ func TestSharedEngineAcrossStructures(t *testing.T) {
 // retired object may only be recycled after a grace period covering its
 // key, and no reader must ever observe a recycled object.
 func TestAsyncReclamationPattern(t *testing.T) {
-	r := prcu.NewEER(prcu.Options{MaxReaders: 8})
+	r := prcu.NewEER(prcu.Options{})
 	rec := prcu.NewReclaimer(r, prcu.ReclaimConfig{Shards: 1, FlushDelay: -1})
 	defer rec.Close()
 
@@ -153,7 +153,7 @@ func TestAsyncReclamationPattern(t *testing.T) {
 // anomalies, but updates must still leave the tree structurally valid
 // (locks and validation, not grace periods, protect the structure).
 func TestCitrusOverSimulatedEngineStaysStructurallySound(t *testing.T) {
-	inner := prcu.NewTimeRCU(prcu.Options{MaxReaders: 16})
+	inner := prcu.NewTimeRCU(prcu.Options{})
 	r := prcu.NewSimulated(inner, 0)
 	tree := citrus.New(r, citrus.WildcardDomain())
 	var stop atomic.Bool
@@ -196,7 +196,7 @@ func TestEveryEngineDrivesBothApplications(t *testing.T) {
 	for _, f := range prcu.Flavors() {
 		f := f
 		t.Run(string(f), func(t *testing.T) {
-			r := prcu.MustNew(f, prcu.Options{MaxReaders: 8})
+			r := prcu.MustNew(f, prcu.Options{})
 			tree := citrus.New(r, citrus.DefaultDomain(f))
 			th, err := tree.NewHandle()
 			if err != nil {

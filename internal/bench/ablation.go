@@ -46,7 +46,7 @@ func Ablation(cfg Config) error {
 		for _, size := range sizes {
 			sz := size
 			v, err := run(
-				func() prcu.RCU { return core.NewD(0, sz) },
+				func() prcu.RCU { return core.NewD(sz) },
 				citrus.CompressedDomain(uint64(sz)),
 			)
 			if err != nil {
@@ -68,7 +68,7 @@ func Ablation(cfg Config) error {
 		for _, size := range sizes {
 			sz := size
 			v, err := run(
-				func() prcu.RCU { return core.NewDEER(0, sz, nil) },
+				func() prcu.RCU { return core.NewDEER(sz, nil) },
 				citrus.CompressedDomain(1024),
 			)
 			if err != nil {
@@ -93,7 +93,7 @@ func Ablation(cfg Config) error {
 			budget := opt.budget
 			v, err := run(
 				func() prcu.RCU {
-					d := core.NewD(0, 1024)
+					d := core.NewD(1024)
 					d.SetOptimisticBudget(budget)
 					return d
 				},
@@ -124,7 +124,7 @@ func Ablation(cfg Config) error {
 		for _, c := range clocks {
 			mkClock := c.mk
 			v, err := run(
-				func() prcu.RCU { return core.NewEER(0, mkClock()) },
+				func() prcu.RCU { return core.NewEER(mkClock()) },
 				citrus.FuncDomain(),
 			)
 			if err != nil {

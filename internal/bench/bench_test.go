@@ -81,7 +81,7 @@ func TestRunMixProducesThroughput(t *testing.T) {
 }
 
 func TestInstrumentedRecordsWaits(t *testing.T) {
-	inst := NewInstrumented(prcu.NewTimeRCU(prcu.Options{MaxReaders: 4}))
+	inst := NewInstrumented(prcu.NewTimeRCU(prcu.Options{}))
 	for i := 0; i < 10; i++ {
 		inst.WaitForReaders(prcu.All())
 	}
@@ -106,14 +106,14 @@ func TestInstrumentedRecordsWaits(t *testing.T) {
 	rd.Enter(1)
 	rd.Exit(1)
 	rd.Unregister()
-	if inst.Name() != "Time RCU" || inst.MaxReaders() != 4 {
+	if inst.Name() != "Time RCU" {
 		t.Fatal("instrumented wrapper must delegate metadata")
 	}
 }
 
 func TestSetAdapters(t *testing.T) {
 	sets := map[string]Set{
-		"citrus": NewCitrusSet(prcu.NewEER(prcu.Options{MaxReaders: 4}), citrus.FuncDomain()),
+		"citrus": NewCitrusSet(prcu.NewEER(prcu.Options{}), citrus.FuncDomain()),
 		"opt":    NewOptTreeSet(),
 		"lf":     NewLFTreeSet(),
 	}

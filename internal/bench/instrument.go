@@ -43,9 +43,6 @@ func NewInstrumented(inner prcu.RCU) *InstrumentedRCU {
 // Name implements prcu.RCU.
 func (i *InstrumentedRCU) Name() string { return i.inner.Name() }
 
-// MaxReaders implements prcu.RCU.
-func (i *InstrumentedRCU) MaxReaders() int { return i.inner.MaxReaders() }
-
 // Register implements prcu.RCU.
 func (i *InstrumentedRCU) Register() (prcu.Reader, error) { return i.inner.Register() }
 

@@ -188,9 +188,6 @@ func (r *rng) next() uint64 {
 // Name implements core.RCU.
 func (e *Engine) Name() string { return "chaos(" + e.inner.Name() + ")" }
 
-// MaxReaders implements core.RCU.
-func (e *Engine) MaxReaders() int { return e.inner.MaxReaders() }
-
 // Stats implements core.RCU.
 func (e *Engine) Stats() obs.Snapshot { return e.inner.Stats() }
 

@@ -17,17 +17,17 @@ import (
 // freshly constructed, so the chaos schedules run against each wait
 // protocol (timestamp scan, counter gates, phase flips, combining
 // tree, per-reader generations).
-func engines(maxReaders int) map[string]func() core.RCU {
+func engines() map[string]func() core.RCU {
 	return map[string]func() core.RCU{
-		"EER":    func() core.RCU { return core.NewEER(maxReaders, nil) },
-		"D":      func() core.RCU { return core.NewD(maxReaders, 64) },
-		"DEER":   func() core.RCU { return core.NewDEER(maxReaders, 16, nil) },
-		"Time":   func() core.RCU { return core.NewTimeRCU(maxReaders, nil) },
-		"URCU":   func() core.RCU { return core.NewURCU(maxReaders) },
-		"Tree":   func() core.RCU { return core.NewTreeRCU(maxReaders) },
-		"Dist":   func() core.RCU { return core.NewDistRCU(maxReaders) },
-		"SRCU":   func() core.RCU { return core.NewSRCU(maxReaders) },
-		"Packed": func() core.RCU { return core.NewPacked(maxReaders) },
+		"EER":    func() core.RCU { return core.NewEER(nil) },
+		"D":      func() core.RCU { return core.NewD(64) },
+		"DEER":   func() core.RCU { return core.NewDEER(16, nil) },
+		"Time":   func() core.RCU { return core.NewTimeRCU(nil) },
+		"URCU":   func() core.RCU { return core.NewURCU() },
+		"Tree":   func() core.RCU { return core.NewTreeRCU() },
+		"Dist":   func() core.RCU { return core.NewDistRCU() },
+		"SRCU":   func() core.RCU { return core.NewSRCU() },
+		"Packed": func() core.RCU { return core.NewPacked() },
 	}
 }
 
@@ -64,7 +64,7 @@ type csRecord struct {
 // that the schedule actually injected faults (a chaos test that
 // injected nothing proves nothing).
 func TestChaosTortureSafety(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) { chaosTorture(t, mk()) })
 	}
 }
@@ -81,9 +81,9 @@ func TestChaosTortureJitteredClock(t *testing.T) {
 		"Logical":   func() core.Clock { return tsc.NewLogical() },
 	}
 	flavors := map[string]func(c core.Clock) core.RCU{
-		"EER":  func(c core.Clock) core.RCU { return core.NewEER(16, c) },
-		"DEER": func(c core.Clock) core.RCU { return core.NewDEER(16, 16, c) },
-		"Time": func(c core.Clock) core.RCU { return core.NewTimeRCU(16, c) },
+		"EER":  func(c core.Clock) core.RCU { return core.NewEER(c) },
+		"DEER": func(c core.Clock) core.RCU { return core.NewDEER(16, c) },
+		"Time": func(c core.Clock) core.RCU { return core.NewTimeRCU(c) },
 	}
 	for fname, mk := range flavors {
 		for sname, src := range sources {
@@ -214,7 +214,7 @@ func chaosTorture(t *testing.T, inner core.RCU) {
 func TestChaosStallWatchdog(t *testing.T) {
 	timeout := scaleDur(10*time.Millisecond, 5*time.Millisecond)
 	stallFor := 6 * timeout
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			inner := mk()
 			e := Wrap(inner, Config{Seed: 0x5eed_0002, Stall: 1.0, StallDur: stallFor})
@@ -268,7 +268,7 @@ func TestChaosStallWatchdog(t *testing.T) {
 // wait does. Run over every flavor behind wait jitter.
 func TestChaosCtxDeadline(t *testing.T) {
 	deadline := scaleDur(200*time.Millisecond, 100*time.Millisecond)
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			e := Wrap(mk(), Config{Seed: 0x5eed_0003, WaitJitter: 0.5})
 			rd, err := e.Register()
@@ -314,9 +314,9 @@ func TestChaosCtxDeadline(t *testing.T) {
 // deadline.
 func TestChaosCtxExcludedCompletes(t *testing.T) {
 	prcuEngines := map[string]func() core.RCU{
-		"EER":  func() core.RCU { return core.NewEER(16, nil) },
-		"D":    func() core.RCU { return core.NewD(16, 1024) },
-		"DEER": func() core.RCU { return core.NewDEER(16, 16, nil) },
+		"EER":  func() core.RCU { return core.NewEER(nil) },
+		"D":    func() core.RCU { return core.NewD(1024) },
+		"DEER": func() core.RCU { return core.NewDEER(16, nil) },
 	}
 	for name, mk := range prcuEngines {
 		t.Run(name, func(t *testing.T) {
@@ -349,7 +349,7 @@ func TestChaosCtxExcludedCompletes(t *testing.T) {
 // wrapped with the same seed give reader k the same fault decisions.
 func TestChaosDeterministicStreams(t *testing.T) {
 	mk := func() *Engine {
-		return Wrap(core.NewEER(4, nil), Config{
+		return Wrap(core.NewEER(nil), Config{
 			Seed:         42,
 			EnterJitter:  0.3,
 			ExitDelay:    0.2,
@@ -381,7 +381,7 @@ func TestChaosDeterministicStreams(t *testing.T) {
 // guarantee: a panicking callback under chaos still exits the
 // critical section, so a covering wait afterwards completes.
 func TestChaosReaderPanicSafety(t *testing.T) {
-	e := Wrap(core.NewEER(4, nil), Config{Seed: 7, EnterJitter: 1.0})
+	e := Wrap(core.NewEER(nil), Config{Seed: 7, EnterJitter: 1.0})
 	rd, err := e.Register()
 	if err != nil {
 		t.Fatal(err)

@@ -22,11 +22,10 @@ type DistRCU struct {
 	base[pad.Uint64]
 }
 
-// NewDistRCU returns a distributed-counters RCU engine capped at
-// maxReaders concurrent readers (0 = grow on demand).
-func NewDistRCU(maxReaders int) *DistRCU {
+// NewDistRCU returns a distributed-counters RCU engine.
+func NewDistRCU() *DistRCU {
 	d := &DistRCU{}
-	d.setup(d, maxReaders, zeroSeg[pad.Uint64])
+	d.setup(d, 1, zeroSeg[pad.Uint64])
 	return d
 }
 
@@ -43,10 +42,7 @@ type distReader struct {
 
 // Register implements RCU.
 func (d *DistRCU) Register() (Reader, error) {
-	slot, g, err := d.reg.acquire()
-	if err != nil {
-		return nil, err
-	}
+	slot, g := d.reg.acquire()
 	if g.Load()&1 == 1 {
 		panic("prcu: reader slot reused while marked in-CS")
 	}

@@ -21,6 +21,9 @@
 //     structure operations as quiescent.
 //   - Dist RCU (§2.2): Arbel–Attiya distributed per-reader counters.
 //
+// EER-PRCU, DEER-PRCU and Time RCU run on one timestamp kernel (deer.go),
+// D-PRCU and SRCU on one counter kernel (dprcu.go); see those files.
+//
 // All engines accept the full PRCU interface; the plain-RCU baselines ignore
 // the value and predicate arguments, which makes them drop-in comparators.
 //

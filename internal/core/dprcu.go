@@ -57,13 +57,28 @@ func newDTable(size int) *dTable {
 	return &dTable{nodes: make([]dNode, size), mask: uint64(size - 1)}
 }
 
-func (t *dTable) index(v Value) uint64 { return hashValue(v) & t.mask }
+// index is h_rcu(v) masked; a one-entry table (SRCU) skips the hash.
+func (t *dTable) index(v Value) uint64 {
+	if t.mask == 0 {
+		return 0
+	}
+	return hashValue(v) & t.mask
+}
 
-// D implements D-PRCU (Algorithm 2). Readers hash their value into the
-// counter table; wait-for-readers drains only the nodes covered by an
-// enumerable predicate, making its cost O(|P⁻¹|) — independent of the
-// number of threads. General (non-enumerable) predicates fall back to
-// draining the whole table, as described in §4.2.
+// D is the counter kernel, parameterised by the table size and whether
+// waits use the reader's value (DESIGN.md §5). As NewD builds it, it is
+// D-PRCU (Algorithm 2): readers hash their value into the counter table;
+// wait-for-readers drains only the nodes covered by an enumerable
+// predicate, making its cost O(|P⁻¹|) — independent of the number of
+// threads. General (non-enumerable) predicates fall back to draining the
+// whole table, as described in §4.2.
+//
+// NewSRCU builds it as McKenney's Sleepable RCU (§7), the origin of
+// D-PRCU's two-counter protocol. Each SRCU instance is an isolated
+// subsystem: a wait in one never waits for readers of another, whereas
+// PRCU subdivides waiting *within* one data structure by value. SRCU is
+// D-PRCU with a single counter node and no predicate; in the harness it
+// behaves like a plain RCU whose readers pay one atomic RMW.
 type D struct {
 	// D-PRCU readers carry no scanned per-slot state — the counter table
 	// is the shared state — but slots still bound and account for the
@@ -77,17 +92,31 @@ type D struct {
 	// optBudget is the optimistic-waiting budget; <= 0 goes straight to
 	// the gate protocol. Tunable (before use) for the ablation study.
 	optBudget int
+	// values is false for SRCU: every wait drains the whole table.
+	values bool
+	name   string
+	// Every Enter reads tbl. The pad makes the struct exactly two cache
+	// lines, a line-aligned size class, so that no neighbouring allocation
+	// shares a line with it.
+	_ [24]byte
 }
 
-// NewD returns a D-PRCU engine capped at maxReaders concurrent readers
-// (0 = grow on demand). tableSize is the counter-table size |C| and must
-// be a power of two; 0 selects the paper's default of 1024.
-func NewD(maxReaders, tableSize int) *D {
+// NewD returns a D-PRCU engine. tableSize is the counter-table size |C|
+// and must be a power of two; 0 selects the paper's default of 1024.
+func NewD(tableSize int) *D {
 	if tableSize == 0 {
 		tableSize = DefaultCounterTableSize
 	}
-	d := &D{optBudget: optimisticBudget}
-	d.setup(d, maxReaders, zeroSeg[struct{}])
+	return newCounter("D-PRCU", tableSize, true)
+}
+
+// NewSRCU returns an SRCU instance ("subsystem"): the counter kernel with
+// one entry, values off.
+func NewSRCU() *D { return newCounter("SRCU", 1, false) }
+
+func newCounter(name string, tableSize int, values bool) *D {
+	d := &D{optBudget: optimisticBudget, values: values, name: name}
+	d.setup(d, 1, zeroSeg[struct{}])
 	d.tbl.Store(newDTable(tableSize))
 	return d
 }
@@ -99,7 +128,7 @@ func NewD(maxReaders, tableSize int) *D {
 func (d *D) SetOptimisticBudget(budget int) { d.optBudget = budget }
 
 // Name implements RCU.
-func (d *D) Name() string { return "D-PRCU" }
+func (d *D) Name() string { return d.name }
 
 // TableSize returns |C|, the current counter table size.
 func (d *D) TableSize() int { return len(d.tbl.Load().nodes) }
@@ -133,18 +162,16 @@ type dReader struct {
 
 // Register implements RCU.
 func (d *D) Register() (Reader, error) {
-	slot, _, err := d.reg.acquire()
-	if err != nil {
-		return nil, err
-	}
+	slot, _ := d.reg.acquire()
 	return &dReader{d: d, lane: d.lane(slot), slot: slot}, nil
 }
 
-// Enter implements Reader (Algorithm 2 lines 4–7). The fetch-and-add is an
-// SC atomic RMW, which supplies the fence the paper notes TSO gets for free
-// from the atomic operation. The table pointer is re-validated after the
-// increment so an Enter racing a Resize can never count itself in a
-// generation that has already been drained and abandoned.
+// Enter implements Reader (Algorithm 2 lines 4–7; srcu_read_lock). The
+// fetch-and-add is an SC atomic RMW, which supplies the fence the paper
+// notes TSO gets for free from the atomic operation. The table pointer is
+// re-validated after the increment so an Enter racing a Resize can never
+// count itself in a generation that has already been drained and
+// abandoned.
 func (r *dReader) Enter(v Value) {
 	r.check()
 	if r.inCS {
@@ -166,7 +193,7 @@ func (r *dReader) Enter(v Value) {
 	}
 }
 
-// Exit implements Reader (Algorithm 2 lines 8–9).
+// Exit implements Reader (Algorithm 2 lines 8–9; srcu_read_unlock).
 func (r *dReader) Exit(v Value) {
 	r.check()
 	if !r.inCS {
@@ -200,13 +227,16 @@ func (r *dReader) Unregister() {
 func (d *D) WaitForReaders(p Predicate) { d.WaitForReadersCtx(nil, p) }
 
 // WaitForReadersCtx implements RCU: wait-for-readers (Algorithm 2 lines
-// 10–13), bounded by ctx when it is non-nil. For enumerable predicates it
-// drains only the covered nodes, deduplicating indices so hash collisions
-// within P⁻¹ never drain a node twice (§4.2 footnote 2). For general
-// predicates it applies the protocol at every node, the fallback §4.2
-// describes. If a table resize is in flight, the previous generation is
-// drained in full — readers counted there may hold any value, so only a
-// global drain of that generation is conservative enough.
+// 10–13; synchronize_srcu), bounded by ctx when it is non-nil. For
+// enumerable predicates it drains only the covered nodes, deduplicating
+// indices so hash collisions within P⁻¹ never drain a node twice (§4.2
+// footnote 2), and stops enumerating once every node has been drained.
+// For general predicates, a one-entry table and SRCU (whose predicate only
+// feeds stall reports) it drains every node, the fallback §4.2 describes,
+// hashing and enumerating nothing. If a table resize is in flight, the
+// previous generation is drained in full — readers counted there may hold
+// any value, so only a global drain of that generation is conservative
+// enough.
 //
 // The "readers scanned / waited for" selectivity is counted over counter
 // nodes — the unit D-PRCU's waits actually visit and block on — and blame
@@ -220,7 +250,7 @@ func (d *D) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	// drainNode by SC atomics (the paper's line 11 fence).
 	t := d.tbl.Load()
 	var ok bool
-	if p.Enumerable() {
+	if d.values && t.mask != 0 && p.Enumerable() {
 		ok = d.drainCovered(&s, t, p)
 	} else {
 		ok = d.drainAll(&s, t)
@@ -242,7 +272,7 @@ func (d *D) drainAll(s *waitSession, t *dTable) bool {
 }
 
 // drainCovered drains the nodes of t that p's values hash to, each once,
-// stopping early on cancellation.
+// stopping early on cancellation or once every node of t is drained.
 func (d *D) drainCovered(s *waitSession, t *dTable, p Predicate) bool {
 	// Dedup covered indices. Predicates in practice cover very few values
 	// (a bucket pair, a small key interval), so a small linear buffer
@@ -250,7 +280,7 @@ func (d *D) drainCovered(s *waitSession, t *dTable, p Predicate) bool {
 	var small [16]uint64
 	seen := small[:0]
 	var bitmap []uint64
-	ok := true
+	ok, drained := true, 0
 	p.ForEach(func(v Value) bool {
 		idx := t.index(v)
 		if bitmap == nil {
@@ -275,7 +305,8 @@ func (d *D) drainCovered(s *waitSession, t *dTable, p Predicate) bool {
 			bitmap[idx/64] |= 1 << (idx % 64)
 		}
 		ok = drainNode(s, &t.nodes[idx], int(idx), d.optBudget)
-		return ok
+		drained++
+		return ok && drained < len(t.nodes)
 	})
 	return ok
 }
@@ -292,7 +323,9 @@ const (
 // counter (Lemma 1), first optimistically and then via the gate protocol
 // (Algorithm 2 lines 14–20), piggybacking on a concurrent drain when the
 // node lock is contended. It returns false when the wait was cancelled.
-// SRCU's wait is this function applied to its one node.
+// SRCU's wait is this function applied to its one node; as with D-PRCU,
+// aborting mid-gate releases the lock without advancing the drains
+// counter, leaving the protocol restartable.
 //
 // The protocol is the node's blocking test: a little state machine that
 // advances as far as it can each time the session polls it and reports
@@ -387,10 +420,11 @@ func drainBusyNode(s *waitSession, n *dNode, idx, budget int) bool {
 	return ok
 }
 
-// stalledReaders implements engine. D-PRCU waits block on counter nodes,
-// not readers, so Slot is the counter-node index in the current table; for
-// an enumerable predicate Value records one covered value that hashes to
-// the node (the diagnostic the hash obscures otherwise).
+// stalledReaders implements engine. Counter-kernel waits block on counter
+// nodes, not readers, so Slot is the counter-node index in the current
+// table; for an enumerable predicate Value records one covered value that
+// hashes to the node (the diagnostic the hash obscures otherwise). SRCU
+// reports its busy nodes with no value.
 func (d *D) stalledReaders(p Predicate) []StalledReader {
 	t := d.tbl.Load()
 	var out []StalledReader
@@ -400,7 +434,7 @@ func (d *D) stalledReaders(p Predicate) []StalledReader {
 			out = append(out, sr)
 		}
 	}
-	if !p.Enumerable() {
+	if !d.values || !p.Enumerable() {
 		for j := range t.nodes {
 			report(j, StalledReader{})
 		}
@@ -412,7 +446,7 @@ func (d *D) stalledReaders(p Predicate) []StalledReader {
 			seen[idx] = true
 			report(int(idx), StalledReader{Value: v, HasValue: true})
 		}
-		return true
+		return len(seen) < len(t.nodes)
 	})
 	return out
 }

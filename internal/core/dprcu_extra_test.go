@@ -9,27 +9,40 @@ import (
 )
 
 // TestDrainCoveredBitmapSpill drives WaitForReaders with an interval wide
-// enough to overflow the small dedup buffer into the bitmap path, and
-// verifies dedup by counting drains on a 1-node table (every value
-// collides, so the node must be drained exactly once).
+// enough to overflow the small dedup buffer into the bitmap path and to
+// cover every node of a 32-node table many times over, and verifies dedup
+// and the early stop by counting drains: each node exactly once.
 func TestDrainCoveredBitmapSpill(t *testing.T) {
-	d := NewD(4, 1)
+	d := NewD(32)
 	tbl := d.tbl.Load()
-	before := tbl.nodes[0].drains.Load()
+	var before [32]uint64
+	for i := range before {
+		before[i] = tbl.nodes[i].drains.Load()
+	}
 	// Disable optimistic waiting so every drain goes through the gate
 	// protocol and bumps the drain counter.
 	d.SetOptimisticBudget(0)
-	d.WaitForReaders(Interval(0, 63)) // 64 values, all hash to node 0
-	after := tbl.nodes[0].drains.Load()
-	if got := after - before; got != 1 {
-		t.Fatalf("node drained %d times for 64 colliding values, want exactly 1", got)
+	d.WaitForReaders(Interval(0, 1023)) // 1024 values, 32 per node on average
+	for i := range before {
+		if got := tbl.nodes[i].drains.Load() - before[i]; got != 1 {
+			t.Fatalf("node %d drained %d times, want exactly 1", i, got)
+		}
+	}
+	// On a one-entry table every value collides: the wait drains the
+	// node once without enumerating.
+	d1 := NewD(1)
+	d1.SetOptimisticBudget(0)
+	n := &d1.tbl.Load().nodes[0]
+	d1.WaitForReaders(Interval(0, 63))
+	if got := n.drains.Load(); got != 1 {
+		t.Fatalf("one-entry node drained %d times for 64 colliding values, want exactly 1", got)
 	}
 }
 
 // TestDrainCoveredBitmapSpillWideTable exercises the spill path on a
 // larger table where the interval genuinely covers many distinct nodes.
 func TestDrainCoveredBitmapSpillWideTable(t *testing.T) {
-	d := NewD(4, 256)
+	d := NewD(256)
 	d.SetOptimisticBudget(0)
 	tbl := d.tbl.Load()
 	sum := func() (s uint64) {
@@ -54,7 +67,7 @@ func TestDrainCoveredBitmapSpillWideTable(t *testing.T) {
 // TestBatchingPiggyback: a drain that finds the node lock held must
 // complete once two full drains finish, without acquiring the lock.
 func TestBatchingPiggyback(t *testing.T) {
-	d := NewD(8, 1)
+	d := NewD(1)
 	d.SetOptimisticBudget(0)
 	tbl := d.tbl.Load()
 	n := &tbl.nodes[0]
@@ -92,7 +105,7 @@ func TestBatchingPiggyback(t *testing.T) {
 // TestConcurrentDrainsSameNode floods one node with concurrent waits
 // under reader churn: all must terminate and the counters return to zero.
 func TestConcurrentDrainsSameNode(t *testing.T) {
-	d := NewD(16, 1)
+	d := NewD(1)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -146,7 +159,7 @@ func TestConcurrentDrainsSameNode(t *testing.T) {
 // TestResizeWhileWaitersRun interleaves resizes with singleton waits —
 // waits that load the old generation must drain it and stay safe.
 func TestResizeConcurrentWithWaits(t *testing.T) {
-	d := NewD(16, 16)
+	d := NewD(16)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {

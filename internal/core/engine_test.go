@@ -1,48 +1,17 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"prcu/internal/pad"
 	"prcu/internal/tsc"
 )
 
-func TestRegisterExhaustion(t *testing.T) {
-	for name, mk := range engines(3) {
-		t.Run(name, func(t *testing.T) {
-			r := mk()
-			if r.MaxReaders() != 3 {
-				t.Fatalf("MaxReaders = %d, want 3", r.MaxReaders())
-			}
-			var rds []Reader
-			for i := 0; i < 3; i++ {
-				rd, err := r.Register()
-				if err != nil {
-					t.Fatalf("register %d: %v", i, err)
-				}
-				rds = append(rds, rd)
-			}
-			if _, err := r.Register(); !errors.Is(err, ErrTooManyReaders) {
-				t.Fatalf("4th register error = %v, want ErrTooManyReaders", err)
-			}
-			rds[1].Unregister()
-			rd, err := r.Register()
-			if err != nil {
-				t.Fatalf("register after release: %v", err)
-			}
-			rd.Enter(1)
-			rd.Exit(1)
-			rd.Unregister()
-			rds[0].Unregister()
-			rds[2].Unregister()
-		})
-	}
-}
-
 func TestEnterExitCycle(t *testing.T) {
-	for name, mk := range engines(4) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, err := r.Register()
@@ -61,7 +30,7 @@ func TestEnterExitCycle(t *testing.T) {
 }
 
 func TestWaitWithNoReaders(t *testing.T) {
-	for name, mk := range engines(4) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			// Must return immediately with nobody registered.
@@ -72,7 +41,7 @@ func TestWaitWithNoReaders(t *testing.T) {
 }
 
 func TestWaitWithQuiescentReaders(t *testing.T) {
-	for name, mk := range engines(4) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, _ := r.Register()
@@ -91,7 +60,7 @@ func TestNames(t *testing.T) {
 		"Time": "Time RCU", "URCU": "URCU", "Tree": "Tree RCU",
 		"Dist": "Dist RCU", "SRCU": "SRCU", "Packed": "Packed RCU",
 	}
-	for name, mk := range engines(2) {
+	for name, mk := range engines() {
 		if got := mk().Name(); got != want[name] {
 			t.Errorf("%s Name() = %q, want %q", name, got, want[name])
 		}
@@ -104,18 +73,18 @@ func TestDPRCUTableSizeValidation(t *testing.T) {
 			t.Fatal("non-power-of-two table size must panic")
 		}
 	}()
-	NewD(4, 100)
+	NewD(100)
 }
 
 func TestDPRCUDefaultTableSize(t *testing.T) {
-	d := NewD(4, 0)
+	d := NewD(0)
 	if d.TableSize() != DefaultCounterTableSize {
 		t.Fatalf("TableSize = %d, want %d", d.TableSize(), DefaultCounterTableSize)
 	}
 }
 
 func TestDPRCUNestingPanics(t *testing.T) {
-	d := NewD(4, 64)
+	d := NewD(64)
 	rd, _ := d.Register()
 	rd.Enter(1)
 	defer func() {
@@ -128,7 +97,7 @@ func TestDPRCUNestingPanics(t *testing.T) {
 }
 
 func TestDPRCUExitWithoutEnterPanics(t *testing.T) {
-	d := NewD(4, 64)
+	d := NewD(64)
 	rd, _ := d.Register()
 	defer func() {
 		if recover() == nil {
@@ -139,7 +108,7 @@ func TestDPRCUExitWithoutEnterPanics(t *testing.T) {
 }
 
 func TestDPRCUMismatchedExitPanics(t *testing.T) {
-	d := NewD(4, 64)
+	d := NewD(64)
 	rd, _ := d.Register()
 	rd.Enter(1)
 	// Find a value mapping to a different table node than 1.
@@ -157,7 +126,7 @@ func TestDPRCUMismatchedExitPanics(t *testing.T) {
 }
 
 func TestDPRCUCountersReturnToZero(t *testing.T) {
-	d := NewD(8, 64)
+	d := NewD(64)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -189,7 +158,7 @@ func TestDPRCUCountersReturnToZero(t *testing.T) {
 // sections spanning the swap stay covered, the new size takes effect, and
 // the old generation fully drains.
 func TestDPRCUResize(t *testing.T) {
-	d := NewD(8, 64)
+	d := NewD(64)
 	rd, _ := d.Register()
 	rd.Enter(5)
 	resized := make(chan struct{})
@@ -234,7 +203,7 @@ func TestDPRCUResize(t *testing.T) {
 // TestDPRCUResizeUnderChurn resizes repeatedly while readers and waiters
 // run; the safety harness invariant must hold throughout.
 func TestDPRCUResizeUnderChurn(t *testing.T) {
-	d := NewD(16, 16)
+	d := NewD(16)
 	h := newSafetyHarness(d, 8)
 	for i := 0; i < 8; i++ {
 		id := i
@@ -260,7 +229,7 @@ func TestDPRCUResizeUnderChurn(t *testing.T) {
 func TestDPRCUGateDrainUnderForcedSlowPath(t *testing.T) {
 	// Force the full gate protocol by keeping one phase occupied past the
 	// optimistic budget, then verify the drain completes once released.
-	d := NewD(4, 1)
+	d := NewD(1)
 	rd, _ := d.Register()
 	rd.Enter(5)
 	done := make(chan struct{})
@@ -287,16 +256,34 @@ func TestDPRCUGateDrainUnderForcedSlowPath(t *testing.T) {
 }
 
 func TestDEERNodesPerReaderValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two nodes-per-reader must panic")
+	// 12 is not a power of two; 128 is, but a wait's visited set is one
+	// 64-bit word, so nodes 64..127 would be skipped.
+	for _, n := range []int{12, 128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewDEER(%d) must panic", n)
+				}
+			}()
+			NewDEER(n, nil)
+		}()
+	}
+	NewDEER(64, nil) // the largest table one word covers
+}
+
+// TestKernelEnginesFillLines pins both kernels' engine structs to whole
+// cache lines: every Enter reads them, and a size class that is not
+// line-aligned would let a neighbouring allocation share their lines.
+func TestKernelEnginesFillLines(t *testing.T) {
+	for name, n := range map[string]uintptr{"DEER": unsafe.Sizeof(DEER{}), "D": unsafe.Sizeof(D{})} {
+		if n%pad.CacheLineSize != 0 {
+			t.Errorf("sizeof(%s) = %d, want a multiple of %d", name, n, pad.CacheLineSize)
 		}
-	}()
-	NewDEER(4, 12, nil)
+	}
 }
 
 func TestDEERDefaultNodes(t *testing.T) {
-	d := NewDEER(4, 0, nil)
+	d := NewDEER(0, nil)
 	if d.NodesPerReader() != DefaultNodesPerReader {
 		t.Fatalf("NodesPerReader = %d, want %d", d.NodesPerReader(), DefaultNodesPerReader)
 	}
@@ -309,15 +296,31 @@ func TestTreeRCULevels(t *testing.T) {
 		{1, 1}, {8, 1}, {9, 2}, {64, 2}, {65, 3}, {256, 3},
 	}
 	for _, c := range cases {
-		tr := NewTreeRCU(c.readers)
-		if got := tr.Levels(); got != c.levels {
+		if got := len(buildTree(c.readers).levels); got != c.levels {
 			t.Errorf("Levels(%d readers) = %d, want %d", c.readers, got, c.levels)
 		}
+	}
+	// The engine sizes its tree to the registry's allocated slots: one
+	// 64-slot segment, then two once a 65th reader registers.
+	tr := NewTreeRCU()
+	if got := tr.Levels(); got != 2 {
+		t.Errorf("Levels(64 slots) = %d, want 2", got)
+	}
+	rds := make([]Reader, 65)
+	for i := range rds {
+		rds[i] = mustRegister(t, tr)
+	}
+	tr.WaitForReaders(All())
+	if got := tr.Levels(); got != 3 {
+		t.Errorf("Levels(128 slots) = %d, want 3", got)
+	}
+	for _, rd := range rds {
+		rd.Unregister()
 	}
 }
 
 func TestTreeRCUTreeDrainsToZero(t *testing.T) {
-	tr := NewTreeRCU(64)
+	tr := NewTreeRCU()
 	var rds []Reader
 	for i := 0; i < 64; i++ {
 		rd, err := tr.Register()
@@ -354,7 +357,7 @@ func TestTreeRCUTreeDrainsToZero(t *testing.T) {
 }
 
 func TestUnregisterInsideCSPanics(t *testing.T) {
-	for name, mk := range engines(4) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, _ := r.Register()
@@ -374,7 +377,7 @@ func TestUnregisterInsideCSPanics(t *testing.T) {
 }
 
 func TestURCUPhaseFlip(t *testing.T) {
-	u := NewURCU(4)
+	u := NewURCU()
 	g0 := u.gp.Load()
 	if g0&urcuCount == 0 {
 		t.Fatal("global counter must carry the online (count) bit")
@@ -419,11 +422,11 @@ func TestURCUOngoing(t *testing.T) {
 
 func TestEERReaderValueVisibleToWaiter(t *testing.T) {
 	clock := tsc.NewManual(100)
-	e := NewEER(4, clock)
+	e := NewEER(clock)
 	rd, _ := e.Register()
 	rd.Enter(77)
 	// The waiter must see the reader's posted value and wait on it.
-	node := rd.(*eerReader).node
+	node := &rd.(*stampReader).table[0]
 	if got := node.value.Load(); got != 77 {
 		t.Fatalf("posted value = %d, want 77", got)
 	}
@@ -435,10 +438,62 @@ func TestEERReaderValueVisibleToWaiter(t *testing.T) {
 		t.Fatalf("time after exit = %d, want Infinity", got)
 	}
 	rd.Unregister()
+
+	// Time RCU runs the same kernel with values off: Enter posts its time
+	// but leaves the node's value untouched.
+	tr := NewTimeRCU(clock)
+	rd, _ = tr.Register()
+	node = &rd.(*stampReader).table[0]
+	rd.Enter(77)
+	if got := node.value.Load(); got != 0 {
+		t.Fatalf("Time RCU posted value = %d, want the node's untouched 0", got)
+	}
+	if got := node.time.Load(); got != 100 {
+		t.Fatalf("Time RCU posted time = %d, want 100", got)
+	}
+	rd.Exit(77)
+	rd.Unregister()
+}
+
+// TestWaitStopsEnumeratingOnceTableCovered: with one idle reader, a wait on
+// a 2^20-value iterable predicate calls next only until every node of the
+// table has been visited. One-node and one-entry tables, and the engines
+// that wait for every reader, enumerate nothing.
+func TestWaitStopsEnumeratingOnceTableCovered(t *testing.T) {
+	cases := []struct {
+		name string
+		r    RCU
+		max  int64 // next calls allowed
+	}{
+		{"EER", NewEER(nil), 0},
+		{"Time", NewTimeRCU(nil), 0},
+		{"SRCU", NewSRCU(), 0},
+		{"DEER(1)", NewDEER(1, nil), 0},
+		{"D(1)", NewD(1), 0},
+		{"DEER(16)", NewDEER(16, nil), 999},
+		{"D(1024)", NewD(1024), 1<<16 - 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rd, err := c.r.Register()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd.Enter(3)
+			rd.Exit(3)
+			var calls int64
+			next := func(v Value) Value { calls++; return v + 1 }
+			c.r.WaitForReaders(Iterable(0, 1<<20, next))
+			if calls > c.max {
+				t.Fatalf("wait called next %d times, want at most %d", calls, c.max)
+			}
+			rd.Unregister()
+		})
+	}
 }
 
 func TestSimulatedWaitBurnsTime(t *testing.T) {
-	inner := NewTimeRCU(4, nil)
+	inner := NewTimeRCU(nil)
 	s := NewSimulated(inner, 2_000_000) // 2ms
 	c := tsc.NewMonotonic()
 	start := c.Now()
@@ -459,6 +514,6 @@ func TestSimulatedWaitBurnsTime(t *testing.T) {
 }
 
 func TestSimulatedZeroWaitReturnsImmediately(t *testing.T) {
-	s := NewSimulated(NewTimeRCU(4, nil), 0)
+	s := NewSimulated(NewTimeRCU(nil), 0)
 	s.WaitForReaders(All())
 }

@@ -79,7 +79,7 @@ func FuzzPredicate(f *testing.F) {
 		// A wait with the fuzzed interval over a one-node D-PRCU table:
 		// every covered value collides, so dedup must produce exactly one
 		// gate drain, and the wait must terminate.
-		d := NewD(2, 1)
+		d := NewD(1)
 		d.SetOptimisticBudget(0)
 		n0 := &d.tbl.Load().nodes[0]
 		before := n0.drains.Load()

@@ -154,22 +154,22 @@ func scaleDur(full, short time.Duration) time.Duration {
 }
 
 // engines lists every engine under test with a fresh-construction function.
-func engines(maxReaders int) map[string]func() RCU {
+func engines() map[string]func() RCU {
 	return map[string]func() RCU{
-		"EER":    func() RCU { return NewEER(maxReaders, nil) },
-		"D":      func() RCU { return NewD(maxReaders, 64) },
-		"DEER":   func() RCU { return NewDEER(maxReaders, 16, nil) },
-		"Time":   func() RCU { return NewTimeRCU(maxReaders, nil) },
-		"URCU":   func() RCU { return NewURCU(maxReaders) },
-		"Tree":   func() RCU { return NewTreeRCU(maxReaders) },
-		"Dist":   func() RCU { return NewDistRCU(maxReaders) },
-		"SRCU":   func() RCU { return NewSRCU(maxReaders) },
-		"Packed": func() RCU { return NewPacked(maxReaders) },
+		"EER":    func() RCU { return NewEER(nil) },
+		"D":      func() RCU { return NewD(64) },
+		"DEER":   func() RCU { return NewDEER(16, nil) },
+		"Time":   func() RCU { return NewTimeRCU(nil) },
+		"URCU":   func() RCU { return NewURCU() },
+		"Tree":   func() RCU { return NewTreeRCU() },
+		"Dist":   func() RCU { return NewDistRCU() },
+		"SRCU":   func() RCU { return NewSRCU() },
+		"Packed": func() RCU { return NewPacked() },
 	}
 }
 
 func TestSafetyWildcardPredicate(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			h := newSafetyHarness(mk(), 8)
 			for i := 0; i < 8; i++ {
@@ -185,7 +185,7 @@ func TestSafetyWildcardPredicate(t *testing.T) {
 }
 
 func TestSafetySingletonPredicate(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			h := newSafetyHarness(mk(), 8)
 			for i := 0; i < 8; i++ {
@@ -208,7 +208,7 @@ func TestSafetySingletonPredicate(t *testing.T) {
 }
 
 func TestSafetyIntervalPredicate(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			h := newSafetyHarness(mk(), 8)
 			for i := 0; i < 8; i++ {
@@ -224,7 +224,7 @@ func TestSafetyIntervalPredicate(t *testing.T) {
 }
 
 func TestSafetyFuncPredicate(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			h := newSafetyHarness(mk(), 6)
 			for i := 0; i < 6; i++ {
@@ -246,7 +246,7 @@ func TestSafetyFuncPredicate(t *testing.T) {
 // engine is exonerated by construction (its wait would block, which we also
 // verify via a timeout on a correct engine below).
 func TestHarnessDetectsViolations(t *testing.T) {
-	r := NewNop(16)
+	r := NewNop()
 	rd, err := r.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestHarnessDetectsViolations(t *testing.T) {
 // correct engine's WaitForReaders must not return while a covered critical
 // section entered before it is still open.
 func TestWaitBlocksOnOpenCriticalSection(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, err := r.Register()
@@ -326,9 +326,9 @@ func TestWaitBlocksOnOpenCriticalSection(t *testing.T) {
 // section's value must not block on it (for the predicate-aware engines).
 func TestWaitSkipsUncoveredCriticalSection(t *testing.T) {
 	prcuEngines := map[string]func() RCU{
-		"EER":  func() RCU { return NewEER(16, nil) },
-		"D":    func() RCU { return NewD(16, 1024) },
-		"DEER": func() RCU { return NewDEER(16, 16, nil) },
+		"EER":  func() RCU { return NewEER(nil) },
+		"D":    func() RCU { return NewD(1024) },
+		"DEER": func() RCU { return NewDEER(16, nil) },
 	}
 	for name, mk := range prcuEngines {
 		t.Run(name, func(t *testing.T) {
@@ -366,7 +366,7 @@ func TestWaitSkipsUncoveredCriticalSection(t *testing.T) {
 // continuously enter and exit the covered value — the scenario D-PRCU's
 // gate protocol exists for.
 func TestWaitLivenessUnderChurn(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			var stop atomic.Bool
@@ -411,7 +411,7 @@ func TestWaitLivenessUnderChurn(t *testing.T) {
 
 // TestConcurrentWaiters checks that many goroutines may wait concurrently.
 func TestConcurrentWaiters(t *testing.T) {
-	for name, mk := range engines(32) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			var stop atomic.Bool

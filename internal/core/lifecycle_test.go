@@ -10,9 +10,9 @@ import (
 
 // enginesWithNop extends engines() with the Nop wrapper, which shares the
 // registry and misuse-guard machinery and must behave identically there.
-func enginesWithNop(maxReaders int) map[string]func() RCU {
-	m := engines(maxReaders)
-	m["Nop"] = func() RCU { return NewNop(maxReaders) }
+func enginesWithNop() map[string]func() RCU {
+	m := engines()
+	m["Nop"] = func() RCU { return NewNop() }
 	return m
 }
 
@@ -32,7 +32,7 @@ func mustPanicContaining(t *testing.T, want string, fn func()) {
 }
 
 func TestDoubleUnregisterPanics(t *testing.T) {
-	for name, mk := range enginesWithNop(0) {
+	for name, mk := range enginesWithNop() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, err := r.Register()
@@ -48,7 +48,7 @@ func TestDoubleUnregisterPanics(t *testing.T) {
 func TestUseAfterUnregisterPanics(t *testing.T) {
 	// Nop is excluded: its Enter/Exit are deliberately empty (it measures
 	// the zero-synchronization ceiling), so only its Unregister is guarded.
-	for name, mk := range engines(0) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, err := r.Register()
@@ -68,7 +68,7 @@ func TestUseAfterUnregisterPanics(t *testing.T) {
 // Unregister rejected for being inside a critical section must leave the
 // reader fully usable, so the caller can exit and retry.
 func TestRejectedUnregisterLeavesReaderUsable(t *testing.T) {
-	for name, mk := range engines(0) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, err := r.Register()
@@ -90,7 +90,7 @@ func TestRejectedUnregisterLeavesReaderUsable(t *testing.T) {
 // recycled slot must start from a zeroed lane, while the totals already
 // accumulated by the slot's previous owners stay in the engine snapshot.
 func TestLaneNotSmearedAcrossSlotReuse(t *testing.T) {
-	for name, mk := range engines(1) { // cap 1: every reader reuses slot 0
+	for name, mk := range engines() { // one reader at a time: every reader reuses slot 0
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			m := obs.New()
@@ -135,7 +135,7 @@ func TestLaneNotSmearedAcrossSlotReuse(t *testing.T) {
 // claim/release protocol, segment growth, and each engine's scan of a
 // population that changes under its feet.
 func TestReaderChurnConcurrentWaits(t *testing.T) {
-	for name, mk := range enginesWithNop(0) {
+	for name, mk := range enginesWithNop() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			stop := make(chan struct{})

@@ -8,13 +8,13 @@ import (
 )
 
 // meteredEngines builds every engine with a fresh Metrics attached.
-func meteredEngines(maxReaders int) map[string]RCU {
+func meteredEngines() map[string]RCU {
 	out := map[string]RCU{}
-	for name, mk := range engines(maxReaders) {
+	for name, mk := range engines() {
 		r := mk()
 		m := obs.New()
 		m.SetSectionSampleShift(0) // sample every section in tests
-		m.EnsureReaders(maxReaders)
+		m.EnsureReaders(r.(SlotCapacitor).SlotCapacity())
 		r.(MetricsCarrier).SetMetrics(m)
 		out[name] = r
 	}
@@ -26,7 +26,7 @@ func meteredEngines(maxReaders int) map[string]RCU {
 // count and latency, readers scanned, section samples, and — where a
 // reader was open across the wait — a nonzero waited count.
 func TestMetricsRecordedByEveryEngine(t *testing.T) {
-	for name, r := range meteredEngines(8) {
+	for name, r := range meteredEngines() {
 		t.Run(name, func(t *testing.T) {
 			rd, err := r.Register()
 			if err != nil {
@@ -67,7 +67,7 @@ func TestMetricsRecordedByEveryEngine(t *testing.T) {
 // TestMetricsCountWaitedReaders holds a critical section open across a
 // wait and checks the engine accounted for actually waiting.
 func TestMetricsCountWaitedReaders(t *testing.T) {
-	for name, r := range meteredEngines(8) {
+	for name, r := range meteredEngines() {
 		t.Run(name, func(t *testing.T) {
 			rd, err := r.Register()
 			if err != nil {
@@ -122,8 +122,8 @@ func TestMetricsSharedAcrossEngines(t *testing.T) {
 	m := obs.New()
 	m.EnsureReaders(4)
 	m.EnableFlightRecorder(256)
-	a := NewEER(4, nil)
-	b := NewTimeRCU(4, nil)
+	a := NewEER(nil)
+	b := NewTimeRCU(nil)
 	a.SetMetrics(m)
 	b.SetMetrics(m)
 
@@ -156,11 +156,11 @@ func TestMetricsSharedAcrossEngines(t *testing.T) {
 // TestNopEngineStats checks the unsafe no-op engine still satisfies the
 // Stats surface (returning a disabled snapshot without metrics).
 func TestNopEngineStats(t *testing.T) {
-	n := NewNop(4)
+	n := NewNop()
 	if s := n.Stats(); s.Enabled {
 		t.Fatal("bare Nop must report disabled stats")
 	}
-	sim := NewSimulated(NewEER(4, nil), 0)
+	sim := NewSimulated(NewEER(nil), 0)
 	if s := sim.Stats(); s.Enabled {
 		t.Fatal("Simulated over a bare engine must report disabled stats")
 	}

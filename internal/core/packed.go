@@ -65,11 +65,10 @@ const (
 	packedEpochInc uint32 = 2
 )
 
-// NewPacked returns a packed-state epoch engine capped at maxReaders
-// concurrent readers (0 = grow on demand).
-func NewPacked(maxReaders int) *Packed {
+// NewPacked returns a packed-state epoch engine.
+func NewPacked() *Packed {
 	p := &Packed{}
-	p.setup(p, maxReaders, zeroSeg[pad.Uint32])
+	p.setup(p, 1, zeroSeg[pad.Uint32])
 	return p
 }
 
@@ -86,10 +85,7 @@ type packedReader struct {
 
 // Register implements RCU.
 func (p *Packed) Register() (Reader, error) {
-	slot, w, err := p.reg.acquire()
-	if err != nil {
-		return nil, err
-	}
+	slot, w := p.reg.acquire()
 	w.Store(0)
 	return &packedReader{p: p, word: w, lane: p.lane(slot), slot: slot}, nil
 }

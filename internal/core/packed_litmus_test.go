@@ -31,7 +31,7 @@ import (
 // critical sections are empty, maximizing the density of Enter/Exit
 // stores racing the flip+scan.
 func TestPackedLitmusStoreBuffering(t *testing.T) {
-	p := NewPacked(4)
+	p := NewPacked()
 	var rec csRecord
 	var stop atomic.Bool
 	readerDone := make(chan struct{})
@@ -83,7 +83,7 @@ func TestPackedLitmusStoreBuffering(t *testing.T) {
 // entered after the flip, therefore loads cur after the updater's
 // cur.Store, therefore reads the fresh slot.
 func TestPackedLitmusMessagePassing(t *testing.T) {
-	p := NewPacked(4)
+	p := NewPacked()
 	const poison = -1
 	var slots [2]atomic.Int64
 	var cur atomic.Int32
@@ -147,7 +147,7 @@ func TestPackedLitmusMessagePassing(t *testing.T) {
 // epoch were published separately. (With two separate cells this
 // invariant is unenforceable; the single atomic store is the point.)
 func TestPackedWordNeverTorn(t *testing.T) {
-	p := NewPacked(4)
+	p := NewPacked()
 	rd, err := p.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func FuzzPackedOps(f *testing.F) {
 	f.Add([]byte{1, 3, 2, 4, 0, 1, 2, 3, 4, 0, 1, 2})
 	f.Add([]byte{0, 1, 4, 3, 0, 2, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		p := NewPacked(4)
+		p := NewPacked()
 		type slot struct {
 			rd   Reader
 			open bool

@@ -32,7 +32,7 @@ func TestPackedOngoing(t *testing.T) {
 }
 
 func TestPackedEnterPublishesEpoch(t *testing.T) {
-	p := NewPacked(4)
+	p := NewPacked()
 	rd, err := p.Register()
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestPackedEnterPublishesEpoch(t *testing.T) {
 }
 
 func TestPackedWaitAdvancesEpochTwice(t *testing.T) {
-	p := NewPacked(4)
+	p := NewPacked()
 	g0 := p.gp.Load()
 	p.WaitForReaders(All())
 	if g1 := p.gp.Load(); g1 != g0+2*packedEpochInc {
@@ -65,7 +65,7 @@ func TestPackedWaitAdvancesEpochTwice(t *testing.T) {
 // wait metrics: registered-but-quiescent readers are scanned (one load
 // each, both phases) but never waited on.
 func TestPackedWaitSkipsQuiescentSlots(t *testing.T) {
-	p := NewPacked(8)
+	p := NewPacked()
 	p.SetMetrics(obs.New())
 	var rds []Reader
 	for i := 0; i < 3; i++ {
@@ -92,7 +92,7 @@ func TestPackedWaitSkipsQuiescentSlots(t *testing.T) {
 // flips and drains independently — the test asserts they all terminate
 // and the safety property holds throughout (the harness checks exits).
 func TestPackedConcurrentWaitersNoMutex(t *testing.T) {
-	p := NewPacked(16)
+	p := NewPacked()
 	h := newSafetyHarness(p, 6)
 	for i := 0; i < 6; i++ {
 		id := i
@@ -109,7 +109,7 @@ func TestPackedConcurrentWaitersNoMutex(t *testing.T) {
 // pre-wrap reader blocks a post-wrap wait, and post-wrap quiescent
 // readers do not.
 func TestPackedEpochWraparound(t *testing.T) {
-	p := NewPacked(8)
+	p := NewPacked()
 	p.gp.Store(^uint32(1) - 4*packedEpochInc) // even, 4 flips below wrap
 	rd, err := p.Register()
 	if err != nil {
@@ -143,7 +143,7 @@ func TestPackedEpochWraparound(t *testing.T) {
 // TestPackedStalledReaders checks the watchdog probe names exactly the
 // slots a wedged wait is blocked on.
 func TestPackedStalledReaders(t *testing.T) {
-	p := NewPacked(8)
+	p := NewPacked()
 	blocker, err := p.Register()
 	if err != nil {
 		t.Fatal(err)

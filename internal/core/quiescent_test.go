@@ -28,9 +28,9 @@ func (c *countingClock) Now() int64 {
 // timestampEngines constructs each of the three clocked flavors over a
 // given clock.
 var timestampEngines = map[string]func(c Clock) RCU{
-	"EER":  func(c Clock) RCU { return NewEER(0, c) },
-	"DEER": func(c Clock) RCU { return NewDEER(0, 16, c) },
-	"Time": func(c Clock) RCU { return NewTimeRCU(0, c) },
+	"EER":  func(c Clock) RCU { return NewEER(c) },
+	"DEER": func(c Clock) RCU { return NewDEER(16, c) },
+	"Time": func(c Clock) RCU { return NewTimeRCU(c) },
 }
 
 // twoValues is the two-value iterable predicate {a, b}, the shape of the
@@ -223,7 +223,7 @@ func BenchmarkWaitQuiescent(b *testing.B) {
 					}
 				}
 				b.Run(fmt.Sprintf("%s/%s/%s", name, readers, pc.name), func(b *testing.B) {
-					r := engines(0)[name]()
+					r := engines()[name]()
 					if readers != "none" {
 						rd := mustRegister(b, r)
 						rd.Enter(v)

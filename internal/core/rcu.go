@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -19,9 +18,9 @@ import (
 type RCU interface {
 	// Register allocates a reader slot (the paper's per-thread node).
 	// Each concurrent reader goroutine needs its own Reader; a Reader must
-	// not be used concurrently. With no cap configured the registry grows
-	// on demand and Register never fails; with a cap, Register fails with
-	// ErrTooManyReaders once the cap is reached.
+	// not be used concurrently. The registry grows on demand, so the
+	// engines in this package never return an error; the result stays in
+	// the interface for implementations outside it.
 	Register() (Reader, error)
 
 	// WaitForReaders blocks until every read-side critical section on a
@@ -39,10 +38,6 @@ type RCU interface {
 	// of the deadline. A nil or never-cancelled ctx behaves exactly like
 	// WaitForReaders.
 	WaitForReadersCtx(ctx context.Context, p Predicate) error
-
-	// MaxReaders returns the configured reader cap, or 0 when the engine
-	// grows its reader registry on demand.
-	MaxReaders() int
 
 	// Name identifies the engine ("EER-PRCU", "URCU", ...), matching the
 	// labels used in the paper's figures.
@@ -66,8 +61,7 @@ type MetricsCarrier interface {
 // SlotCapacitor is implemented by every engine backed by the segmented
 // reader registry (via the base embed): SlotCapacity reports the number of reader slots
 // currently allocated (≥ live readers, grows on demand). Observability
-// attachment uses it to presize per-reader metric lanes for uncapped
-// engines, whose MaxReaders is 0.
+// attachment uses it to presize per-reader metric lanes.
 type SlotCapacitor interface {
 	SlotCapacity() int
 }
@@ -155,10 +149,6 @@ func (g *readerGuard) closing() {
 // markClosed commits the Unregister.
 func (g *readerGuard) markClosed() { g.closed = true }
 
-// ErrTooManyReaders is returned by Register when a reader cap is
-// configured and all its slots are live. Uncapped engines never return it.
-var ErrTooManyReaders = errors.New("prcu: too many registered readers")
-
 // Segment geometry: segSize slots per segment, so one uint64 bitmap per
 // segment is the whole free list.
 const (
@@ -180,14 +170,13 @@ const (
 // slot — safe to skip or to wait zero time on.
 type segment[S any] struct {
 	base int // global index of this segment's slot 0 (multiple of segSize)
-	size int // valid slots; < segSize only for the last segment of a capped registry
 	free atomic.Uint64
 	// active flags are padded: they sit on the wait-for-readers scan path
 	// and must not false-share with neighboring slots' flags.
 	active [segSize]pad.Bool
-	// state holds the engine's slot state, one S per slot, allocated by
-	// the registry's newSeg hook at append time. The slice is immutable
-	// after construction.
+	// state holds the engine's slot state, stride S per slot (slot i's at
+	// [i*stride, (i+1)*stride)), allocated by the registry's newSeg hook at
+	// append time. The slice is immutable after construction.
 	state []S
 }
 
@@ -212,14 +201,14 @@ func (sg *segment[S]) claim() (int, bool) {
 // list is reached through an atomic pointer and only ever grows
 // (copy-on-append under growMu); individual segments never move, so
 // concurrent WaitForReaders scans iterate a stable prefix without locks or
-// copies. Acquire and release are lock-free segment bitmap operations —
-// O(1) amortized, versus the former global mutex with an O(MaxReaders)
-// linear scan.
+// copies. Acquire and release are lock-free segment bitmap operations,
+// O(1) amortized.
 type registry[S any] struct {
-	// cap, when positive, bounds the total slot count (the engine's
-	// MaxReaders); 0 means grow on demand without bound.
-	cap int
-	// newSeg allocates the slot state for a new segment of n slots.
+	// stride is the number of consecutive S each slot owns: 1, except for
+	// the timestamp kernel's per-reader node tables. Keeping a slot's
+	// state inline saves the wait scan a dependent load per reader.
+	stride int
+	// newSeg allocates n S for a new segment.
 	newSeg func(n int) []S
 
 	segs   atomic.Pointer[[]*segment[S]]
@@ -239,14 +228,10 @@ type registry[S any] struct {
 // zero value (and, with S = struct{}, for engines that keep none).
 func zeroSeg[S any](n int) []S { return make([]S, n) }
 
-// newRegistry returns a registry capped at capReaders slots (0 =
-// unbounded), with one segment pre-allocated. newSeg is invoked once per
-// appended segment.
-func newRegistry[S any](capReaders int, newSeg func(n int) []S) *registry[S] {
-	if capReaders < 0 {
-		panic(fmt.Sprintf("prcu: maxReaders must be non-negative, got %d", capReaders))
-	}
-	r := &registry[S]{cap: capReaders, newSeg: newSeg}
+// newRegistry returns a registry of stride S per slot with one segment
+// pre-allocated. newSeg is invoked once per appended segment.
+func newRegistry[S any](stride int, newSeg func(n int) []S) *registry[S] {
+	r := &registry[S]{stride: stride, newSeg: newSeg}
 	empty := make([]*segment[S], 0)
 	r.segs.Store(&empty)
 	r.grow(0)
@@ -254,52 +239,30 @@ func newRegistry[S any](capReaders int, newSeg func(n int) []S) *registry[S] {
 }
 
 // capacity returns the number of slots currently allocated.
-func (r *registry[S]) capacity() int {
-	segs := *r.segs.Load()
-	if len(segs) == 0 {
-		return 0
-	}
-	last := segs[len(segs)-1]
-	return last.base + last.size
-}
+func (r *registry[S]) capacity() int { return len(*r.segs.Load()) * segSize }
 
-// grow appends one segment, unless the cap is exhausted (returns false)
-// or another goroutine already grew past the seen segment count (returns
-// true so the caller rescans instead of over-growing).
-func (r *registry[S]) grow(seen int) bool {
+// grow appends one segment, unless another goroutine already grew past
+// the seen segment count (the caller then rescans instead of
+// over-growing).
+func (r *registry[S]) grow(seen int) {
 	r.growMu.Lock()
 	defer r.growMu.Unlock()
 	segs := *r.segs.Load()
 	if len(segs) != seen {
-		return true
+		return
 	}
-	base := r.capacity()
-	if r.cap > 0 && base >= r.cap {
-		return false
-	}
-	size := segSize
-	if r.cap > 0 && r.cap-base < size {
-		// Last segment of a capped registry: expose only the capped
-		// remainder as free bits so acquire exhausts at exactly cap.
-		size = r.cap - base
-	}
-	sg := &segment[S]{base: base, size: size, state: r.newSeg(size)}
-	if size == segSize {
-		sg.free.Store(^uint64(0))
-	} else {
-		sg.free.Store(uint64(1)<<uint(size) - 1)
-	}
+	sg := &segment[S]{base: len(segs) * segSize, state: r.newSeg(segSize * r.stride)}
+	sg.free.Store(^uint64(0))
 	next := make([]*segment[S], len(segs)+1)
 	copy(next, segs)
 	next[len(segs)] = sg
 	r.segs.Store(&next)
-	return true
 }
 
 // acquire reserves a free slot and marks it active, growing the segment
 // list when every existing segment is full. It returns the slot's global
-// index and its state.
-func (r *registry[S]) acquire() (int, *S, error) {
+// index and its first state.
+func (r *registry[S]) acquire() (int, *S) {
 	for {
 		segs := *r.segs.Load()
 		n := len(segs)
@@ -326,11 +289,9 @@ func (r *registry[S]) acquire() (int, *S, error) {
 				}
 			}
 			r.count.Add(1)
-			return slot, &sg.state[i], nil
+			return slot, &sg.state[i*r.stride]
 		}
-		if !r.grow(n) {
-			return 0, nil, ErrTooManyReaders
-		}
+		r.grow(n)
 	}
 }
 
@@ -339,7 +300,7 @@ func (r *registry[S]) acquire() (int, *S, error) {
 func (r *registry[S]) release(slot int) {
 	segs := *r.segs.Load()
 	si := slot >> segShift
-	if slot < 0 || si >= len(segs) || slot-segs[si].base >= segs[si].size {
+	if slot < 0 || si >= len(segs) {
 		panic(fmt.Sprintf("prcu: release of unknown reader slot %d", slot))
 	}
 	sg := segs[si]
@@ -365,20 +326,20 @@ func (r *registry[S]) release(slot int) {
 	r.count.Add(-1)
 }
 
-// forEachActive invokes fn with the state and global index of every active
-// slot below the current scan limit, until fn returns false. A released
-// slot is always left quiescent by the owning engine before its active
-// flag clears, so a concurrent scan observing a stale flag sees either an
-// active quiescent slot or an inactive one — both safe.
+// forEachActive invokes fn with the first state and global index of every
+// active slot below the current scan limit, until fn returns false. A
+// released slot is always left quiescent by the owning engine before its
+// active flag clears, so a concurrent scan observing a stale flag sees
+// either an active quiescent slot or an inactive one — both safe.
 func (r *registry[S]) forEachActive(fn func(st *S, slot int) bool) {
 	limit := int(r.limit.Load())
 	for _, sg := range *r.segs.Load() {
 		if sg.base >= limit {
 			return
 		}
-		n := min(sg.size, limit-sg.base)
+		n := min(segSize, limit-sg.base)
 		for i := 0; i < n; i++ {
-			if sg.active[i].Load() && !fn(&sg.state[i], sg.base+i) {
+			if sg.active[i].Load() && !fn(&sg.state[i*r.stride], sg.base+i) {
 				return
 			}
 		}

@@ -46,7 +46,7 @@ func parkReader(t *testing.T, r RCU, v Value) (release func()) {
 // polled on every scheduler-yield step of the wait loop.
 func TestWaitCtxDeadlineOnParkedReader(t *testing.T) {
 	deadline := scaleDur(200*time.Millisecond, 100*time.Millisecond)
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			release := parkReader(t, r, 5)
@@ -81,7 +81,7 @@ func TestWaitCtxDeadlineOnParkedReader(t *testing.T) {
 // TestWaitCtxCancelMidWait covers explicit cancellation (rather than a
 // deadline) landing while the wait is blocked.
 func TestWaitCtxCancelMidWait(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			release := parkReader(t, r, 9)
@@ -107,7 +107,7 @@ func TestWaitCtxCancelMidWait(t *testing.T) {
 // reported before any scanning or waiting, even with a parked covered
 // reader that would block the wait forever.
 func TestWaitCtxPreExpired(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			release := parkReader(t, r, 5)
@@ -124,7 +124,7 @@ func TestWaitCtxPreExpired(t *testing.T) {
 // TestWaitCtxCleanCompletion checks the nil-error path under churn: an
 // unexpiring context must change nothing about wait semantics.
 func TestWaitCtxCleanCompletion(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			var stop atomic.Bool
@@ -166,9 +166,9 @@ func TestWaitCtxCleanCompletion(t *testing.T) {
 // timing out on it.
 func TestWaitCtxExcludedPredicateCompletes(t *testing.T) {
 	prcuEngines := map[string]func() RCU{
-		"EER":  func() RCU { return NewEER(16, nil) },
-		"D":    func() RCU { return NewD(16, 1024) },
-		"DEER": func() RCU { return NewDEER(16, 16, nil) },
+		"EER":  func() RCU { return NewEER(nil) },
+		"D":    func() RCU { return NewD(1024) },
+		"DEER": func() RCU { return NewDEER(16, nil) },
 	}
 	for name, mk := range prcuEngines {
 		t.Run(name, func(t *testing.T) {
@@ -235,7 +235,7 @@ func TestStallWatchdogManualClock(t *testing.T) {
 		timeoutNs = 1_000
 		windowNs  = 1_000_000
 	)
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			clk := tsc.NewManual(0)
@@ -296,7 +296,7 @@ func TestStallWatchdogManualClock(t *testing.T) {
 // value-tracking engine: the report must carry the offending reader's
 // registry slot, its open value, and a positive open duration.
 func TestStallReportNamesSlotAndValue(t *testing.T) {
-	r := NewEER(16, nil)
+	r := NewEER(nil)
 	clk := tsc.NewManual(0)
 	var col stallCollector
 	r.SetStallConfig(StallConfig{
@@ -342,9 +342,9 @@ func TestStallReportNamesSlotAndValue(t *testing.T) {
 // even with the watchdog armed at an aggressive timeout.
 func TestStallWatchdogSelectivity(t *testing.T) {
 	prcuEngines := map[string]func() RCU{
-		"EER":  func() RCU { return NewEER(16, nil) },
-		"D":    func() RCU { return NewD(16, 1024) },
-		"DEER": func() RCU { return NewDEER(16, 16, nil) },
+		"EER":  func() RCU { return NewEER(nil) },
+		"D":    func() RCU { return NewD(1024) },
+		"DEER": func() RCU { return NewDEER(16, nil) },
 	}
 	for name, mk := range prcuEngines {
 		t.Run(name, func(t *testing.T) {
@@ -375,7 +375,7 @@ func TestStallWatchdogSelectivity(t *testing.T) {
 // observability snapshot, and that the report lands in the flight
 // recorder on the grace period of the wait it fired in.
 func TestStallMetrics(t *testing.T) {
-	r := NewEER(16, nil)
+	r := NewEER(nil)
 	met := obs.New()
 	met.EnableFlightRecorder(16)
 	r.SetMetrics(met)
@@ -416,7 +416,7 @@ func TestStallMetrics(t *testing.T) {
 // TestStallConfigDisarm checks Timeout <= 0 disarms a previously armed
 // watchdog.
 func TestStallConfigDisarm(t *testing.T) {
-	r := NewEER(16, nil)
+	r := NewEER(nil)
 	clk := tsc.NewManual(0)
 	var col stallCollector
 	r.SetStallConfig(StallConfig{Timeout: 1, RateLimit: 1, Clock: clk, OnStall: col.add})
@@ -439,7 +439,7 @@ func TestStallConfigDisarm(t *testing.T) {
 // stays usable, and a covering wait afterwards completes instead of
 // wedging.
 func TestReaderDoPanicSafety(t *testing.T) {
-	for name, mk := range engines(16) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, err := r.Register()
@@ -477,7 +477,7 @@ func TestReaderDoPanicSafety(t *testing.T) {
 
 // TestSimulatedAndNopCtx covers the auxiliary engines' ctx paths.
 func TestSimulatedAndNopCtx(t *testing.T) {
-	s := NewSimulated(NewNop(4), 1_000)
+	s := NewSimulated(NewNop(), 1_000)
 	if err := s.WaitForReadersCtx(context.Background(), All()); err != nil {
 		t.Fatalf("simulated wait failed: %v", err)
 	}
@@ -486,7 +486,7 @@ func TestSimulatedAndNopCtx(t *testing.T) {
 	if err := s.WaitForReadersCtx(ctx, All()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("simulated wait with dead ctx returned %v, want Canceled", err)
 	}
-	n := NewNop(4)
+	n := NewNop()
 	if err := n.WaitForReadersCtx(ctx, All()); err != nil {
 		t.Fatalf("nop wait returned %v, want nil", err)
 	}
@@ -505,7 +505,7 @@ func TestSimulatedAndNopCtx(t *testing.T) {
 // that matters when several engines are live in one process.
 func TestStallReportCarriesFlavor(t *testing.T) {
 	const timeoutNs = 1_000
-	r := NewEER(16, nil)
+	r := NewEER(nil)
 	r.SetFlavor("eer")
 	if got := r.FlavorToken(); got != "eer" {
 		t.Fatalf("FlavorToken = %q after SetFlavor, want %q", got, "eer")

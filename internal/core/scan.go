@@ -8,13 +8,14 @@ import (
 	"prcu/internal/spin"
 )
 
-// This file is the one wait path shared by every engine. The nine
-// wait-for-readers algorithms differ only in their pre-scan step (epoch
-// flip, tree seeding, node selection) and in the test that
-// says "this slot still blocks me"; everything else a wait does — the
-// back-off ladder, cancellation, the stall watchdog, blame sampling, the
-// scanned/waited/parked counters and the WaitBegin/WaitEnd bracket — lives
-// in waitSession, once.
+// This file is the one wait path shared by every engine. The nine flavors
+// run on six wait-for-readers algorithms — the timestamp kernel (deer.go),
+// the counter kernel (dprcu.go), URCU, Tree, Dist and Packed — which differ
+// only in their pre-scan step (epoch flip, tree seeding, node selection)
+// and in the test that says "this slot still blocks me"; everything else a
+// wait does — the back-off ladder, cancellation, the stall watchdog, blame
+// sampling, the scanned/waited/parked counters and the WaitBegin/WaitEnd
+// bracket — lives in waitSession, once.
 //
 // Each engine's WaitForReadersCtx is its whole algorithm text — session
 // begin, pre-scan step, blocking test, end — and WaitForReaders is that
@@ -52,14 +53,12 @@ type base[S any] struct {
 	reg *registry[S]
 }
 
-// setup wires the embedding engine and allocates its registry.
-func (b *base[S]) setup(self engine, maxReaders int, newSeg func(n int) []S) {
+// setup wires the embedding engine and allocates its registry of stride
+// S per slot.
+func (b *base[S]) setup(self engine, stride int, newSeg func(n int) []S) {
 	b.self = self
-	b.reg = newRegistry(maxReaders, newSeg)
+	b.reg = newRegistry(stride, newSeg)
 }
-
-// MaxReaders implements RCU.
-func (b *base[S]) MaxReaders() int { return b.reg.cap }
 
 // LiveReaders implements ReaderCounter.
 func (b *base[S]) LiveReaders() int { return b.reg.liveReaders() }
@@ -148,24 +147,6 @@ func (s *waitSession) await(slot int, blocked func() bool) bool {
 		s.parked++
 	}
 	return s.err == nil
-}
-
-// awaitSection is the timestamp engines' (EER, DEER, Time RCU) wait for a
-// node found inside a section on a value p holds for. They test that
-// inline, from loads alone, so this is the only place a wait reads the
-// clock — once, on the first such node; a wait that finds nobody to wait
-// for reads no clock at all. A t0 read this late is still a valid wait
-// start for Proposition 1: a section that preceded the wait read its clock
-// before the wait began, hence before this read, and posted T <= t0 (a
-// later t0 only widens the set waited for); and a node seen at Infinity
-// after the wait began holds no such section, because its own Exit is the
-// only store of Infinity. The full argument is in DESIGN.md §5.
-func (s *waitSession) awaitSection(c Clock, n *timeNode, slot int, p Predicate) bool {
-	if !s.timed {
-		s.t0, s.timed = c.Now(), true
-	}
-	t0 := s.t0
-	return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
 }
 
 // rearm restarts the back-off ladder from its first spin: await calls it

@@ -37,7 +37,7 @@ func TestWaitCtxKeepsGPWithoutControl(t *testing.T) {
 	const gp = 4242
 	for _, name := range flavorOrder {
 		t.Run(name, func(t *testing.T) {
-			r := engines(4)[name]()
+			r := engines()[name]()
 			m := obs.New()
 			m.EnableFlightRecorder(16)
 			r.(MetricsCarrier).SetMetrics(m)
@@ -63,7 +63,7 @@ func TestWaitDoesNotAllocate(t *testing.T) {
 	defer cancel()
 	for _, name := range flavorOrder {
 		for _, metered := range []bool{false, true} {
-			r := engines(0)[name]()
+			r := engines()[name]()
 			if metered {
 				r.(MetricsCarrier).SetMetrics(obs.New())
 			}
@@ -131,7 +131,7 @@ func TestWaitBookkeepingExact(t *testing.T) {
 	const hold = 50 * time.Millisecond
 
 	run := func(t *testing.T, name string, en waitEntry, cancelWait bool) bookkeeping {
-		r := engines(8)[name]()
+		r := engines()[name]()
 		m := obs.New()
 		m.EnableFlightRecorder(16)
 		r.(MetricsCarrier).SetMetrics(m)

@@ -69,7 +69,7 @@ func waitBlocks(t *testing.T, r RCU, p Predicate, release func()) {
 // hash to the same counter, so a wait on a colliding value must block —
 // conservative, hence safe.
 func TestDPRCUCollisionIsConservative(t *testing.T) {
-	d := NewD(4, 16)
+	d := NewD(16)
 	a, b, free := findCollision(t, 15)
 	rd, _ := d.Register()
 	rd.Enter(a)
@@ -87,7 +87,7 @@ func TestDPRCUCollisionIsConservative(t *testing.T) {
 // a wait on a colliding-but-uncovered value can (and does) skip the
 // reader, unlike D-PRCU.
 func TestDEERCollisionSkipsUncovered(t *testing.T) {
-	d := NewDEER(4, 16, nil)
+	d := NewDEER(16, nil)
 	a, b, _ := findCollision(t, 15)
 	rd, _ := d.Register()
 	rd.Enter(a)
@@ -101,7 +101,7 @@ func TestDEERCollisionSkipsUncovered(t *testing.T) {
 // miniature — a reader that moves off a covered value releases the wait
 // through re-entry, not only through exit.
 func TestEERReaderReentryReleasesWait(t *testing.T) {
-	e := NewEER(4, nil)
+	e := NewEER(nil)
 	rd, _ := e.Register()
 	rd.Enter(7)
 	done := make(chan struct{})
@@ -143,7 +143,7 @@ func TestEERReaderReentryReleasesWait(t *testing.T) {
 // until the reader posts a strictly later time (here: Infinity at exit).
 func TestManualClockWaitSemantics(t *testing.T) {
 	clock := tsc.NewManual(100)
-	e := NewEER(4, clock)
+	e := NewEER(clock)
 	rd, _ := e.Register()
 	rd.Enter(5) // records t=100
 	clock.Advance(10)
@@ -153,7 +153,7 @@ func TestManualClockWaitSemantics(t *testing.T) {
 
 // TestRegisterChurnDuringWaits stresses slot reuse racing wait scans.
 func TestRegisterChurnDuringWaits(t *testing.T) {
-	for name, mk := range engines(8) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			var stop atomic.Bool
@@ -199,7 +199,7 @@ func TestRegisterChurnDuringWaits(t *testing.T) {
 // reader (the CITRUS pattern: traverse, exit, lock, wait) must not block
 // on its own slot.
 func TestWaitersDoNotWaitForThemselves(t *testing.T) {
-	for name, mk := range engines(4) {
+	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			r := mk()
 			rd, _ := r.Register()
@@ -225,7 +225,7 @@ func TestWaitersDoNotWaitForThemselves(t *testing.T) {
 // TestDEERGeneralPredicateScansAllNodes: a non-enumerable predicate must
 // still be safe on DEER (it scans the whole per-reader table).
 func TestDEERGeneralPredicate(t *testing.T) {
-	d := NewDEER(4, 16, nil)
+	d := NewDEER(16, nil)
 	rd, _ := d.Register()
 	rd.Enter(41)
 	odd := Func(func(v Value) bool { return v%2 == 1 })
@@ -240,7 +240,7 @@ func TestDEERGeneralPredicate(t *testing.T) {
 // TestDGeneralPredicateDrainsWholeTable: D-PRCU's fallback for general
 // predicates drains every node — safe for any value.
 func TestDGeneralPredicate(t *testing.T) {
-	d := NewD(4, 16)
+	d := NewD(16)
 	rd, _ := d.Register()
 	rd.Enter(41)
 	odd := Func(func(v Value) bool { return v%2 == 1 })
@@ -251,7 +251,7 @@ func TestDGeneralPredicate(t *testing.T) {
 // TestPluggableClockEngines: the timestamp engines accept any Clock,
 // including the logical fetch-add clock (§4.1's portable alternative).
 func TestLogicalClockEngines(t *testing.T) {
-	for _, mk := range logicalClockEngines(8) {
+	for _, mk := range logicalClockEngines() {
 		r := mk()
 		h := newSafetyHarness(r, 4)
 		for i := 0; i < 4; i++ {

@@ -41,9 +41,6 @@ func NewSimulated(inner RCU, waitNs int64) *Simulated {
 // Name implements RCU.
 func (s *Simulated) Name() string { return s.inner.Name() + " (simulated wait)" }
 
-// MaxReaders implements RCU.
-func (s *Simulated) MaxReaders() int { return s.inner.MaxReaders() }
-
 // Register implements RCU: readers are real, with the full per-engine
 // Enter/Exit cost.
 func (s *Simulated) Register() (Reader, error) { return s.inner.Register() }
@@ -105,15 +102,11 @@ type Nop struct {
 	reg *registry[struct{}]
 }
 
-// NewNop returns a no-op engine capped at maxReaders readers (0 = grow on
-// demand).
-func NewNop(maxReaders int) *Nop { return &Nop{reg: newRegistry(maxReaders, zeroSeg[struct{}])} }
+// NewNop returns a no-op engine.
+func NewNop() *Nop { return &Nop{reg: newRegistry(1, zeroSeg[struct{}])} }
 
 // Name implements RCU.
 func (n *Nop) Name() string { return "No-op (unsafe)" }
-
-// MaxReaders implements RCU.
-func (n *Nop) MaxReaders() int { return n.reg.cap }
 
 // LiveReaders returns the number of currently registered readers.
 func (n *Nop) LiveReaders() int { return n.reg.liveReaders() }
@@ -126,10 +119,7 @@ type nopReader struct {
 
 // Register implements RCU.
 func (n *Nop) Register() (Reader, error) {
-	slot, _, err := n.reg.acquire()
-	if err != nil {
-		return nil, err
-	}
+	slot, _ := n.reg.acquire()
 	return &nopReader{n: n, slot: slot}, nil
 }
 

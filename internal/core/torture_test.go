@@ -170,11 +170,11 @@ func runTorture(t *testing.T, r RCU, d time.Duration) {
 // fetch-add clock (engines builds them on the monotonic one). It ticks
 // only when read, so a wait's t0 exceeds the newest section's timestamp by
 // exactly one: the blocking test gets no slack from elapsed time.
-func logicalClockEngines(maxReaders int) map[string]func() RCU {
+func logicalClockEngines() map[string]func() RCU {
 	return map[string]func() RCU{
-		"EER-Logical":  func() RCU { return NewEER(maxReaders, tsc.NewLogical()) },
-		"DEER-Logical": func() RCU { return NewDEER(maxReaders, 16, tsc.NewLogical()) },
-		"Time-Logical": func() RCU { return NewTimeRCU(maxReaders, tsc.NewLogical()) },
+		"EER-Logical":  func() RCU { return NewEER(tsc.NewLogical()) },
+		"DEER-Logical": func() RCU { return NewDEER(16, tsc.NewLogical()) },
+		"Time-Logical": func() RCU { return NewTimeRCU(tsc.NewLogical()) },
 	}
 }
 
@@ -183,8 +183,8 @@ func logicalClockEngines(maxReaders int) map[string]func() RCU {
 // with the race detector on; -short trims it further.
 func TestTorture(t *testing.T) {
 	d := scaleDur(250*time.Millisecond, 100*time.Millisecond)
-	all := engines(16)
-	maps.Copy(all, logicalClockEngines(16))
+	all := engines()
+	maps.Copy(all, logicalClockEngines())
 	for name, mk := range all {
 		t.Run(name, func(t *testing.T) {
 			runTorture(t, mk(), d)
@@ -198,7 +198,7 @@ func TestTorture(t *testing.T) {
 // test).
 func TestTortureWithMetrics(t *testing.T) {
 	d := scaleDur(150*time.Millisecond, 60*time.Millisecond)
-	for name, r := range meteredEngines(16) {
+	for name, r := range meteredEngines() {
 		t.Run(name, func(t *testing.T) {
 			c := r.(MetricsCarrier)
 			c.Metrics().EnableFlightRecorder(1024)

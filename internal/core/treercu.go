@@ -93,23 +93,12 @@ type TreeRCU struct {
 	_    [pad.CacheLineSize]byte
 }
 
-// NewTreeRCU returns a Tree RCU engine capped at maxReaders concurrent
-// readers (0 = grow on demand).
-func NewTreeRCU(maxReaders int) *TreeRCU {
+// NewTreeRCU returns a Tree RCU engine.
+func NewTreeRCU() *TreeRCU {
 	t := &TreeRCU{}
-	t.setup(t, maxReaders, zeroSeg[pad.Uint64])
-	t.tree.Store(buildTree(t.treeSpan()))
+	t.setup(t, 1, zeroSeg[pad.Uint64])
+	t.tree.Store(buildTree(t.reg.capacity()))
 	return t
-}
-
-// treeSpan is the number of leaf slots the combining tree must cover:
-// with a cap, the whole cap up front (the tree never needs to grow);
-// uncapped, the registry's currently allocated capacity.
-func (t *TreeRCU) treeSpan() int {
-	if c := t.reg.cap; c > 0 {
-		return c
-	}
-	return t.reg.capacity()
 }
 
 // Name implements RCU.
@@ -128,10 +117,7 @@ type treeReader struct {
 
 // Register implements RCU.
 func (t *TreeRCU) Register() (Reader, error) {
-	slot, s, err := t.reg.acquire()
-	if err != nil {
-		return nil, err
-	}
+	slot, s := t.reg.acquire()
 	if s.Load()&1 == 1 {
 		// A previous owner must have left the slot quiescent.
 		panic("prcu: reader slot reused while marked in-CS")
@@ -235,7 +221,7 @@ func (t *TreeRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	defer t.mu.Unlock()
 
 	tl := t.tree.Load()
-	if span := t.treeSpan(); span > tl.slots {
+	if span := t.reg.capacity(); span > tl.slots {
 		tl = buildTree(span)
 		t.tree.Store(tl)
 	}

@@ -31,11 +31,10 @@ type URCU struct {
 	mu sync.Mutex
 }
 
-// NewURCU returns a URCU engine capped at maxReaders concurrent readers
-// (0 = grow on demand).
-func NewURCU(maxReaders int) *URCU {
+// NewURCU returns a URCU engine.
+func NewURCU() *URCU {
 	u := &URCU{}
-	u.setup(u, maxReaders, zeroSeg[pad.Uint64])
+	u.setup(u, 1, zeroSeg[pad.Uint64])
 	u.gp.Store(urcuCount)
 	return u
 }
@@ -53,10 +52,7 @@ type urcuReader struct {
 
 // Register implements RCU.
 func (u *URCU) Register() (Reader, error) {
-	slot, c, err := u.reg.acquire()
-	if err != nil {
-		return nil, err
-	}
+	slot, c := u.reg.acquire()
 	c.Store(0)
 	return &urcuReader{u: u, ctr: c, lane: u.lane(slot), slot: slot}, nil
 }

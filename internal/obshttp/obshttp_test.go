@@ -23,14 +23,14 @@ var engineNames = []string{"D", "DEER", "Dist", "EER", "SRCU", "Time", "Tree", "
 func registerAllEngines(t *testing.T) {
 	t.Helper()
 	mk := map[string]func() core.RCU{
-		"EER":  func() core.RCU { return core.NewEER(8, nil) },
-		"D":    func() core.RCU { return core.NewD(8, 64) },
-		"DEER": func() core.RCU { return core.NewDEER(8, 4, nil) },
-		"Time": func() core.RCU { return core.NewTimeRCU(8, nil) },
-		"URCU": func() core.RCU { return core.NewURCU(8) },
-		"Tree": func() core.RCU { return core.NewTreeRCU(8) },
-		"Dist": func() core.RCU { return core.NewDistRCU(8) },
-		"SRCU": func() core.RCU { return core.NewSRCU(8) },
+		"EER":  func() core.RCU { return core.NewEER(nil) },
+		"D":    func() core.RCU { return core.NewD(64) },
+		"DEER": func() core.RCU { return core.NewDEER(4, nil) },
+		"Time": func() core.RCU { return core.NewTimeRCU(nil) },
+		"URCU": func() core.RCU { return core.NewURCU() },
+		"Tree": func() core.RCU { return core.NewTreeRCU() },
+		"Dist": func() core.RCU { return core.NewDistRCU() },
+		"SRCU": func() core.RCU { return core.NewSRCU() },
 	}
 	for name, f := range mk {
 		r := f()

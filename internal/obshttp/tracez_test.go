@@ -186,15 +186,15 @@ func TestTracezEngineErrors(t *testing.T) {
 // the recorder's locking must hold up under -race.
 func TestTracezConcurrentScrape(t *testing.T) {
 	mk := map[string]func() core.RCU{
-		"EER":    func() core.RCU { return core.NewEER(8, nil) },
-		"D":      func() core.RCU { return core.NewD(8, 64) },
-		"DEER":   func() core.RCU { return core.NewDEER(8, 4, nil) },
-		"Time":   func() core.RCU { return core.NewTimeRCU(8, nil) },
-		"URCU":   func() core.RCU { return core.NewURCU(8) },
-		"Tree":   func() core.RCU { return core.NewTreeRCU(8) },
-		"Dist":   func() core.RCU { return core.NewDistRCU(8) },
-		"SRCU":   func() core.RCU { return core.NewSRCU(8) },
-		"Packed": func() core.RCU { return core.NewPacked(8) },
+		"EER":    func() core.RCU { return core.NewEER(nil) },
+		"D":      func() core.RCU { return core.NewD(64) },
+		"DEER":   func() core.RCU { return core.NewDEER(4, nil) },
+		"Time":   func() core.RCU { return core.NewTimeRCU(nil) },
+		"URCU":   func() core.RCU { return core.NewURCU() },
+		"Tree":   func() core.RCU { return core.NewTreeRCU() },
+		"Dist":   func() core.RCU { return core.NewDistRCU() },
+		"SRCU":   func() core.RCU { return core.NewSRCU() },
+		"Packed": func() core.RCU { return core.NewPacked() },
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

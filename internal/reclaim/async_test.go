@@ -23,7 +23,7 @@ func newCallRCU(eng core.RCU) *Reclaimer {
 
 // TestAsyncRunsCallbacks: every deferred callback has run by Barrier.
 func TestAsyncRunsCallbacks(t *testing.T) {
-	r := newCallRCU(core.NewTimeRCU(8, nil))
+	r := newCallRCU(core.NewTimeRCU(nil))
 	defer r.Close()
 	var ran atomic.Int64
 	for i := 0; i < 100; i++ {
@@ -41,7 +41,7 @@ func TestAsyncRunsCallbacks(t *testing.T) {
 // TestAsyncCallbackWaitsForGracePeriod: a callback is held while a
 // reader its predicate covers is inside a critical section.
 func TestAsyncCallbackWaitsForGracePeriod(t *testing.T) {
-	eng := core.NewEER(8, nil)
+	eng := core.NewEER(nil)
 	r := newCallRCU(eng)
 	defer r.Close()
 	rd, err := eng.Register()
@@ -68,7 +68,7 @@ func TestAsyncCallbackWaitsForGracePeriod(t *testing.T) {
 // TestAsyncCallAfterClosePanics: a Defer after Close panics, like a
 // Retire after Close.
 func TestAsyncCallAfterClosePanics(t *testing.T) {
-	r := newCallRCU(core.NewDistRCU(4))
+	r := newCallRCU(core.NewDistRCU())
 	r.Close()
 	defer func() {
 		if recover() == nil {
@@ -81,7 +81,7 @@ func TestAsyncCallAfterClosePanics(t *testing.T) {
 // TestAsyncConcurrentCallers: callbacks deferred from many goroutines
 // all run by the next Barrier.
 func TestAsyncConcurrentCallers(t *testing.T) {
-	r := newCallRCU(core.NewTimeRCU(16, nil))
+	r := newCallRCU(core.NewTimeRCU(nil))
 	defer r.Close()
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -104,7 +104,7 @@ func TestAsyncConcurrentCallers(t *testing.T) {
 // TestAsyncUncoveredReaderDoesNotBlockCallback: a retirement waits only for
 // readers its predicate covers.
 func TestAsyncUncoveredReaderDoesNotBlockCallback(t *testing.T) {
-	eng := core.NewD(8, 1024)
+	eng := core.NewD(1024)
 	r := newCallRCU(eng)
 	defer r.Close()
 	rd, err := eng.Register()
@@ -128,7 +128,7 @@ func TestAsyncUncoveredReaderDoesNotBlockCallback(t *testing.T) {
 // TestAsyncCloseDrains: Close runs every queued callback and is
 // idempotent.
 func TestAsyncCloseDrains(t *testing.T) {
-	r := newCallRCU(core.NewDistRCU(4))
+	r := newCallRCU(core.NewDistRCU())
 	var ran atomic.Int64
 	for i := 0; i < 50; i++ {
 		r.Retire(nil, core.All(), 0, func(any) { ran.Add(1) })
@@ -146,7 +146,7 @@ func TestAsyncCloseDrains(t *testing.T) {
 // cancel the in-flight wait, drop the plain callback (it must not run
 // after an incomplete grace period), and stop the worker.
 func TestAsyncCloseCtxBoundedOnWedgedEngine(t *testing.T) {
-	eng := core.NewEER(8, nil)
+	eng := core.NewEER(nil)
 	r := newCallRCU(eng)
 	rd, err := eng.Register()
 	if err != nil {
@@ -179,7 +179,7 @@ func TestAsyncCloseCtxBoundedOnWedgedEngine(t *testing.T) {
 // TestAsyncConcurrentClose: racing Close calls all return after one
 // complete drain.
 func TestAsyncConcurrentClose(t *testing.T) {
-	r := newCallRCU(core.NewDistRCU(4))
+	r := newCallRCU(core.NewDistRCU())
 	var ran atomic.Int64
 	for i := 0; i < 20; i++ {
 		r.Retire(nil, core.All(), 0, func(any) { ran.Add(1) })
@@ -200,7 +200,7 @@ func TestAsyncConcurrentClose(t *testing.T) {
 // wakeups), and with the retirers stopped a final Barrier leaves nothing
 // pending.
 func TestAsyncBarrierRacingCalls(t *testing.T) {
-	r := newCallRCU(core.NewTimeRCU(16, nil))
+	r := newCallRCU(core.NewTimeRCU(nil))
 	defer r.Close()
 	var ran atomic.Int64
 	stop := make(chan struct{})
@@ -238,7 +238,7 @@ func TestAsyncBarrierRacingCalls(t *testing.T) {
 // already expired must still cancel the outstanding waits, account every
 // plain callback as dropped exactly once, and leave Pending at zero.
 func TestAsyncCloseCtxExpiredContext(t *testing.T) {
-	eng := core.NewEER(8, nil)
+	eng := core.NewEER(nil)
 	r := newCallRCU(eng)
 	rd, err := eng.Register()
 	if err != nil {

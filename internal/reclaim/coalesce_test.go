@@ -138,7 +138,7 @@ func FuzzReclaim(f *testing.F) {
 		if inline {
 			pol = PolicyInline
 		}
-		r := New(core.NewTimeRCU(8, nil), Config{
+		r := New(core.NewTimeRCU(nil), Config{
 			Shards:     1,
 			MaxPending: int(mask%32) + 1,
 			Policy:     pol,

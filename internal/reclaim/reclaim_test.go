@@ -38,7 +38,7 @@ func (c *countingRCU) WaitForReadersCtx(ctx context.Context, p core.Predicate) e
 // magnitude fewer: each accumulated batch coalesces to a handful of
 // merged intervals).
 func TestReclaimerBatchingSavesGracePeriods(t *testing.T) {
-	eng := &countingRCU{RCU: core.NewTimeRCU(8, nil)}
+	eng := &countingRCU{RCU: core.NewTimeRCU(nil)}
 	r := New(eng, Config{Shards: 1, FlushDelay: 20 * time.Millisecond})
 	const n = 1000
 	var freed atomic.Int64
@@ -71,7 +71,7 @@ func TestReclaimerBatchingSavesGracePeriods(t *testing.T) {
 func TestReclaimerBacklogNeverExceedsWatermark(t *testing.T) {
 	const maxPending = 64
 	met := obs.New()
-	eng := chaos.Wrap(core.NewTimeRCU(16, nil), chaos.Config{
+	eng := chaos.Wrap(core.NewTimeRCU(nil), chaos.Config{
 		Seed:        42,
 		WaitHold:    1.0,
 		WaitHoldDur: 10 * time.Millisecond,
@@ -163,7 +163,7 @@ func TestReclaimerBacklogNeverExceedsWatermark(t *testing.T) {
 // backlog — the backlog stays bounded and every callback still frees.
 func TestReclaimerPolicyInline(t *testing.T) {
 	met := obs.New()
-	eng := chaos.Wrap(core.NewTimeRCU(16, nil), chaos.Config{
+	eng := chaos.Wrap(core.NewTimeRCU(nil), chaos.Config{
 		Seed:        7,
 		WaitHold:    1.0,
 		WaitHoldDur: 5 * time.Millisecond,
@@ -209,7 +209,7 @@ func TestReclaimerPolicyInline(t *testing.T) {
 // more than MaxBytes can never fit the backlog; it must resolve inline
 // under any policy rather than deadlock against the watermark.
 func TestReclaimerOversizeRetirementInline(t *testing.T) {
-	r := New(core.NewTimeRCU(8, nil), Config{
+	r := New(core.NewTimeRCU(nil), Config{
 		Shards:   1,
 		MaxBytes: 1 << 10,
 		Policy:   PolicyBlock,
@@ -234,7 +234,7 @@ func TestReclaimerOversizeRetirementInline(t *testing.T) {
 // queued and returns to zero once resolved.
 func TestReclaimerByteAccounting(t *testing.T) {
 	met := obs.New()
-	r := New(core.NewTimeRCU(8, nil), Config{
+	r := New(core.NewTimeRCU(nil), Config{
 		Shards:     1,
 		FlushDelay: time.Hour, // park the batch so the gauge is observable
 		Metrics:    met,
@@ -259,7 +259,7 @@ func TestReclaimerByteAccounting(t *testing.T) {
 // nothing resolves on its own; Flush must cut the window and start the
 // batch immediately.
 func TestReclaimerFlushCutsDelay(t *testing.T) {
-	r := New(core.NewTimeRCU(8, nil), Config{Shards: 1, FlushDelay: time.Hour})
+	r := New(core.NewTimeRCU(nil), Config{Shards: 1, FlushDelay: time.Hour})
 	defer r.Close()
 	done := make(chan struct{})
 	r.Retire(nil, core.Singleton(3), 0, func(any) { close(done) })
@@ -281,7 +281,7 @@ func TestReclaimerFlushCutsDelay(t *testing.T) {
 // hour-long window.
 func TestReclaimerSoftWatermarkExpedites(t *testing.T) {
 	met := obs.New()
-	r := New(core.NewTimeRCU(8, nil), Config{
+	r := New(core.NewTimeRCU(nil), Config{
 		Shards:     1,
 		MaxPending: 10,
 		FlushDelay: time.Hour,
@@ -308,7 +308,7 @@ func TestReclaimerSoftWatermarkExpedites(t *testing.T) {
 // take delivery of the abandonment error at a bounded shutdown instead
 // of being dropped — the citrus deferred-unlink contract.
 func TestReclaimerDeferDeliversShutdownError(t *testing.T) {
-	eng := core.NewEER(8, nil)
+	eng := core.NewEER(nil)
 	r := New(eng, Config{Shards: 1, FlushDelay: -1})
 	rd, err := eng.Register()
 	if err != nil {
@@ -341,7 +341,7 @@ func TestReclaimerDeferDeliversShutdownError(t *testing.T) {
 // end: many goroutines, all shards, metrics ledger must balance.
 func TestReclaimerMultiShardConcurrent(t *testing.T) {
 	met := obs.New()
-	r := New(core.NewTimeRCU(32, nil), Config{Shards: 4, Metrics: met})
+	r := New(core.NewTimeRCU(nil), Config{Shards: 4, Metrics: met})
 	const goroutines, each = 16, 200
 	var freed atomic.Int64
 	var wg sync.WaitGroup
@@ -377,7 +377,7 @@ func TestReclaimerMultiShardConcurrent(t *testing.T) {
 
 // TestReclaimerRetireAfterClosePanics: submissions after Close panic.
 func TestReclaimerRetireAfterClosePanics(t *testing.T) {
-	r := New(core.NewDistRCU(4), Config{})
+	r := New(core.NewDistRCU(), Config{})
 	r.Close()
 	defer func() {
 		if recover() == nil {
@@ -391,7 +391,7 @@ func TestReclaimerRetireAfterClosePanics(t *testing.T) {
 // watermark when Close lands must not enqueue into stopped workers; its
 // retirement resolves inline and Close still drains cleanly.
 func TestReclaimerBlockedRetireSurvivesClose(t *testing.T) {
-	eng := chaos.Wrap(core.NewTimeRCU(8, nil), chaos.Config{
+	eng := chaos.Wrap(core.NewTimeRCU(nil), chaos.Config{
 		Seed:        3,
 		WaitHold:    1.0,
 		WaitHoldDur: 20 * time.Millisecond,
@@ -442,7 +442,7 @@ func TestReclaimerBlockedRetireSurvivesClose(t *testing.T) {
 // the drain. It must still resolve exactly once — on the caller — and
 // give its capacity back.
 func TestEnqueueAfterCloseResolvesOnCaller(t *testing.T) {
-	r := New(core.NewTimeRCU(4, nil), Config{Shards: 1, MaxPending: 4})
+	r := New(core.NewTimeRCU(nil), Config{Shards: 1, MaxPending: 4})
 	freed := 0
 	cb := &callback{pred: core.All(), bytes: 8, free: func(any) { freed++ }}
 	soft, ok := r.admit(cb)
@@ -471,7 +471,7 @@ func TestEnqueueAfterCloseResolvesOnCaller(t *testing.T) {
 // back while that member is the oldest, and it returns to 0 on an empty
 // backlog.
 func TestOldestAgeWithLazyStamps(t *testing.T) {
-	eng := core.NewTimeRCU(4, nil)
+	eng := core.NewTimeRCU(nil)
 	r := New(eng, Config{Shards: 1, FlushDelay: time.Hour})
 	defer r.Close()
 	clock := tsc.NewManual(1000)
@@ -543,7 +543,7 @@ func TestOldestAgeWithLazyStamps(t *testing.T) {
 // stamp.
 func TestRetireSpansWhenRecorderArmsMidQueue(t *testing.T) {
 	met := obs.New()
-	eng := core.NewTimeRCU(4, nil)
+	eng := core.NewTimeRCU(nil)
 	r := New(eng, Config{Shards: 1, FlushDelay: time.Hour, Metrics: met})
 	defer r.Close()
 	time.Sleep(time.Millisecond) // put the two clocks' origins well behind t0
@@ -589,7 +589,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	eng := core.NewTimeRCU(4, nil)
+	eng := core.NewTimeRCU(nil)
 	cases := []struct {
 		name string
 		cfg  Config
@@ -627,7 +627,7 @@ func TestConfigValidation(t *testing.T) {
 // callback exactly once.
 func TestConcurrentRetireFlushExactlyOnce(t *testing.T) {
 	const maxPending = 64
-	eng := core.NewTimeRCU(8, nil)
+	eng := core.NewTimeRCU(nil)
 	r := New(eng, Config{Shards: 2, MaxPending: maxPending, FlushDelay: 50 * time.Microsecond})
 	rd, err := eng.Register()
 	if err != nil {
@@ -688,7 +688,7 @@ func TestConcurrentRetireFlushExactlyOnce(t *testing.T) {
 // backlog, growing while a callback is stuck behind a wedged grace
 // period, and zero again once resolved.
 func TestOldestAgeGauge(t *testing.T) {
-	eng := core.NewTimeRCU(4, nil)
+	eng := core.NewTimeRCU(nil)
 	r := New(eng, Config{Shards: 1, FlushDelay: -1})
 	defer r.Close()
 	if age := r.OldestAge(); age != 0 {

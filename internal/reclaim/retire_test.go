@@ -22,7 +22,7 @@ type node struct{ pad [64]byte }
 // through the measured runs, so its batch processing does not land in
 // the global counters both readings come from; its one timer does.
 func TestRetireSteadyStateDoesNotAllocate(t *testing.T) {
-	rec := reclaim.New(core.NewPacked(4), reclaim.Config{Shards: 1, FlushDelay: time.Hour})
+	rec := reclaim.New(core.NewPacked(), reclaim.Config{Shards: 1, FlushDelay: time.Hour})
 	defer rec.Close()
 	ret := guard.NewRetirer(rec, 0, func(*node) {})
 	pred := core.Singleton(1)
@@ -57,7 +57,7 @@ func TestRetireSteadyStateDoesNotAllocate(t *testing.T) {
 // once its callback has run, not stay pinned by a recycled slot until the
 // next queue happens to overwrite it.
 func TestRecycledBatchDropsReferences(t *testing.T) {
-	rec := reclaim.New(core.NewPacked(4), reclaim.Config{Shards: 1, FlushDelay: -1})
+	rec := reclaim.New(core.NewPacked(), reclaim.Config{Shards: 1, FlushDelay: -1})
 	defer rec.Close()
 	collected := make(chan struct{})
 	func() {
@@ -82,7 +82,7 @@ func TestRecycledBatchDropsReferences(t *testing.T) {
 // goroutine retiring against a live flush worker under the kv_churn
 // benchmark's settings, back-pressure included.
 func BenchmarkRetire(b *testing.B) {
-	rec := reclaim.New(core.NewPacked(4), reclaim.Config{
+	rec := reclaim.New(core.NewPacked(), reclaim.Config{
 		Shards: 1, MaxPending: 4096, Policy: reclaim.PolicyBlock,
 	})
 	defer rec.Close()

@@ -35,9 +35,9 @@ type ReaderPool struct {
 	closed atomic.Bool
 }
 
-// NewReaderPool returns a pool of registered readers of r. Use it with an
-// uncapped engine (Options.MaxReaders == 0, the default): Get panics if
-// the engine refuses to register a reader.
+// NewReaderPool returns a pool of registered readers of r. Get panics if
+// the engine refuses to register a reader (the engines in this package
+// never do).
 func NewReaderPool(r RCU) *ReaderPool { return &ReaderPool{eng: r} }
 
 // Engine returns the engine the pool's readers register on.
@@ -76,8 +76,8 @@ func (h *pooledReader) retire() {
 
 // Get borrows a registered reader, registering a fresh one if the pool is
 // empty. The handle is for the calling goroutine only; return it with Put
-// (or its own Unregister) when done. Panics if the underlying engine is
-// capped and full.
+// (or its own Unregister) when done. Panics if the underlying engine
+// refuses to register a reader.
 func (p *ReaderPool) Get() Reader {
 	if p.closed.Load() {
 		panic("prcu: ReaderPool.Get after Close")

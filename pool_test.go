@@ -182,9 +182,8 @@ func TestReaderPoolGCReclaimsSlots(t *testing.T) {
 	r.WaitForReaders(prcu.All())
 }
 
-// TestUncappedRegisterNeverFails is the tentpole's acceptance test: with
-// no cap, Register must never return ErrTooManyReaders no matter how many
-// readers are live, and a grace period over the grown population must
+// TestUncappedRegisterNeverFails: Register must never fail no matter how
+// many readers are live, and a grace period over the grown population must
 // still complete. Over 10k concurrently registered readers per engine.
 func TestUncappedRegisterNeverFails(t *testing.T) {
 	const goroutines = 16

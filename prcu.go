@@ -41,8 +41,8 @@
 //	...
 //	r.WaitForReaders(prcu.Interval(k+1, kPrime)) // updater
 //
-// The reader registry grows on demand — Register never fails unless
-// Options.MaxReaders sets an explicit cap. Pinned, long-lived goroutines
+// The reader registry grows on demand, so Register never fails. Pinned,
+// long-lived goroutines
 // register once and keep their Reader; ephemeral goroutines (request
 // handlers and the like) should borrow a warm handle from a ReaderPool
 // instead:
@@ -126,11 +126,6 @@ type Reader = core.Reader
 // monotonic clock, this module's stand-in for the paper's TSC.
 type Clock = core.Clock
 
-// ErrTooManyReaders is returned by Register when Options.MaxReaders set a
-// cap and all its slots are live. Uncapped engines (the default) never
-// return it.
-var ErrTooManyReaders = core.ErrTooManyReaders
-
 // All returns the wildcard predicate: it holds for every value, making any
 // PRCU engine behave as a standard RCU (§3.1 "RCU fallback").
 func All() Predicate { return core.All() }
@@ -181,18 +176,13 @@ func Flavors() []Flavor {
 }
 
 // Options configures engine construction. The zero value selects the
-// paper's evaluation parameters with an unbounded, grow-on-demand reader
-// registry.
+// paper's evaluation parameters. Every engine's reader registry grows on
+// demand.
 type Options struct {
-	// MaxReaders, when positive, caps concurrently registered readers;
-	// Register returns ErrTooManyReaders once the cap is live. The
-	// default 0 lets the reader registry grow on demand, in which case
-	// Register never fails.
-	MaxReaders int
 	// CounterTableSize is D-PRCU's |C|; power of two. Default 1024.
 	CounterTableSize int
-	// NodesPerReader is DEER-PRCU's per-reader array size; power of two.
-	// Default 16.
+	// NodesPerReader is DEER-PRCU's per-reader array size; a power of two
+	// no larger than 64. Default 16.
 	NodesPerReader int
 	// Clock overrides the time source for the timestamp engines.
 	Clock Clock
@@ -251,16 +241,10 @@ func (o Options) attach(r RCU) RCU {
 	if o.Metrics != nil {
 		if c, ok := r.(core.MetricsCarrier); ok {
 			// Presize per-reader lanes from the slots the engine has
-			// actually allocated — MaxReaders is 0 for the default
-			// grow-on-demand registry, and presizing with it would leave
-			// an empty lane table every hot-path hook must grow on demand.
-			n := o.MaxReaders
+			// allocated, so no hot-path hook has to grow the lane table.
 			if sc, ok := r.(core.SlotCapacitor); ok {
-				if c := sc.SlotCapacity(); c > n {
-					n = c
-				}
+				o.Metrics.EnsureReaders(sc.SlotCapacity())
 			}
-			o.Metrics.EnsureReaders(n)
 			c.SetMetrics(o.Metrics)
 			// Feed the export plane (ObsHandler) under the engine's own
 			// name; rebuilding an engine with the same flavor rebinds the
@@ -292,23 +276,23 @@ func New(flavor Flavor, opt Options) (RCU, error) {
 	var r RCU
 	switch flavor {
 	case FlavorEER:
-		r = core.NewEER(opt.MaxReaders, opt.Clock)
+		r = core.NewEER(opt.Clock)
 	case FlavorD:
-		r = core.NewD(opt.MaxReaders, opt.CounterTableSize)
+		r = core.NewD(opt.CounterTableSize)
 	case FlavorDEER:
-		r = core.NewDEER(opt.MaxReaders, opt.NodesPerReader, opt.Clock)
+		r = core.NewDEER(opt.NodesPerReader, opt.Clock)
 	case FlavorTime:
-		r = core.NewTimeRCU(opt.MaxReaders, opt.Clock)
+		r = core.NewTimeRCU(opt.Clock)
 	case FlavorURCU:
-		r = core.NewURCU(opt.MaxReaders)
+		r = core.NewURCU()
 	case FlavorTree:
-		r = core.NewTreeRCU(opt.MaxReaders)
+		r = core.NewTreeRCU()
 	case FlavorDist:
-		r = core.NewDistRCU(opt.MaxReaders)
+		r = core.NewDistRCU()
 	case FlavorSRCU:
-		r = core.NewSRCU(opt.MaxReaders)
+		r = core.NewSRCU()
 	case FlavorPacked:
-		r = core.NewPacked(opt.MaxReaders)
+		r = core.NewPacked()
 	default:
 		return nil, fmt.Errorf("prcu: unknown flavor %q", flavor)
 	}
@@ -333,10 +317,11 @@ func MustNew(flavor Flavor, opt Options) RCU {
 // NewEER returns an EER-PRCU engine (§4.1): wait-for-readers evaluates the
 // predicate for each reader and waits, via timestamp quiescence detection,
 // only for readers it holds for. Wait time is linear in the reader count
-// but typically 10x shorter than a full RCU grace period.
+// but typically 10x shorter than a full RCU grace period. It runs on
+// DEER-PRCU's timestamp kernel with one node per reader.
 func NewEER(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewEER(opt.MaxReaders, opt.Clock))
+	return opt.attach(core.NewEER(opt.Clock))
 }
 
 // NewD returns a D-PRCU engine (§4.2): readers hash their value into a
@@ -345,7 +330,7 @@ func NewEER(opt Options) RCU {
 // at the price of an atomic counter update per Enter/Exit.
 func NewD(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewD(opt.MaxReaders, opt.CounterTableSize))
+	return opt.attach(core.NewD(opt.CounterTableSize))
 }
 
 // NewDEER returns a DEER-PRCU engine (§4.3): per-reader counter tables give
@@ -353,40 +338,44 @@ func NewD(opt Options) RCU {
 // EER's linear wait scan.
 func NewDEER(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewDEER(opt.MaxReaders, opt.NodesPerReader, opt.Clock))
+	return opt.attach(core.NewDEER(opt.NodesPerReader, opt.Clock))
 }
 
-// NewTimeRCU returns the Time RCU baseline: EER-PRCU without predicates.
+// NewTimeRCU returns the Time RCU baseline: EER-PRCU without predicates,
+// on DEER-PRCU's timestamp kernel with one node per reader and no value
+// posted by readers.
 func NewTimeRCU(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewTimeRCU(opt.MaxReaders, opt.Clock))
+	return opt.attach(core.NewTimeRCU(opt.Clock))
 }
 
 // NewURCU returns the userspace-RCU baseline of Desnoyers et al.
 func NewURCU(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewURCU(opt.MaxReaders))
+	return opt.attach(core.NewURCU())
 }
 
 // NewTreeRCU returns the Linux hierarchical RCU baseline under the paper's
 // userspace restriction (states between operations are quiescent).
 func NewTreeRCU(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewTreeRCU(opt.MaxReaders))
+	return opt.attach(core.NewTreeRCU())
 }
 
 // NewDistRCU returns the Arbel–Attiya distributed-counters RCU baseline.
 func NewDistRCU(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewDistRCU(opt.MaxReaders))
+	return opt.attach(core.NewDistRCU())
 }
 
 // NewSRCU returns McKenney's Sleepable RCU (§7): per-subsystem waiting
 // through the two-counter gate protocol D-PRCU builds on. Each instance
-// is one isolated subsystem; predicates are ignored within it.
+// is one isolated subsystem; predicates are ignored within it. It runs on
+// D-PRCU's counter kernel with a one-entry table, so it also implements
+// CounterTableResizer.
 func NewSRCU(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewSRCU(opt.MaxReaders))
+	return opt.attach(core.NewSRCU())
 }
 
 // NewPacked returns the packed-state epoch engine: each reader's active
@@ -396,7 +385,7 @@ func NewSRCU(opt Options) RCU {
 // readers with one load each. A plain RCU — predicates are ignored.
 func NewPacked(opt Options) RCU {
 	opt = opt.withDefaults()
-	return opt.attach(core.NewPacked(opt.MaxReaders))
+	return opt.attach(core.NewPacked())
 }
 
 // Reclaimer is the bounded deferred-reclamation engine: sharded
@@ -429,10 +418,12 @@ const (
 // must be called to release the shard workers.
 func NewReclaimer(r RCU, cfg ReclaimConfig) *Reclaimer { return reclaim.New(r, cfg) }
 
-// CounterTableResizer is implemented by the D-PRCU engine: Resize installs
-// a larger (or smaller) counter table, globally draining the old one —
-// the table expansion §4.2 describes for relieving hash-collision
-// contention. Obtain it by type-asserting the engine returned by NewD:
+// CounterTableResizer is implemented by the counter-kernel engines, D-PRCU
+// and SRCU: Resize installs a larger (or smaller) counter table, globally
+// draining the old one — the table expansion §4.2 describes for relieving
+// hash-collision contention. Obtain it by type-asserting the engine
+// returned by NewD (or NewSRCU, whose waits drain every entry of whatever
+// table it has, so resizing it changes only where readers count):
 //
 //	if rs, ok := r.(prcu.CounterTableResizer); ok { rs.Resize(4096) }
 type CounterTableResizer interface {
@@ -440,7 +431,8 @@ type CounterTableResizer interface {
 	TableSize() int
 }
 
-// Compile-time check that D-PRCU provides the resize extension.
+// Compile-time check that the counter kernel provides the resize
+// extension.
 var _ CounterTableResizer = (*core.D)(nil)
 
 // NewSimulated wraps an engine so WaitForReaders burns waitNs nanoseconds
@@ -450,8 +442,9 @@ var _ CounterTableResizer = (*core.D)(nil)
 func NewSimulated(inner RCU, waitNs int64) RCU { return core.NewSimulated(inner, waitNs) }
 
 // NewNop returns the unsafe no-op engine used by the read-overhead
-// ablation to measure a zero-synchronization ceiling.
-func NewNop(maxReaders int) RCU { return core.NewNop(maxReaders) }
+// ablation to measure a zero-synchronization ceiling. Its argument is
+// unused: the reader registry grows on demand.
+func NewNop(int) RCU { return core.NewNop() }
 
 // Metrics is an engine's observability state: cache-line-padded atomic
 // counters, per-reader lanes, latency histograms and an optional flight

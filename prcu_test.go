@@ -17,9 +17,6 @@ func TestNewAllFlavors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%s): %v", f, err)
 		}
-		if r.MaxReaders() != 0 {
-			t.Fatalf("%s default MaxReaders = %d, want 0 (uncapped)", f, r.MaxReaders())
-		}
 		rd, err := r.Register()
 		if err != nil {
 			t.Fatal(err)
@@ -50,27 +47,6 @@ func TestMustNewPanicsOnUnknown(t *testing.T) {
 	prcu.MustNew("bogus", prcu.Options{})
 }
 
-func TestOptionsPropagate(t *testing.T) {
-	r, err := prcu.New(prcu.FlavorEER, prcu.Options{MaxReaders: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rds []prcu.Reader
-	for i := 0; i < 3; i++ {
-		rd, err := r.Register()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rds = append(rds, rd)
-	}
-	if _, err := r.Register(); !errors.Is(err, prcu.ErrTooManyReaders) {
-		t.Fatalf("err = %v, want ErrTooManyReaders", err)
-	}
-	for _, rd := range rds {
-		rd.Unregister()
-	}
-}
-
 func TestNamedConstructors(t *testing.T) {
 	cases := []struct {
 		mk   func(prcu.Options) prcu.RCU
@@ -87,14 +63,14 @@ func TestNamedConstructors(t *testing.T) {
 		{prcu.NewPacked, "Packed RCU"},
 	}
 	for _, c := range cases {
-		if got := c.mk(prcu.Options{MaxReaders: 2}).Name(); got != c.name {
+		if got := c.mk(prcu.Options{}).Name(); got != c.name {
 			t.Errorf("Name = %q, want %q", got, c.name)
 		}
 	}
 }
 
 func TestSimulatedAndNopWrappers(t *testing.T) {
-	s := prcu.NewSimulated(prcu.NewTimeRCU(prcu.Options{MaxReaders: 2}), 1000)
+	s := prcu.NewSimulated(prcu.NewTimeRCU(prcu.Options{}), 1000)
 	s.WaitForReaders(prcu.All())
 	n := prcu.NewNop(2)
 	n.WaitForReaders(prcu.All())
@@ -111,7 +87,7 @@ func TestSimulatedAndNopWrappers(t *testing.T) {
 // a single-shard, immediate-flush Reclaimer runs a deferred callback by
 // Barrier.
 func TestAsyncViaPublicAPI(t *testing.T) {
-	r := prcu.NewDistRCU(prcu.Options{MaxReaders: 2})
+	r := prcu.NewDistRCU(prcu.Options{})
 	rec := prcu.NewReclaimer(r, prcu.ReclaimConfig{Shards: 1, FlushDelay: -1})
 	done := make(chan struct{})
 	rec.Defer(prcu.All(), 0, func(error) { close(done) })
