@@ -4,7 +4,7 @@ GO ?= go
 # -short; the full run stays well inside this on a laptop-class host.
 TEST_TIMEOUT ?= 300s
 
-.PHONY: all build vet test race short fuzz bench monitor chaos blame ci clean
+.PHONY: all build vet test race short fuzz bench chaos blame ci clean
 
 all: ci
 
@@ -47,14 +47,9 @@ fuzz:
 bench:
 	$(GO) run ./cmd/prcubench -duration 150ms -runs 1 stats
 
-# Live rate table over every engine under the mixed workload; pair with
-# -serve in a second terminal to scrape /metrics while it runs.
-MONITOR_FOR ?= 10s
-monitor:
-	$(GO) run ./cmd/prcubench -monitor-for $(MONITOR_FOR) monitor
-
 # Reader-blame demo: flight recorder armed, one deterministically slow
 # reader planted via chaos injection, verdict names the guilty slot.
+MONITOR_FOR ?= 10s
 blame:
 	$(GO) run ./cmd/prcubench -monitor-for $(MONITOR_FOR) blame
 

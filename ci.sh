@@ -30,6 +30,9 @@ go test -race -short -timeout 300s . ./internal/core ./citrus ./hashtable ./guar
 echo "== go test -race -count=3 (CITRUS concurrent updates: the nil-edge tag protocol) =="
 go test -race -count=3 -run 'Concurrent|Permanent|Reclaim|Reinsert' -timeout 300s ./citrus
 
+echo "== go test -race -count=3 (optimistic AVL tree: concurrent updates, splice/rebalance lock order) =="
+go test -race -count=3 -run 'Concurrent|Deadlock' -timeout 120s ./internal/opttree
+
 echo "== go test -race -count=3 (the two engine kernels: five flavors' safety argument in two functions) =="
 go test -race -count=3 -run 'TestConformance|TestTorture|TestWaitReadsClockOnlyForCoveredSection|TestFrozenClockWaitSemantics|TestWaitBookkeepingExact' -timeout 300s ./internal/core .
 
@@ -74,7 +77,7 @@ case "$out" in
     ;;
 esac
 
-echo "== export plane HTTP smoke (loopback /metrics, health+blame, tracez) =="
+echo "== export plane HTTP smoke (loopback: /metrics, /debug/prcu/health with blame, /debug/prcu/tracez) =="
 go run ./cmd/obssmoke
 
 echo "== bench smoke: recorder-off read fast paths (flight recorder must not tax disabled hot paths), the wait that finds nobody (0 allocs asserted) and the retire path =="

@@ -4,23 +4,20 @@
 //
 // Usage:
 //
-//	prcubench [flags] fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|monitor|blame|all
+//	prcubench [flags] fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|blame|all
 //
 // The stats subcommand runs the mixed workload with the observability
 // layer attached and dumps each engine's internal metrics: grace-period
 // latency histograms, predicate selectivity, wait resolution and sampled
-// reader-section durations. The monitor subcommand runs the same
-// workload on every engine concurrently and renders a live table of
-// windowed rates (waits/s, enters/s, selectivity, latency percentiles)
-// refreshed every -refresh for -monitor-for. The blame subcommand arms
-// the flight recorder, plants one deterministically slow reader via chaos
-// fault injection, and reports whether the recorder's per-slot blame
-// convicts exactly that reader (-monitor-for sizes the run).
+// reader-section durations. The blame subcommand arms the flight
+// recorder, plants one deterministically slow reader via chaos fault
+// injection, and reports whether the recorder's per-slot blame convicts
+// exactly that reader (-monitor-for sizes the run).
 //
 // With -serve ADDR any subcommand also serves the live export plane
-// while it runs — Prometheus /metrics, /debug/prcu/stats,
-// /debug/prcu/trace and /debug/prcu/health — over the engines the
-// experiment constructs:
+// while it runs — Prometheus /metrics, /debug/prcu/tracez and
+// /debug/prcu/health — over the engines the experiment constructs; rates
+// over the run are a scraper's rate() over /metrics:
 //
 //	prcubench -serve 127.0.0.1:9090 stats      # scrape /metrics mid-run
 //	prcubench -serve 127.0.0.1:9090 reclaim    # watch backlog gauges live
@@ -65,8 +62,7 @@ func main() {
 		jsonOut      = flag.Bool("json", false, "write tables as JSON Lines on stdout instead of text (progress goes to stderr)")
 		quick        = flag.Bool("quick", false, "smoke-test preset: tiny windows, 1 run, small key spaces (explicit flags still override)")
 		serve        = flag.String("serve", "", "serve the live export plane (/metrics, /debug/prcu/*) on this address for the duration of the run")
-		refresh      = flag.Duration("refresh", time.Second, "monitor subcommand: table refresh interval")
-		monitorFor   = flag.Duration("monitor-for", 10*time.Second, "monitor subcommand: total time to run the monitored workload")
+		monitorFor   = flag.Duration("monitor-for", 10*time.Second, "blame subcommand: total time to run the workload the slow reader is planted in")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: prcubench [flags] %s\n\n", subcommands)
@@ -104,9 +100,6 @@ func main() {
 		}
 		if !set["monitor-for"] {
 			*monitorFor = 2 * time.Second
-		}
-		if !set["refresh"] {
-			*refresh = 500 * time.Millisecond
 		}
 	}
 
@@ -153,7 +146,7 @@ func main() {
 	}
 
 	start := time.Now()
-	if err := dispatch(flag.Arg(0), cfg, *includeLF, *monitorFor, *refresh); err != nil {
+	if err := dispatch(flag.Arg(0), cfg, *includeLF, *monitorFor); err != nil {
 		fmt.Fprintln(os.Stderr, "prcubench:", err)
 		os.Exit(1)
 	}
@@ -162,9 +155,9 @@ func main() {
 
 // subcommands is the canonical experiment list, shared by the usage
 // text and the unknown-subcommand error.
-const subcommands = "fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|monitor|blame|all"
+const subcommands = "fig1|fig5|fig6|fig7|fig8|fig9|ablation|stats|reclaim|blame|all"
 
-func dispatch(cmd string, cfg bench.Config, includeLF bool, monitorFor, refresh time.Duration) error {
+func dispatch(cmd string, cfg bench.Config, includeLF bool, monitorFor time.Duration) error {
 	switch cmd {
 	case "fig1":
 		return bench.Fig1(cfg)
@@ -184,8 +177,6 @@ func dispatch(cmd string, cfg bench.Config, includeLF bool, monitorFor, refresh 
 		return bench.Stats(cfg)
 	case "reclaim":
 		return bench.Reclaim(cfg)
-	case "monitor":
-		return bench.Monitor(cfg, monitorFor, refresh)
 	case "blame":
 		return bench.Blame(cfg, monitorFor)
 	case "all":

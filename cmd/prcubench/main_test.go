@@ -47,29 +47,15 @@ func TestParseThreads(t *testing.T) {
 func TestDispatchUnknown(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := bench.DefaultConfig(&buf)
-	err := dispatch("nope", cfg, false, time.Second, time.Second)
+	err := dispatch("nope", cfg, false, time.Second)
 	if err == nil {
 		t.Fatal("unknown subcommand must error")
 	}
-	// The error must teach the full subcommand list, including monitor.
-	for _, want := range []string{"monitor", "stats", "reclaim", "fig9", "all"} {
+	// The error must teach the full subcommand list, including blame.
+	for _, want := range []string{"blame", "stats", "reclaim", "fig9", "all"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("unknown-subcommand error %q does not list %s", err, want)
 		}
-	}
-}
-
-func TestDispatchMonitor(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := bench.DefaultConfig(&buf)
-	cfg.Threads = []int{1}
-	cfg.SmallKeys = 256
-	if err := dispatch("monitor", cfg, false, 150*time.Millisecond, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "live monitor") || !strings.Contains(out, "waits/s") {
-		t.Fatalf("monitor output missing table:\n%s", out)
 	}
 }
 
@@ -82,7 +68,7 @@ func TestDispatchRunsExperiment(t *testing.T) {
 	cfg.SmallKeys = 256
 	cfg.LargeKeys = 512
 	cfg.HashElements = 512
-	if err := dispatch("fig1", cfg, false, time.Second, time.Second); err != nil {
+	if err := dispatch("fig1", cfg, false, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Figure 1") {

@@ -41,10 +41,9 @@ type Config struct {
 	JSON io.Writer
 	// Observe, when set, attaches a fresh metrics collector to every
 	// engine the drivers construct and registers it in the export plane
-	// under the engine's name, so a live listener (prcubench -serve, or
-	// the monitor subcommand) can watch the run. Rebuilt engines rebind
-	// their name, keeping one stable series per engine across sweep
-	// points.
+	// under the engine's name, so a live listener (prcubench -serve) can
+	// watch the run. Rebuilt engines rebind their name, keeping one
+	// stable series per engine across sweep points.
 	Observe bool
 }
 

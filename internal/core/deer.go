@@ -57,11 +57,10 @@ type DEER struct {
 	// values is false for Time RCU: readers post no value and waits cover
 	// every section.
 	values bool
-	name   string
 	// Every Enter reads clock, mask and values. The pad makes the struct
 	// exactly two cache lines, a line-aligned size class, so that no
 	// neighbouring allocation shares a line with them.
-	_ [32]byte
+	_ [48]byte
 }
 
 // NewEER returns an EER-PRCU engine: the timestamp kernel with one node
@@ -93,9 +92,8 @@ func newTimestamp(name string, nodesPer int, values bool, clock Clock) *DEER {
 		clock:  clock,
 		mask:   uint64(nodesPer - 1),
 		values: values,
-		name:   name,
 	}
-	d.setup(d, nodesPer, func(n int) []timeNode {
+	d.setup(name, nodesPer, func(n int) []timeNode {
 		nodes := make([]timeNode, n)
 		for i := range nodes {
 			nodes[i].time.Store(tsc.Infinity)
@@ -109,9 +107,6 @@ func newTimestamp(name string, nodesPer int, values bool, clock Clock) *DEER {
 // slot's nodes out consecutively in its segment, so the window is rebuilt
 // in registers, with no slice header to load per reader.
 func (d *DEER) table(first *timeNode) []timeNode { return unsafe.Slice(first, d.mask+1) }
-
-// Name implements RCU.
-func (d *DEER) Name() string { return d.name }
 
 // NodesPerReader returns the per-reader node-array size.
 func (d *DEER) NodesPerReader() int { return int(d.mask + 1) }
@@ -253,12 +248,12 @@ func (d *DEER) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	d.reg.forEachActive(func(first *timeNode, slot int) bool {
 		s.scanned++
 		if d.mask == 0 {
-			return first.time.Load() == tsc.Infinity || !p.Holds(first.value.Load()) || s.awaitSection(d.clock, first, slot, p)
+			return first.time.Load() == tsc.Infinity || !p.Holds(first.value.Load()) || s.awaitSection(d, first, slot, p)
 		}
 		table := d.table(first)
 		if !p.Enumerable() {
 			for i := range table {
-				if n := &table[i]; n.time.Load() != tsc.Infinity && p.Holds(n.value.Load()) && !s.awaitSection(d.clock, n, slot, p) {
+				if n := &table[i]; n.time.Load() != tsc.Infinity && p.Holds(n.value.Load()) && !s.awaitSection(d, n, slot, p) {
 					return false
 				}
 			}
@@ -269,7 +264,7 @@ func (d *DEER) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 		for v, i := p.first, 0; ; v, i = p.next(v), i+1 {
 			if idx := hashValue(v) & d.mask; visited&(1<<idx) == 0 {
 				visited |= 1 << idx
-				if n := &table[idx]; n.time.Load() != tsc.Infinity && p.Holds(n.value.Load()) && !s.awaitSection(d.clock, n, slot, p) {
+				if n := &table[idx]; n.time.Load() != tsc.Infinity && p.Holds(n.value.Load()) && !s.awaitSection(d, n, slot, p) {
 					return false
 				}
 				if visited == full {
@@ -296,36 +291,16 @@ func (d *DEER) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 // hence before this read, and posted T <= t0 (a later t0 only widens the
 // set waited for); and a node seen at Infinity after the wait began holds
 // no such section, because its own Exit is the only store of Infinity.
-// The full argument is in DESIGN.md §5.
-func (s *waitSession) awaitSection(c Clock, n *timeNode, slot int, p Predicate) bool {
+// The full argument is in DESIGN.md §5. A node still covered at t0 is
+// what the wait blocks on, so the session records it for a stall report.
+func (s *waitSession) awaitSection(d *DEER, n *timeNode, slot int, p Predicate) bool {
 	if !s.timed {
-		s.t0, s.timed = c.Now(), true
+		s.t0, s.timed = d.clock.Now(), true
 	}
 	t0 := s.t0
-	return !covered(n, t0, p) || s.await(slot, func() bool { return covered(n, t0, p) })
-}
-
-// stalledReaders implements engine: for each active reader, the covered
-// nodes open now, with their age and, when readers post one, their value
-// (distinct values can occupy distinct nodes of the same reader, so a
-// reader may appear more than once). Time RCU's nodes hold no value: they
-// report 0 with HasValue false.
-func (d *DEER) stalledReaders(p Predicate) []StalledReader {
-	if !d.values {
-		p = All()
-	}
-	now := d.clock.Now()
-	var out []StalledReader
-	d.reg.forEachActive(func(first *timeNode, slot int) bool {
-		table := d.table(first)
-		for i := range table {
-			if n := &table[i]; covered(n, now, p) {
-				out = append(out, StalledReader{
-					Slot: slot, Value: n.value.Load(), HasValue: d.values, OpenFor: clampDur(now - n.time.Load()),
-				})
-			}
-		}
+	if !covered(n, t0, p) {
 		return true
-	})
-	return out
+	}
+	s.stamp, s.node = d, n
+	return s.await(slot, func() bool { return covered(n, t0, p) })
 }

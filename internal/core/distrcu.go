@@ -25,12 +25,9 @@ type DistRCU struct {
 // NewDistRCU returns a distributed-counters RCU engine.
 func NewDistRCU() *DistRCU {
 	d := &DistRCU{}
-	d.setup(d, 1, zeroSeg[pad.Uint64])
+	d.setup("Dist RCU", 1, zeroSeg[pad.Uint64])
 	return d
 }
-
-// Name implements RCU.
-func (d *DistRCU) Name() string { return "Dist RCU" }
 
 type distReader struct {
 	readerGuard
@@ -99,10 +96,4 @@ func (d *DistRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 		return gen&1 == 0 || s.await(slot, func() bool { return g.Load() == gen })
 	})
 	return s.end()
-}
-
-// stalledReaders implements engine: readers whose generation counter is
-// odd (inside a critical section). No value or timestamp is tracked.
-func (d *DistRCU) stalledReaders(Predicate) []StalledReader {
-	return stalledSlots(d.reg, func(g *pad.Uint64, _ *StalledReader) bool { return g.Load()&1 == 1 })
 }

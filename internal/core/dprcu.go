@@ -94,11 +94,10 @@ type D struct {
 	optBudget int
 	// values is false for SRCU: every wait drains the whole table.
 	values bool
-	name   string
 	// Every Enter reads tbl. The pad makes the struct exactly two cache
 	// lines, a line-aligned size class, so that no neighbouring allocation
 	// shares a line with it.
-	_ [24]byte
+	_ [40]byte
 }
 
 // NewD returns a D-PRCU engine. tableSize is the counter-table size |C|
@@ -115,8 +114,8 @@ func NewD(tableSize int) *D {
 func NewSRCU() *D { return newCounter("SRCU", 1, false) }
 
 func newCounter(name string, tableSize int, values bool) *D {
-	d := &D{optBudget: optimisticBudget, values: values, name: name}
-	d.setup(d, 1, zeroSeg[struct{}])
+	d := &D{optBudget: optimisticBudget, values: values}
+	d.setup(name, 1, zeroSeg[struct{}])
 	d.tbl.Store(newDTable(tableSize))
 	return d
 }
@@ -126,9 +125,6 @@ func newCounter(name string, tableSize int, values bool) *D {
 // drain straight to the gate protocol. Call before the engine is in use —
 // the field is read without synchronization on the wait path.
 func (d *D) SetOptimisticBudget(budget int) { d.optBudget = budget }
-
-// Name implements RCU.
-func (d *D) Name() string { return d.name }
 
 // TableSize returns |C|, the current counter table size.
 func (d *D) TableSize() int { return len(d.tbl.Load().nodes) }
@@ -240,7 +236,8 @@ func (d *D) WaitForReaders(p Predicate) { d.WaitForReadersCtx(nil, p) }
 //
 // The "readers scanned / waited for" selectivity is counted over counter
 // nodes — the unit D-PRCU's waits actually visit and block on — and blame
-// and stall reports name node indices for the same reason.
+// and stall reports name node indices, in the generation being drained,
+// for the same reason.
 func (d *D) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	s := waitSession{e: &d.hooks}
 	if err := s.begin(ctx, &p); err != nil {
@@ -261,8 +258,10 @@ func (d *D) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	return s.end()
 }
 
-// drainAll drains every node of t, stopping early on cancellation.
+// drainAll drains every node of t, stopping early on cancellation. Its
+// nodes are drained for no one value, so a stall report names none.
 func (d *D) drainAll(s *waitSession, t *dTable) bool {
+	s.hasVal = false
 	for j := range t.nodes {
 		if !drainNode(s, &t.nodes[j], j, d.optBudget) {
 			return false
@@ -272,8 +271,11 @@ func (d *D) drainAll(s *waitSession, t *dTable) bool {
 }
 
 // drainCovered drains the nodes of t that p's values hash to, each once,
-// stopping early on cancellation or once every node of t is drained.
+// stopping early on cancellation or once every node of t is drained. The
+// session keeps the value each drain is for, which a stall report names
+// beside the node.
 func (d *D) drainCovered(s *waitSession, t *dTable, p Predicate) bool {
+	s.hasVal = true
 	// Dedup covered indices. Predicates in practice cover very few values
 	// (a bucket pair, a small key interval), so a small linear buffer
 	// avoids allocation; large predicates spill into a bitmap.
@@ -304,6 +306,7 @@ func (d *D) drainCovered(s *waitSession, t *dTable, p Predicate) bool {
 		if bitmap != nil {
 			bitmap[idx/64] |= 1 << (idx % 64)
 		}
+		s.val = v
 		ok = drainNode(s, &t.nodes[idx], int(idx), d.optBudget)
 		drained++
 		return ok && drained < len(t.nodes)
@@ -418,37 +421,6 @@ func drainBusyNode(s *waitSession, n *dNode, idx, budget int) bool {
 	}
 	s.drains[outcome]++
 	return ok
-}
-
-// stalledReaders implements engine. Counter-kernel waits block on counter
-// nodes, not readers, so Slot is the counter-node index in the current
-// table; for an enumerable predicate Value records one covered value that
-// hashes to the node (the diagnostic the hash obscures otherwise). SRCU
-// reports its busy nodes with no value.
-func (d *D) stalledReaders(p Predicate) []StalledReader {
-	t := d.tbl.Load()
-	var out []StalledReader
-	report := func(idx int, sr StalledReader) {
-		if n := &t.nodes[idx]; n.readers[0].Load() != 0 || n.readers[1].Load() != 0 {
-			sr.Slot = idx
-			out = append(out, sr)
-		}
-	}
-	if !d.values || !p.Enumerable() {
-		for j := range t.nodes {
-			report(j, StalledReader{})
-		}
-		return out
-	}
-	seen := make(map[uint64]bool)
-	p.ForEach(func(v Value) bool {
-		if idx := t.index(v); !seen[idx] {
-			seen[idx] = true
-			report(int(idx), StalledReader{Value: v, HasValue: true})
-		}
-		return len(seen) < len(t.nodes)
-	})
-	return out
 }
 
 // Resize installs a counter table of newSize (a power of two) — the table

@@ -68,12 +68,9 @@ const (
 // NewPacked returns a packed-state epoch engine.
 func NewPacked() *Packed {
 	p := &Packed{}
-	p.setup(p, 1, zeroSeg[pad.Uint32])
+	p.setup("Packed RCU", 1, zeroSeg[pad.Uint32])
 	return p
 }
-
-// Name implements RCU.
-func (p *Packed) Name() string { return "Packed RCU" }
 
 type packedReader struct {
 	readerGuard
@@ -165,12 +162,4 @@ func (p *Packed) WaitForReadersCtx(ctx context.Context, pred Predicate) error {
 		})
 	}
 	return s.end()
-}
-
-// stalledReaders implements engine: active readers whose epoch is older
-// than the current global epoch — the sections a wait in progress is (or
-// would be) blocked on.
-func (p *Packed) stalledReaders(Predicate) []StalledReader {
-	g := p.gp.Load()
-	return stalledSlots(p.reg, func(c *pad.Uint32, _ *StalledReader) bool { return packedOngoing(c.Load(), g) })
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"prcu/internal/obs"
+	"prcu/internal/tsc"
 )
 
 func TestPackedOngoing(t *testing.T) {
@@ -140,42 +140,49 @@ func TestPackedEpochWraparound(t *testing.T) {
 	rd.Unregister()
 }
 
-// TestPackedStalledReaders checks the watchdog probe names exactly the
-// slots a wedged wait is blocked on.
+// TestPackedStalledReaders checks the watchdog names exactly the slot a
+// wedged wait is blocked on, and not a quiescent bystander's.
 func TestPackedStalledReaders(t *testing.T) {
 	p := NewPacked()
-	blocker, err := p.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clk := tsc.NewManual(0)
+	reports := make(chan StallReport, 1)
+	p.SetStallConfig(StallConfig{
+		Timeout:   1_000,
+		RateLimit: time.Hour,
+		Clock:     clk,
+		OnStall:   func(rep StallReport) { reports <- rep },
+	})
 	bystander, err := p.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocker, err := p.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
 	blocker.Enter(5)
-	var wg sync.WaitGroup
-	wg.Add(1)
 	released := make(chan struct{})
 	go func() {
-		defer wg.Done()
 		p.WaitForReaders(All())
 		close(released)
 	}()
-	// Give the wait time to flip; the blocker's epoch is then stale.
 	deadline := time.After(5 * time.Second)
-	for {
-		if st := p.stalledReaders(All()); len(st) == 1 && st[0].Slot == blocker.(*packedReader).slot {
-			break
-		}
+	var rep StallReport
+	for got := false; !got; {
 		select {
+		case rep = <-reports:
+			got = true
 		case <-deadline:
-			t.Fatalf("stalledReaders = %+v, want exactly the blocker's slot", p.stalledReaders(All()))
+			t.Fatal("watchdog never fired on the blocked wait")
 		default:
+			clk.Advance(2_000)
 			time.Sleep(time.Millisecond)
 		}
 	}
+	if want := blocker.(*packedReader).slot; len(rep.Readers) != 1 || rep.Readers[0].Slot != want {
+		t.Fatalf("report readers = %+v, want exactly the blocker's slot %d", rep.Readers, want)
+	}
 	blocker.Exit(5)
-	wg.Wait()
 	<-released
 	blocker.Unregister()
 	bystander.Unregister()

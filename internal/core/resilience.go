@@ -40,16 +40,17 @@ type StallConfig struct {
 	Clock Clock
 }
 
-// StalledReader describes one reader (or, for the counter-table
-// engines, one counter node) a stalled wait is blocked on.
+// StalledReader describes the reader (or, for the counter-table
+// engines, the counter node) a stalled wait is blocked on.
 type StalledReader struct {
 	// Slot is the reader's registry slot — except for D-PRCU and SRCU,
 	// whose waits block on counter nodes, not readers; there it is the
-	// counter-node index.
+	// counter-node index. Tree RCU, whose wait polls one root word for
+	// every reader it seeded, names the first of them.
 	Slot int
 	// Value is the domain value the open critical section is on, when
 	// the engine records one (HasValue). For D-PRCU it is the covered
-	// predicate value that hashes to the stalled node.
+	// predicate value whose node the wait is draining.
 	Value    Value
 	HasValue bool
 	// OpenFor is how long the section has been open, for the
@@ -71,14 +72,17 @@ type StallReport struct {
 	Predicate string
 	// Elapsed is how long the reporting wait had been blocked.
 	Elapsed time.Duration
-	// Readers are the offending open critical sections, scanned from the
-	// engine's per-slot state at report time.
+	// Readers is what this wait is blocked on, as its own scan recorded
+	// it: the one slot or counter node it is polling when the report
+	// fires. It is not a census of every open covered section — other
+	// readers the wait has yet to reach, or has already waited out, are
+	// not listed.
 	Readers []StalledReader
 }
 
 // String renders the report as a single kernel-style watchdog log line:
 //
-//	prcu: stall on EER-PRCU [flavor eer] pred=all elapsed=1.5s readers=2 [slot 3 (value 7, open 1.2s); slot 9]
+//	prcu: stall on EER-PRCU [flavor eer] pred=all elapsed=1.5s readers=1 [slot 3 (value 7, open 1.2s)]
 func (r StallReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "prcu: stall on %s", r.Engine)

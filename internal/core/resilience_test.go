@@ -229,7 +229,10 @@ func awaitReports(t *testing.T, c *stallCollector, clk *tsc.Manual, tick int64, 
 // with a manual clock on every engine: a parked covered reader stalls
 // the wait; once the injected clock passes the timeout the watchdog
 // must fire, exactly once per rate-limit window however long the stall
-// persists, and fire again when the window rolls over.
+// persists, and fire again when the window rolls over. The report names
+// what the wait is blocked on: the parked reader's slot (behind an idle
+// reader in slot 0) on the registry engines, and the counter node its
+// value hashes to on the counter kernel.
 func TestStallWatchdogManualClock(t *testing.T) {
 	const (
 		timeoutNs = 1_000
@@ -246,7 +249,16 @@ func TestStallWatchdogManualClock(t *testing.T) {
 				Clock:     clk,
 				OnStall:   col.add,
 			})
+			idle, err := r.Register()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idle.Unregister()
 			release := parkReader(t, r, 5)
+			wantSlot := 1
+			if d, ok := r.(*D); ok {
+				wantSlot = int(d.tbl.Load().index(5))
+			}
 			waited := make(chan struct{})
 			go func() {
 				r.WaitForReaders(Singleton(5))
@@ -266,8 +278,8 @@ func TestStallWatchdogManualClock(t *testing.T) {
 			if rep.Elapsed < timeoutNs {
 				t.Errorf("report elapsed %d, want >= %d", rep.Elapsed, timeoutNs)
 			}
-			if len(rep.Readers) == 0 {
-				t.Errorf("report names no stalled readers; want at least one")
+			if len(rep.Readers) != 1 || rep.Readers[0].Slot != wantSlot {
+				t.Errorf("report readers = %+v, want the one blocker in slot %d", rep.Readers, wantSlot)
 			}
 			// Within the same rate-limit window the stall persists but no
 			// further report may fire, no matter how many checks run.

@@ -20,8 +20,9 @@ import (
 // Each engine's WaitForReadersCtx is its whole algorithm text — session
 // begin, pre-scan step, blocking test, end — and WaitForReaders is that
 // with a nil Context. (The two entry points are one-liners on the engine
-// rather than methods of the hooks embed: dispatching from the embed back
-// to the engine through an interface measured 7.5 ns per wait.)
+// rather than methods of the hooks embed, which would have to dispatch
+// back to the engine through an interface: that measured 7.5 ns per
+// wait.)
 //
 // Cost model: a session is a stack value, so a wait allocates nothing
 // whatever its entry point. Cancellation and the watchdog are checked only
@@ -29,22 +30,16 @@ import (
 // (one predictable branch per step, none per slot), so a wait that finds
 // no covered reader reaches none of them.
 
-// engine is what a stall report needs from the engine that embeds hooks.
-type engine interface {
-	Name() string
-	// stalledReaders lists what a wait on p is blocked on right now, using
-	// the same blocking test as the engine's wait.
-	stalledReaders(p Predicate) []StalledReader
-}
-
 // hooks is the non-generic part of base: the observability and
-// resilience hook points, and the back-pointer to the engine that embeds
-// them.
+// resilience hook points, and the engine's name.
 type hooks struct {
 	metered
 	resilient
-	self engine
+	name string
 }
+
+// Name implements RCU.
+func (h *hooks) Name() string { return h.name }
 
 // base is embedded by every engine: hooks plus the reader registry, whose
 // per-slot state type S is the engine's own.
@@ -53,10 +48,10 @@ type base[S any] struct {
 	reg *registry[S]
 }
 
-// setup wires the embedding engine and allocates its registry of stride
+// setup names the embedding engine and allocates its registry of stride
 // S per slot.
-func (b *base[S]) setup(self engine, stride int, newSeg func(n int) []S) {
-	b.self = self
+func (b *base[S]) setup(name string, stride int, newSeg func(n int) []S) {
+	b.name = name
 	b.reg = newRegistry(stride, newSeg)
 }
 
@@ -76,12 +71,14 @@ type waitSession struct {
 	span obs.WaitSpan
 	w    spin.Waiter
 	// bs is the blame-clock reading at the start of the latest await.
-	bs                      int64
-	scanned, waited, parked uint64
-	drains                  [3]uint64 // indexed by obs.DrainOutcome
+	bs int64
+	// One wait's counts. Slots are indexed by int32 (registry.limit) and a
+	// wait drains each counter node at most twice, so 32 bits hold them
+	// and keep the session, zeroed on every wait, small.
+	scanned, waited, parked uint32
+	drains                  [3]uint32 // indexed by obs.DrainOutcome
 	// The control block: all zero for a plain wait with the watchdog
-	// unarmed. armed caches "done or st is set" for step.
-	armed   bool
+	// unarmed.
 	ctx     context.Context
 	done    <-chan struct{}
 	st      *stallState
@@ -90,8 +87,18 @@ type waitSession struct {
 	err     error
 	// t0 is a timestamp engine's reading of its clock for this wait, valid
 	// once timed: awaitSection takes it when a scan first needs it.
-	t0    int64
-	timed bool
+	t0 int64
+	// armed caches "done or st is set" for step.
+	armed, timed bool
+	// What the latest await blocked on, for the stall report: its slot
+	// (a counter index for the counter kernel), recorded by await; the
+	// node and engine when awaitSection made it, which give the section's
+	// value and age; and the value a counter drain covers, when hasVal.
+	hasVal bool
+	slot   int32
+	stamp  *DEER
+	node   *timeNode
+	val    Value
 }
 
 // begin opens the session. A plain wait with no metrics attached and the
@@ -138,6 +145,7 @@ func (s *waitSession) beginSlow(ctx context.Context, p *Predicate) error {
 // a load and a branch and none of this.
 func (s *waitSession) await(slot int, blocked func() bool) bool {
 	s.waited++
+	s.slot = int32(slot)
 	s.bs = s.m.BlameStart(&s.span)
 	s.rearm()
 	for blocked() && s.step() {
@@ -198,11 +206,11 @@ func (s *waitSession) checkStall() {
 		return // rate-limited, or a concurrent stalled waiter won the window
 	}
 	rep := StallReport{
-		Engine:    s.e.self.Name(),
+		Engine:    s.e.name,
 		Flavor:    s.e.FlavorToken(),
 		Predicate: s.pred.String(),
 		Elapsed:   time.Duration(now - s.startNs),
-		Readers:   s.e.self.stalledReaders(s.pred),
+		Readers:   []StalledReader{s.blocker()},
 	}
 	s.m.StallDetected(s.span, uint64(len(rep.Readers)))
 	if st.cfg.OnStall != nil {
@@ -222,22 +230,18 @@ func (s *waitSession) end() error {
 
 // record is end's metered half, kept out of line so end inlines.
 func (s *waitSession) record() {
-	s.m.DrainCounts(s.drains[obs.DrainOptimistic], s.drains[obs.DrainGate], s.drains[obs.DrainPiggyback])
-	s.m.WaitEnd(s.span, s.scanned, s.waited, s.parked)
+	s.m.DrainCounts(uint64(s.drains[obs.DrainOptimistic]), uint64(s.drains[obs.DrainGate]), uint64(s.drains[obs.DrainPiggyback]))
+	s.m.WaitEnd(s.span, uint64(s.scanned), uint64(s.waited), uint64(s.parked))
 }
 
-// stalledSlots builds a stall report's reader list: every active slot for
-// which open — the engine's blocking test, evaluated as of now — holds.
-// open may fill in the Value and OpenFor the engine tracks.
-func stalledSlots[S any](r *registry[S], open func(st *S, sr *StalledReader) bool) []StalledReader {
-	var out []StalledReader
-	var sr StalledReader
-	r.forEachActive(func(st *S, slot int) bool {
-		sr = StalledReader{Slot: slot}
-		if open(st, &sr) {
-			out = append(out, sr)
-		}
-		return true
-	})
-	return out
+// blocker is what this wait is blocked on, read off what the latest
+// await recorded: no registry re-scan, and so no second copy of any
+// engine's blocking test.
+func (s *waitSession) blocker() StalledReader {
+	sr := StalledReader{Slot: int(s.slot), Value: s.val, HasValue: s.hasVal}
+	if n := s.node; n != nil {
+		sr.Value, sr.HasValue = n.value.Load(), s.stamp.values
+		sr.OpenFor = clampDur(s.stamp.clock.Now() - n.time.Load())
+	}
+	return sr
 }

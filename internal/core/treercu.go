@@ -96,13 +96,10 @@ type TreeRCU struct {
 // NewTreeRCU returns a Tree RCU engine.
 func NewTreeRCU() *TreeRCU {
 	t := &TreeRCU{}
-	t.setup(t, 1, zeroSeg[pad.Uint64])
+	t.setup("Tree RCU", 1, zeroSeg[pad.Uint64])
 	t.tree.Store(buildTree(t.reg.capacity()))
 	return t
 }
-
-// Name implements RCU.
-func (t *TreeRCU) Name() string { return "Tree RCU" }
 
 // Levels returns the height of the combining tree (for tests).
 func (t *TreeRCU) Levels() int { return len(t.tree.Load().levels) }
@@ -272,18 +269,11 @@ func (t *TreeRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	// bitmap, the single root poll either stayed in its spin phase or
 	// crossed into yields once for the whole set, and blame conservatively
 	// charges the whole poll to every seeded slot (an exited-early reader
-	// is over-blamed, never missed).
+	// is over-blamed, never missed). A stall report names the first.
 	root := &tl.levels[len(tl.levels)-1][0]
 	s.await(tl.waited[0].slot, func() bool { return root.Load() != 0 })
 	for _, wd := range tl.waited[1:] {
 		s.also(wd.slot)
 	}
 	return s.end()
-}
-
-// stalledReaders implements engine: readers whose generation counter is
-// odd (inside a critical section). Tree RCU waits for all readers, so no
-// value filtering applies.
-func (t *TreeRCU) stalledReaders(Predicate) []StalledReader {
-	return stalledSlots(t.reg, func(st *pad.Uint64, _ *StalledReader) bool { return st.Load()&1 == 1 })
 }

@@ -34,13 +34,10 @@ type URCU struct {
 // NewURCU returns a URCU engine.
 func NewURCU() *URCU {
 	u := &URCU{}
-	u.setup(u, 1, zeroSeg[pad.Uint64])
+	u.setup("URCU", 1, zeroSeg[pad.Uint64])
 	u.gp.Store(urcuCount)
 	return u
 }
-
-// Name implements RCU.
-func (u *URCU) Name() string { return "URCU" }
 
 type urcuReader struct {
 	readerGuard
@@ -125,12 +122,4 @@ func (u *URCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	}
 	u.mu.Unlock()
 	return s.end()
-}
-
-// stalledReaders implements engine: readers online in the old phase
-// relative to the current grace-period counter — the ones a wait in
-// progress is (or would be) blocked on.
-func (u *URCU) stalledReaders(Predicate) []StalledReader {
-	gp := u.gp.Load()
-	return stalledSlots(u.reg, func(c *pad.Uint64, _ *StalledReader) bool { return ongoing(c.Load(), gp) })
 }

@@ -16,9 +16,9 @@ import (
 // (the engine-internal WaitForReaders, with per-slot blame samples) →
 // callback execution. Point events — stall reports and reclaimer
 // overloads — are zero-duration spans in the same ring (mark), so it is
-// the module's only event log. /debug/prcu/tracez renders it as Chrome trace-event
-// JSON and /debug/prcu/trace as a flat listing; the blame table it
-// aggregates names the reader slots that actually delay grace periods.
+// the module's only event log. /debug/prcu/tracez renders it as Chrome
+// trace-event JSON; the blame table it aggregates names the reader slots
+// that actually delay grace periods.
 //
 // The gate (Metrics.flight) is a single atomic pointer that is nil when
 // the recorder is off, so every hook on the wait and reclaim paths costs

@@ -72,8 +72,8 @@ type Metrics struct {
 	drainsPiggyback  pad.Uint64
 
 	// stalls counts grace-period stall reports the watchdog fired (already
-	// rate-limited by the engine); stalledReaders accumulates the offending
-	// open critical sections those reports named.
+	// rate-limited by the engine); stalledReaders accumulates the blockers
+	// those reports named.
 	stalls         pad.Uint64
 	stalledReaders pad.Uint64
 
@@ -235,8 +235,8 @@ const (
 	DrainPiggyback
 )
 
-// StallDetected records one watchdog stall report naming stalled open
-// critical sections, fired inside the wait sp: the SpanStall it leaves
+// StallDetected records one watchdog stall report naming stalled
+// blockers, fired inside the wait sp: the SpanStall it leaves
 // carries that wait's GP, so the report lines up with the SpanWait it
 // interrupted.
 func (m *Metrics) StallDetected(sp WaitSpan, stalled uint64) {

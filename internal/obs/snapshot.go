@@ -64,7 +64,9 @@ type Snapshot struct {
 	DrainsPiggyback  uint64
 
 	// Stalls counts watchdog stall reports (rate-limited at the engine);
-	// StalledReaders totals the open critical sections those reports named.
+	// StalledReaders totals the blockers those reports named — each names
+	// what its wait was blocked on (one reader slot or counter node), not
+	// every open section.
 	Stalls         uint64
 	StalledReaders uint64
 
@@ -203,7 +205,7 @@ func (s Snapshot) Dump(w io.Writer, name string) {
 			s.DrainsOptimistic, s.DrainsGate, s.DrainsPiggyback)
 	}
 	if s.Stalls > 0 {
-		fmt.Fprintf(w, "stalls detected:  %d reports naming %d open sections\n",
+		fmt.Fprintf(w, "stalls detected:  %d reports naming %d blockers\n",
 			s.Stalls, s.StalledReaders)
 	}
 	if s.ReclaimRetired > 0 || s.ReclaimInline > 0 {

@@ -342,57 +342,45 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
+// TestHandlerEndpoints pins the export plane's surface, one endpoint per
+// question: /metrics carries the counters, tracez the flight recorder,
+// health the windowed verdict. /debug/prcu/stats and /debug/prcu/trace
+// would restate /metrics and tracez, so they are not served.
+func TestHandlerEndpoints(t *testing.T) {
 	registerAllEngines(t)
-	code, body := scrape(t, "/debug/prcu/stats")
+	code, body := scrape(t, "/metrics")
+	if code != 200 || !strings.Contains(body, `prcu_waits_total{engine="EER"} 3`) {
+		t.Fatalf("GET /metrics = %d, want 200 with EER's 3 waits:\n%s", code, body)
+	}
+	code, body = scrape(t, "/debug/prcu/tracez?engine=EER")
 	if code != 200 {
-		t.Fatalf("GET stats = %d", code)
+		t.Fatalf("GET tracez = %d: %s", code, body)
 	}
-	var out map[string]obs.Snapshot
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("stats not JSON: %v", err)
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
 	}
-	for _, eng := range engineNames {
-		s, ok := out[eng]
-		if !ok {
-			t.Fatalf("stats missing engine %s (have %v)", eng, len(out))
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("tracez not JSON: %v", err)
+	}
+	waits := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "wait" {
+			waits++
 		}
-		if !s.Enabled || s.Waits != 3 {
-			t.Fatalf("engine %s snapshot: enabled=%v waits=%d", eng, s.Enabled, s.Waits)
+	}
+	if waits != 3 {
+		t.Fatalf("tracez shows %d wait spans, want EER's 3", waits)
+	}
+	if code, body := scrape(t, "/debug/prcu/health"); code != 200 {
+		t.Fatalf("GET health = %d: %s", code, body)
+	}
+	for _, path := range []string{"/debug/prcu/stats", "/debug/prcu/trace?engine=EER"} {
+		if code, _ := scrape(t, path); code != 404 {
+			t.Errorf("GET %s = %d, want 404", path, code)
 		}
-	}
-}
-
-func TestTraceEndpoint(t *testing.T) {
-	registerAllEngines(t)
-	if code, _ := scrape(t, "/debug/prcu/trace"); code != 400 {
-		t.Fatalf("missing engine param: code %d, want 400", code)
-	}
-	if code, _ := scrape(t, "/debug/prcu/trace?engine=nope"); code != 404 {
-		t.Fatalf("unknown engine: code %d, want 404", code)
-	}
-	code, body := scrape(t, "/debug/prcu/trace?engine=EER")
-	if code != 200 {
-		t.Fatalf("text trace = %d", code)
-	}
-	if !strings.Contains(body, "3 spans") || strings.Count(body, "track=wait") != 3 {
-		t.Fatalf("text trace is not the 3 waits:\n%s", body)
-	}
-	code, body = scrape(t, "/debug/prcu/trace?engine=EER&format=json")
-	if code != 200 {
-		t.Fatalf("json trace = %d", code)
-	}
-	var out struct {
-		Engine string `json:"engine"`
-		Events []struct {
-			Kind string `json:"kind"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("trace not JSON: %v", err)
-	}
-	if out.Engine != "EER" || len(out.Events) != 3 || out.Events[0].Kind != "wait" {
-		t.Fatalf("json trace: engine=%q events=%+v", out.Engine, out.Events)
 	}
 }
 
@@ -426,7 +414,7 @@ func TestHealthEndpoint(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	for _, path := range []string{"/metrics", "/debug/prcu/stats", "/debug/prcu/health"} {
+	for _, path := range []string{"/metrics", "/debug/prcu/tracez", "/debug/prcu/health"} {
 		rec := httptest.NewRecorder()
 		Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, nil))
 		if rec.Code != 405 {

@@ -44,7 +44,7 @@ func writePrometheus(w *bufio.Writer) {
 
 	f.counter("prcu_stalls_total", "Grace-period stall watchdog reports.",
 		func(s obs.Snapshot) float64 { return float64(s.Stalls) })
-	f.counter("prcu_stalled_readers_total", "Open critical sections named by stall reports.",
+	f.counter("prcu_stalled_readers_total", "Blockers named by stall reports: the reader slot or counter node each reporting wait was blocked on.",
 		func(s obs.Snapshot) float64 { return float64(s.StalledReaders) })
 
 	f.counter("prcu_reader_sections_total", "Read-side critical sections entered.",
@@ -229,3 +229,13 @@ func escapeLabel(s string) string { return labelEscaper.Replace(s) }
 var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 func escapeHelp(s string) string { return helpEscaper.Replace(s) }
+
+// snapshots collects (name, Snapshot) for every registered engine in
+// sorted name order, in one consistent pass.
+func snapshots() (names []string, snaps []obs.Snapshot) {
+	obs.EachRegistered(func(name string, m *obs.Metrics) {
+		names = append(names, name)
+		snaps = append(snaps, m.Snapshot())
+	})
+	return names, snaps
+}

@@ -2,8 +2,10 @@ package obshttp
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 
 	"prcu/internal/obs"
 )
@@ -22,6 +24,24 @@ func tracezHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	writeChromeTrace(w, engine, spans)
+}
+
+// flightSpans resolves ?engine=, replying 400 (parameter missing) or 404
+// (nothing bound to it) itself; ok is false once it has.
+func flightSpans(w http.ResponseWriter, r *http.Request) (engine string, spans []obs.FlightSpan, ok bool) {
+	engine = r.URL.Query().Get("engine")
+	if engine == "" {
+		http.Error(w, "missing ?engine= (registered: "+
+			strings.Join(obs.RegisteredNames(), ", ")+")", http.StatusBadRequest)
+		return "", nil, false
+	}
+	m := obs.Registered(engine)
+	if m == nil {
+		http.Error(w, fmt.Sprintf("no engine registered as %q (registered: %s)",
+			engine, strings.Join(obs.RegisteredNames(), ", ")), http.StatusNotFound)
+		return "", nil, false
+	}
+	return engine, m.FlightSnapshot(), true
 }
 
 // writeChromeTrace emits spans as {"traceEvents": [...]} for engine. The

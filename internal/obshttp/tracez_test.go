@@ -154,7 +154,7 @@ func TestTracezGolden(t *testing.T) {
 	}
 }
 
-// TestTracezEngineErrors pins the per-engine endpoints' misuse replies:
+// TestTracezEngineErrors pins the per-engine endpoint's misuse replies:
 // a missing engine parameter is a 400 and an unknown engine a 404, both
 // naming the engines that are registered.
 func TestTracezEngineErrors(t *testing.T) {
@@ -162,21 +162,20 @@ func TestTracezEngineErrors(t *testing.T) {
 	obs.Register("present", m)
 	t.Cleanup(func() { obs.Register("present", nil) })
 
-	for _, path := range []string{"/debug/prcu/trace", "/debug/prcu/tracez"} {
-		code, body := scrape(t, path+"?engine=absent")
-		if code != 404 {
-			t.Errorf("GET %s?engine=absent = %d, want 404", path, code)
-		}
-		if !strings.Contains(body, "registered:") || !strings.Contains(body, "present") {
-			t.Errorf("%s 404 body does not list registered engines: %q", path, body)
-		}
-		code, body = scrape(t, path)
-		if code != 400 {
-			t.Errorf("GET %s (no engine) = %d, want 400", path, code)
-		}
-		if !strings.Contains(body, "present") {
-			t.Errorf("%s 400 body does not list registered engines: %q", path, body)
-		}
+	const path = "/debug/prcu/tracez"
+	code, body := scrape(t, path+"?engine=absent")
+	if code != 404 {
+		t.Errorf("GET %s?engine=absent = %d, want 404", path, code)
+	}
+	if !strings.Contains(body, "registered:") || !strings.Contains(body, "present") {
+		t.Errorf("%s 404 body does not list registered engines: %q", path, body)
+	}
+	code, body = scrape(t, path)
+	if code != 400 {
+		t.Errorf("GET %s (no engine) = %d, want 400", path, code)
+	}
+	if !strings.Contains(body, "present") {
+		t.Errorf("%s 400 body does not list registered engines: %q", path, body)
 	}
 }
 

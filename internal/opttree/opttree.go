@@ -379,19 +379,21 @@ func (t *Tree) attemptRemoveNode(parent, n *node, nOVL uint64) int {
 		n.mu.Unlock()
 	}
 
-	// At most one child: splice n out under parent + n locks.
+	// At most one child: splice n out under parent + n locks. n is locked
+	// only once parent is known to still be its parent: after a rotation
+	// parent can be n's child, and locking n then would take a child's
+	// lock before its parent's, against fixHeightAndRebalance's order.
 	parent.mu.Lock()
-	n.mu.Lock()
-	if n.version.Load() != nOVL || parent.version.Load()&unlinkedBit != 0 {
-		n.mu.Unlock()
-		parent.mu.Unlock()
-		return retry
-	}
 	dir := 0
 	if parent.right.Load() == n {
 		dir = 1
 	}
-	if parent.child(dir).Load() != n {
+	if parent.version.Load()&unlinkedBit != 0 || parent.child(dir).Load() != n {
+		parent.mu.Unlock()
+		return retry
+	}
+	n.mu.Lock()
+	if n.version.Load() != nOVL {
 		n.mu.Unlock()
 		parent.mu.Unlock()
 		return retry

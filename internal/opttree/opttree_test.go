@@ -278,3 +278,59 @@ func TestPermanentKeysAlwaysVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentRemoveNoDeadlock churns a small key range so that
+// rotations keep moving the node a delete is about to splice out. A
+// delete that locked that node before checking it was still its
+// recorded parent's child could take a child's lock before its parent's
+// while a rebalance took them in the opposite order, and both would
+// hang. A progress watchdog turns such a hang into a failure rather than
+// a test timeout.
+func TestConcurrentRemoveNoDeadlock(t *testing.T) {
+	const (
+		workers = 8
+		keys    = 32
+		run     = 2500 * time.Millisecond
+		stall   = time.Second
+	)
+	tr := New()
+	var ops atomic.Uint64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for !stop.Load() {
+				k := uint64(rng.Intn(keys))
+				if rng.Intn(2) == 0 {
+					tr.Insert(k, k)
+				} else {
+					tr.Delete(k)
+				}
+				ops.Add(1)
+			}
+		}(g)
+	}
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.Now().Add(run)
+	last, lastMoved := ops.Load(), time.Now()
+	for now := range tick.C {
+		if n := ops.Load(); n != last {
+			last, lastMoved = n, now
+		} else if now.Sub(lastMoved) >= stall {
+			stop.Store(true)
+			t.Fatalf("no operation completed for %v after %d ops: deadlock", now.Sub(lastMoved), n)
+		}
+		if now.After(deadline) {
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

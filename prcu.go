@@ -64,8 +64,8 @@
 // sampled reader critical-section durations, spin-versus-park wait
 // resolution, and D-PRCU counter-drain outcomes. Read them back with
 // RCU.Stats, or serve the export plane with ObsHandler: Prometheus
-// /metrics, JSON stats, flight-recorder listings and a health endpoint
-// for every engine bound by RegisterMetrics.
+// /metrics, the flight recorder as Chrome trace JSON, and a health
+// endpoint for every engine bound by RegisterMetrics.
 // Options.RuntimeAttribution additionally tags wait and reclaim-flush
 // work with runtime/trace regions and pprof labels. With Metrics unset
 // (the default) every hook reduces to one predictable nil-check branch.
@@ -196,9 +196,10 @@ type Options struct {
 	// StallTimeout, when positive, arms the engine's grace-period stall
 	// watchdog: a WaitForReaders (or WaitForReadersCtx) blocked longer
 	// than this assembles a StallReport — engine, predicate, elapsed
-	// time, and the offending open critical sections — fires OnStall,
-	// and counts a stall in Metrics. Zero (the default) disables the
-	// watchdog; its checks then cost nothing on the wait path.
+	// time, and the reader or counter node the wait is blocked on —
+	// fires OnStall, and counts a stall in Metrics. Zero (the default)
+	// disables the watchdog; its checks then cost nothing on the wait
+	// path.
 	StallTimeout time.Duration
 	// OnStall receives stall reports when StallTimeout is set. It runs on
 	// the stalled waiter's goroutine and must not call back into the
@@ -493,14 +494,14 @@ type BlameEntry = obs.BlameEntry
 
 // StallReport is the stall watchdog's diagnostic snapshot of a wedged
 // grace period, delivered to Options.OnStall: engine name, predicate
-// description, how long the reporting wait had been blocked, and the
-// offending open critical sections.
+// description, how long the reporting wait had been blocked, and what
+// that wait is blocked on, read off the wait itself.
 type StallReport = core.StallReport
 
-// StalledReader describes one open critical section a stalled grace
-// period is blocked on: its reader slot (counter-node index for D-PRCU
-// and SRCU), the value it is reading when the engine tracks one, and how
-// long it has been open when the engine timestamps sections.
+// StalledReader describes what a stalled wait is blocked on: the reader
+// slot it is polling (counter-node index for D-PRCU and SRCU), the value
+// of the open section when the engine tracks one, and how long it has
+// been open when the engine timestamps sections.
 type StalledReader = core.StalledReader
 
 // StallCarrier is implemented by every engine: SetStallConfig arms,
@@ -532,8 +533,6 @@ func RegisterMetrics(name string, m *Metrics) { obs.Register(name, m) }
 // bound by RegisterMetrics (or automatically by Options.Metrics):
 //
 //	GET /metrics            Prometheus text exposition (v0.0.4)
-//	GET /debug/prcu/stats   full JSON Snapshot per engine
-//	GET /debug/prcu/trace   event-ring dump for one engine (?engine=X)
 //	GET /debug/prcu/tracez  flight-recorder spans as Chrome trace JSON (?engine=X)
 //	GET /debug/prcu/health  stall/backlog-aware status (200 ok, 503 degraded)
 //
@@ -599,14 +598,3 @@ func NewRetirer[T any](rec *Reclaimer, extra int, free func(*T)) *Retirer[T] {
 // GuardEscape deliberately carries a guarded pointer out of its scope
 // for validated-optimistic algorithms; see guard.Escape.
 func GuardEscape[T any](s *Scope, p *T) *T { return guard.Escape(s, p) }
-
-// Rates is the windowed view between two Snapshots of the same Metrics:
-// waits and section entries per second, windowed selectivity and
-// latency percentiles, and the reclamation backlog's growth slope. The
-// /debug/prcu/health endpoint and `prcubench monitor` are built on it.
-type Rates = obs.Rates
-
-// DeltaStats computes the windowed rates between two snapshots taken dt
-// apart (prev first). A zero prev yields since-start rates; counters
-// that moved backwards (Metrics reset between samples) clamp to zero.
-func DeltaStats(prev, cur Snapshot, dt time.Duration) Rates { return obs.Delta(prev, cur, dt) }

@@ -177,7 +177,7 @@ func TestRegisterMetricsRebinds(t *testing.T) {
 
 // TestObsHandlerServesEngine checks the wiring end to end through the
 // public API: Options.Metrics auto-registers under the engine name and
-// ObsHandler serves its series and snapshot.
+// ObsHandler serves its series and its health row.
 func TestObsHandlerServesEngine(t *testing.T) {
 	m := prcu.NewMetrics()
 	r := prcu.MustNew(prcu.FlavorEER, prcu.Options{Metrics: m})
@@ -202,24 +202,9 @@ func TestObsHandlerServesEngine(t *testing.T) {
 		t.Fatalf("metrics body missing %q", want)
 	}
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/prcu/stats", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/prcu/health", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"`+r.Name()+`"`) {
-		t.Fatalf("stats = %d: %s", rec.Code, rec.Body.String())
-	}
-}
-
-// TestDeltaStatsPublic exercises the windowed-rates helper through the
-// public alias.
-func TestDeltaStatsPublic(t *testing.T) {
-	m := prcu.NewMetrics()
-	r := prcu.MustNew(prcu.FlavorD, prcu.Options{Metrics: m})
-	defer prcu.RegisterMetrics(r.Name(), nil)
-	prev := m.Snapshot()
-	r.WaitForReaders(prcu.All())
-	r.WaitForReaders(prcu.All())
-	rt := prcu.DeltaStats(prev, m.Snapshot(), time.Second)
-	if rt.Waits != 2 || rt.WaitsPerSec != 2 {
-		t.Fatalf("DeltaStats waits = %d (%v/s), want 2", rt.Waits, rt.WaitsPerSec)
+		t.Fatalf("health = %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
