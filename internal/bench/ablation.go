@@ -18,8 +18,9 @@ import (
 //     contend and collide, huge tables only pay cache footprint;
 //   - DEER-PRCU per-reader node-array size (paper uses 16);
 //   - D-PRCU optimistic waiting on/off (§4.2);
-//   - the clock source behind the timestamp engines (TSC-analogue
-//     monotonic clock vs the fetch-add logical clock, §4.1).
+//   - the clock source behind the timestamp engines (the default
+//     waiter-advanced epoch vs the TSC-analogue monotonic clock vs the
+//     fetch-add logical clock, §4.1).
 func Ablation(cfg Config) error {
 	threads := cfg.maxThreads()
 	mix := workload.WriteDominated
@@ -111,13 +112,14 @@ func Ablation(cfg Config) error {
 	{
 		tbl := &table{
 			title:   "Ablation: EER-PRCU clock source (write-dominated, small tree)",
-			unit:    fmt.Sprintf("ops/second at %d threads; monotonic is the TSC analogue", threads),
+			unit:    fmt.Sprintf("ops/second at %d threads; epoch is the default, monotonic the TSC analogue", threads),
 			columns: []string{"ops/sec"},
 		}
 		clocks := []struct {
 			label string
 			mk    func() core.Clock
 		}{
+			{"epoch (default)", func() core.Clock { return tsc.NewEpoch() }},
 			{"monotonic", func() core.Clock { return tsc.NewMonotonic() }},
 			{"logical (fetch-add)", func() core.Clock { return tsc.NewLogical() }},
 		}

@@ -70,15 +70,17 @@ func TestChaosTortureSafety(t *testing.T) {
 }
 
 // TestChaosTortureJitteredClock runs the same schedule over the three
-// timestamp engines with a jittering clock plugged in, on both the
-// monotonic and the logical (fetch-add) source. A wait on these engines
-// reads its clock late — after its first look at a reader's node — and
-// the jitter stretches exactly that window, as it does the reader's
-// window between posting its value and its timestamp.
+// timestamp engines with a jittering clock plugged in, on the monotonic,
+// the logical (fetch-add) and the default epoch source. A wait on these
+// engines takes its t0 late — after its first look at a reader's node,
+// and on the epoch by ticking it — and the jitter stretches exactly that
+// window, as it does the reader's window between posting its value and
+// its timestamp.
 func TestChaosTortureJitteredClock(t *testing.T) {
 	sources := map[string]func() core.Clock{
 		"Monotonic": func() core.Clock { return tsc.NewMonotonic() },
 		"Logical":   func() core.Clock { return tsc.NewLogical() },
+		"Epoch":     func() core.Clock { return tsc.NewEpoch() },
 	}
 	flavors := map[string]func(c core.Clock) core.RCU{
 		"EER":  func(c core.Clock) core.RCU { return core.NewEER(c) },
@@ -88,10 +90,17 @@ func TestChaosTortureJitteredClock(t *testing.T) {
 	for fname, mk := range flavors {
 		for sname, src := range sources {
 			t.Run(fname+"/"+sname, func(t *testing.T) {
-				clock := newJitterClock(src(), 0x5eed_0002, 1.0/32, 1.0/512)
+				inner := src()
+				clock := newJitterClock(inner, 0x5eed_0002, 1.0/32, 1.0/512)
 				chaosTorture(t, mk(clock))
 				if clock.jitters.Load() == 0 {
 					t.Fatal("the jittering clock injected no jitter")
+				}
+				// Waits reach the epoch only through the jittering clock's
+				// Tick: had the wrapper hidden it, waits would have read t0
+				// with Now and the epoch would still read 0.
+				if e, ok := inner.(*tsc.Epoch); ok && e.Now() == 0 {
+					t.Fatal("no wait ticked the epoch through the jittering clock")
 				}
 			})
 		}

@@ -11,7 +11,9 @@ type Value = uint64
 // Clock is a monotonically increasing, cross-thread-consistent time source
 // used by the time-based quiescence engines (EER, DEER, Time RCU). It is
 // structurally identical to tsc.Clock so any clock from internal/tsc — or a
-// caller-supplied source — can be plugged in.
+// caller-supplied source — can be plugged in. Readers call Now; a wait
+// takes its t0 with the clock's Tick method when it has one (tsc.Ticker,
+// as the default tsc.Epoch does), and with Now otherwise.
 type Clock interface {
 	Now() int64
 }

@@ -9,10 +9,11 @@ import (
 	"prcu/internal/tsc"
 )
 
-// The timestamp engines scan quiescent-first: a wait reads the clock only
+// The timestamp engines scan quiescent-first: a wait takes its t0 only
 // once it has found a reader inside a covered section. These tests pin
-// that with a counting clock, and pin the late-t0 safety argument with a
-// frozen one.
+// that with a counting clock and, on the default epoch clock, as the
+// epoch's one write; and pin the late-t0 safety argument with a frozen
+// clock and the epoch's liveness with a re-entering reader.
 
 // countingClock counts Now calls on top of a Manual clock.
 type countingClock struct {
@@ -60,24 +61,91 @@ func mustRegister(tb testing.TB, r RCU) Reader {
 }
 
 // startBlockedWait starts a wait on p that must find a covered section
-// open, and returns once that wait has read the clock — the last thing it
-// does before it starts polling the section's node.
-func startBlockedWait(t *testing.T, r RCU, clock *countingClock, p Predicate) (done chan struct{}) {
+// open, and returns once that wait has taken its t0 — the last thing it
+// does before it starts polling the section's node — seen as progress
+// moving: the counting clock's reads, or the epoch itself.
+func startBlockedWait(t *testing.T, r RCU, progress func() int64, p Predicate) (done chan struct{}) {
 	t.Helper()
-	before := clock.reads.Load()
+	before := progress()
 	done = make(chan struct{})
 	go func() { r.WaitForReaders(p); close(done) }()
-	for deadline := time.Now().Add(10 * time.Second); clock.reads.Load() == before; time.Sleep(50 * time.Microsecond) {
+	for deadline := time.Now().Add(10 * time.Second); progress() == before; time.Sleep(50 * time.Microsecond) {
 		select {
 		case <-done:
 			t.Fatal("wait returned with a covered section open")
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("wait never read the clock with a covered section open")
+			t.Fatal("wait never took its t0 with a covered section open")
 		}
 	}
 	return done
+}
+
+// clockUsePreds are the predicates the clock-use tests wait on: each
+// covers a, and the selective ones b as well.
+func clockUsePreds(a, b Value) map[string]Predicate {
+	return map[string]Predicate{
+		"All": All(), "Singleton": Singleton(a), "Iterable": twoValues(a, b),
+		"Func": Func(func(v Value) bool { return v == a || v == b }),
+	}
+}
+
+// checkClockUse runs the wait scenarios of the two tests below on r,
+// waiting on p, which covers a; count is what the wait's t0 moves (clock
+// reads, or the epoch). count must not move on a wait with no readers,
+// with quiescent readers, or (selective: p leaves some values uncovered)
+// with a reader inside an uncovered section; and must move by exactly 1
+// on a wait that blocks on three covered sections.
+func checkClockUse(t *testing.T, r RCU, p Predicate, a Value, selective bool, count func() int64) {
+	expectNone := func(scenario string) {
+		t.Helper()
+		before := count()
+		r.WaitForReaders(p)
+		if n := count() - before; n != 0 {
+			t.Errorf("%s: t0 taken %d times, want 0", scenario, n)
+		}
+	}
+	expectNone("no readers")
+	readers := make([]Reader, 5)
+	for i := range readers {
+		readers[i] = mustRegister(t, r)
+		readers[i].Enter(a)
+		readers[i].Exit(a)
+	}
+	expectNone("quiescent readers")
+	// Open sections on values p does not hold for: on a DEER node no
+	// covered value hashes to, and on a's own.
+	if selective {
+		for _, shared := range []bool{false, true} {
+			u := nodeValue(a, shared)
+			readers[0].Enter(u)
+			expectNone(fmt.Sprintf("active uncovered reader (shares a covered DEER node: %v)", shared))
+			readers[0].Exit(u)
+		}
+	}
+	// Three of the five inside covered sections entered before the wait:
+	// it blocks, and completes as they exit, having taken t0 once.
+	for _, rd := range readers[:3] {
+		rd.Enter(a)
+	}
+	before := count()
+	done := startBlockedWait(t, r, count, p)
+	for _, rd := range readers[:3] {
+		select {
+		case <-done:
+			t.Fatal("wait returned with a covered section open")
+		default:
+		}
+		rd.Exit(a)
+	}
+	<-done
+	if n := count() - before; n != 1 {
+		t.Errorf("covered readers: t0 taken %d times, want exactly 1", n)
+	}
+	for _, rd := range readers {
+		rd.Unregister()
+	}
 }
 
 // TestWaitReadsClockOnlyForCoveredSection: zero clock reads by a wait that
@@ -85,68 +153,69 @@ func startBlockedWait(t *testing.T, r RCU, clock *countingClock, p Predicate) (d
 // readers it scans.
 func TestWaitReadsClockOnlyForCoveredSection(t *testing.T) {
 	const a, b = Value(5), Value(6)
-	preds := map[string]Predicate{
-		"All": All(), "Singleton": Singleton(a), "Iterable": twoValues(a, b),
-		"Func": Func(func(v Value) bool { return v == a || v == b }),
-	}
 	for name, mk := range timestampEngines {
-		for pname, p := range preds {
+		for pname, p := range clockUsePreds(a, b) {
 			t.Run(name+"/"+pname, func(t *testing.T) {
 				clock := &countingClock{}
 				clock.Advance(100)
-				r := mk(clock)
-				expectNoRead := func(scenario string) {
-					t.Helper()
-					before := clock.reads.Load()
-					r.WaitForReaders(p)
-					if n := clock.reads.Load() - before; n != 0 {
-						t.Errorf("%s: %d clock reads, want 0", scenario, n)
-					}
-				}
-				expectNoRead("no readers")
-				readers := make([]Reader, 5)
-				for i := range readers {
-					readers[i] = mustRegister(t, r)
-					readers[i].Enter(a)
-					readers[i].Exit(a)
-				}
-				expectNoRead("quiescent readers")
-				// Open sections on values p does not hold for: on a DEER node
-				// no covered value hashes to, and on a's own. Time RCU and
-				// the wildcard cover every section, so they have no such case.
-				if name != "Time" && pname != "All" {
-					for _, shared := range []bool{false, true} {
-						u := nodeValue(a, shared)
-						readers[0].Enter(u)
-						expectNoRead(fmt.Sprintf("active uncovered reader (shares a covered DEER node: %v)", shared))
-						readers[0].Exit(u)
-					}
-				}
-				// Three of the five inside covered sections entered before
-				// the wait: it blocks, and completes as they exit, having
-				// read the clock once.
-				for _, rd := range readers[:3] {
-					rd.Enter(a)
-				}
-				before := clock.reads.Load()
-				done := startBlockedWait(t, r, clock, p)
-				for _, rd := range readers[:3] {
-					select {
-					case <-done:
-						t.Fatal("wait returned with a covered section open")
-					default:
-					}
-					rd.Exit(a)
-				}
-				<-done
-				if n := clock.reads.Load() - before; n != 1 {
-					t.Errorf("covered readers: %d clock reads, want exactly 1", n)
-				}
-				for _, rd := range readers {
-					rd.Unregister()
-				}
+				// Time RCU and the wildcard cover every section, so they
+				// have no uncovered case.
+				checkClockUse(t, mk(clock), p, a, name != "Time" && pname != "All", clock.reads.Load)
 			})
 		}
+	}
+}
+
+// defaultEpoch returns the epoch r, a timestamp engine built with a nil
+// clock, runs on: the default clock must be a tsc.Epoch.
+func defaultEpoch(t *testing.T, r RCU) *tsc.Epoch {
+	t.Helper()
+	e, ok := r.(*DEER).clock.(*tsc.Epoch)
+	if !ok {
+		t.Fatalf("%s's default clock is %T, want *tsc.Epoch", r.Name(), r.(*DEER).clock)
+	}
+	return e
+}
+
+// TestEpochTicksOnlyForCoveredSection pins the epoch clock's write
+// discipline, each engine on its default clock: a wait that finds nobody
+// to wait for leaves the epoch readers load untouched, and a wait that
+// blocks advances it by exactly 1, however many readers it blocks on.
+func TestEpochTicksOnlyForCoveredSection(t *testing.T) {
+	const a, b = Value(5), Value(6)
+	for name, mk := range timestampEngines {
+		for pname, p := range clockUsePreds(a, b) {
+			t.Run(name+"/"+pname, func(t *testing.T) {
+				r := mk(nil)
+				checkClockUse(t, r, p, a, name != "Time" && pname != "All", defaultEpoch(t, r).Now)
+			})
+		}
+	}
+}
+
+// TestEpochReentryDoesNotBlockWait is the epoch clock's liveness case: a
+// reader that exits and re-enters on the same covered value after the
+// wait ticked posts a later epoch, so the wait returns on the first exit
+// alone — a reader looping sections cannot starve it.
+func TestEpochReentryDoesNotBlockWait(t *testing.T) {
+	const v = Value(5)
+	for name, mk := range timestampEngines {
+		t.Run(name, func(t *testing.T) {
+			r := mk(nil)
+			epoch := defaultEpoch(t, r)
+			rd := mustRegister(t, r)
+			rd.Enter(v)
+			done := startBlockedWait(t, r, epoch.Now, Singleton(v))
+			rd.Exit(v)
+			rd.Enter(v)
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("wait blocked on a section re-entered after its tick")
+			}
+			rd.Exit(v)
+			rd.Unregister()
+		})
 	}
 }
 
@@ -179,7 +248,7 @@ func TestFrozenClockWaitSemantics(t *testing.T) {
 			// 101 > t0 and stays inside its section: rd's Exit alone must
 			// release the wait.
 			rd.Enter(v)
-			done := startBlockedWait(t, r, clock, Singleton(v))
+			done := startBlockedWait(t, r, clock.reads.Load, Singleton(v))
 			clock.Advance(1)
 			late.Enter(v)
 			rd.Exit(v)

@@ -73,7 +73,7 @@ const (
 	// SpanCallback is the post-wait callback execution of a wait group.
 	SpanCallback
 	// SpanStall marks a watchdog stall report, on the GP of the wait it
-	// fired in; Count is the number of open sections the report named.
+	// fired in; it carries no count (a report names one blocker).
 	SpanStall
 	// SpanOverload marks a retirement hitting the reclaimer's hard
 	// watermark; Count is the backlog then, Label how the caller degraded.

@@ -147,13 +147,13 @@ func TestPointEventsAreSpans(t *testing.T) {
 	m := New()
 	m.EnableFlightRecorder(32)
 	wait := m.WaitBeginCtx(WithGP(context.Background(), 99))
-	m.StallDetected(wait, 2)
+	m.StallDetected(wait)
 	m.WaitEnd(wait, 4, 2, 1)
 	m.ReclaimOverload(OverloadBackpressure, 7)
 	m.ReclaimOverload(OverloadInline, 8)
 
 	want := []FlightSpan{
-		{GP: 99, Kind: SpanStall, Track: "wait", Count: 2},
+		{GP: 99, Kind: SpanStall, Track: "wait"},
 		{GP: 99, Kind: SpanWait, Track: "wait", Count: 2},
 		{Kind: SpanOverload, Track: "reclaim", Count: 7, Label: "backpressure"},
 		{Kind: SpanOverload, Track: "reclaim", Count: 8, Label: "inline"},

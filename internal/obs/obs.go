@@ -72,10 +72,8 @@ type Metrics struct {
 	drainsPiggyback  pad.Uint64
 
 	// stalls counts grace-period stall reports the watchdog fired (already
-	// rate-limited by the engine); stalledReaders accumulates the blockers
-	// those reports named.
-	stalls         pad.Uint64
-	stalledReaders pad.Uint64
+	// rate-limited by the engine).
+	stalls pad.Uint64
 
 	// Reader side: per-slot lanes plus the shared sampled-duration
 	// histogram. Lanes are pointers so the slice can grow without moving
@@ -235,22 +233,20 @@ const (
 	DrainPiggyback
 )
 
-// StallDetected records one watchdog stall report naming stalled
-// blockers, fired inside the wait sp: the SpanStall it leaves
-// carries that wait's GP, so the report lines up with the SpanWait it
-// interrupted.
-func (m *Metrics) StallDetected(sp WaitSpan, stalled uint64) {
+// StallDetected records one watchdog stall report, fired inside the wait
+// sp: the SpanStall it leaves carries that wait's GP, so the report lines
+// up with the SpanWait it interrupted.
+func (m *Metrics) StallDetected(sp WaitSpan) {
 	if m == nil {
 		return
 	}
 	m.stalls.Add(1)
-	m.stalledReaders.Add(stalled)
 	if a := m.attr.Load(); a != nil {
 		// Mark the stall in the execution trace too, so a trace of a
 		// wedged process shows the report inside the blocked wait region.
 		rttrace.Log(a.taskCtx, "prcu:stall", a.engine)
 	}
-	m.mark(SpanStall, "wait", sp.gp, int(stalled), "")
+	m.mark(SpanStall, "wait", sp.gp, 0, "")
 }
 
 // DrainCounts records a batch of counter-node drain outcomes.
@@ -428,7 +424,6 @@ func (m *Metrics) Reset() {
 	m.drainsGate.Store(0)
 	m.drainsPiggyback.Store(0)
 	m.stalls.Store(0)
-	m.stalledReaders.Store(0)
 	m.reclaimPending.Store(0)
 	m.reclaimBytes.Store(0)
 	m.reclaimRetired.Store(0)

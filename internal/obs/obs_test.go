@@ -20,7 +20,7 @@ func TestNilMetricsIsSafe(t *testing.T) {
 	if m.FlightEnabled() {
 		t.Fatal("nil Metrics cannot arm the flight recorder")
 	}
-	m.StallDetected(WaitSpan{}, 1)
+	m.StallDetected(WaitSpan{})
 	m.ReclaimOverload(OverloadInline, 1)
 	if spans := m.FlightSnapshot(); spans != nil {
 		t.Fatalf("nil Metrics returned %d spans", len(spans))

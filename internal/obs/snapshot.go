@@ -63,12 +63,10 @@ type Snapshot struct {
 	DrainsGate       uint64
 	DrainsPiggyback  uint64
 
-	// Stalls counts watchdog stall reports (rate-limited at the engine);
-	// StalledReaders totals the blockers those reports named — each names
-	// what its wait was blocked on (one reader slot or counter node), not
-	// every open section.
-	Stalls         uint64
-	StalledReaders uint64
+	// Stalls counts watchdog stall reports (rate-limited at the engine).
+	// Each report names the one reader slot or counter node its wait was
+	// blocked on.
+	Stalls uint64
 
 	// Deferred-reclamation (internal/reclaim) state. The two gauges are
 	// the live backlog at snapshot time — callbacks accepted but not yet
@@ -138,7 +136,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		DrainsGate:       m.drainsGate.Load(),
 		DrainsPiggyback:  m.drainsPiggyback.Load(),
 		Stalls:           m.stalls.Load(),
-		StalledReaders:   m.stalledReaders.Load(),
 		SectionNs:        summarize(&m.sectionNs),
 
 		ReclaimPending:      m.reclaimPending.Load(),
@@ -205,8 +202,7 @@ func (s Snapshot) Dump(w io.Writer, name string) {
 			s.DrainsOptimistic, s.DrainsGate, s.DrainsPiggyback)
 	}
 	if s.Stalls > 0 {
-		fmt.Fprintf(w, "stalls detected:  %d reports naming %d blockers\n",
-			s.Stalls, s.StalledReaders)
+		fmt.Fprintf(w, "stalls detected:  %d reports\n", s.Stalls)
 	}
 	if s.ReclaimRetired > 0 || s.ReclaimInline > 0 {
 		fmt.Fprintf(w, "reclamation:      %d retired, %d freed, %d dropped; backlog %d cbs / %d bytes\n",

@@ -402,7 +402,7 @@ func TestHealthEndpoint(t *testing.T) {
 
 	// A stall report in the window degrades the next scrape; the one
 	// after (clean window) recovers.
-	obs.Registered("EER").StallDetected(obs.WaitSpan{}, 2)
+	obs.Registered("EER").StallDetected(obs.WaitSpan{})
 	code, body = req()
 	if code != 503 || !strings.Contains(body, "grace-period stalls in window") {
 		t.Fatalf("stalled scrape = %d: %s", code, body)
@@ -442,7 +442,7 @@ func TestHandlerIndependentHealthWindows(t *testing.T) {
 	if hA() != 200 {
 		t.Fatal("a: priming scrape not ok")
 	}
-	obs.Registered("EER").StallDetected(obs.WaitSpan{}, 1)
+	obs.Registered("EER").StallDetected(obs.WaitSpan{})
 	if hA() != 503 {
 		t.Fatal("a: did not see the stall")
 	}

@@ -44,8 +44,6 @@ func writePrometheus(w *bufio.Writer) {
 
 	f.counter("prcu_stalls_total", "Grace-period stall watchdog reports.",
 		func(s obs.Snapshot) float64 { return float64(s.Stalls) })
-	f.counter("prcu_stalled_readers_total", "Blockers named by stall reports: the reader slot or counter node each reporting wait was blocked on.",
-		func(s obs.Snapshot) float64 { return float64(s.StalledReaders) })
 
 	f.counter("prcu_reader_sections_total", "Read-side critical sections entered.",
 		func(s obs.Snapshot) float64 { return float64(s.Enters) })

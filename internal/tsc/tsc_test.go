@@ -50,7 +50,12 @@ func TestLogicalStrictlyIncreases(t *testing.T) {
 }
 
 func TestLogicalCrossThreadUnique(t *testing.T) {
-	c := NewLogical()
+	uniqueAcrossThreads(t, NewLogical().Now)
+}
+
+// uniqueAcrossThreads draws from next on 8 goroutines at once and fails
+// on any value drawn twice.
+func uniqueAcrossThreads(t *testing.T, next func() int64) {
 	const perG, gs = 10000, 8
 	results := make([][]int64, gs)
 	var wg sync.WaitGroup
@@ -60,7 +65,7 @@ func TestLogicalCrossThreadUnique(t *testing.T) {
 			defer wg.Done()
 			results[g] = make([]int64, perG)
 			for i := range results[g] {
-				results[g][i] = c.Now()
+				results[g][i] = next()
 			}
 		}(g)
 	}
@@ -73,6 +78,33 @@ func TestLogicalCrossThreadUnique(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+}
+
+func TestEpochTick(t *testing.T) {
+	c := NewEpoch()
+	if c.Now() != 0 {
+		t.Fatalf("new epoch reads %d, want 0", c.Now())
+	}
+	// Now only loads; Tick returns the epoch it advanced past.
+	for i := int64(0); i < 3; i++ {
+		if now := c.Now(); now != i {
+			t.Fatalf("Now = %d, want %d", now, i)
+		}
+		if got := c.Tick(); got != i {
+			t.Fatalf("Tick = %d, want %d", got, i)
+		}
+		if c.Now() <= i {
+			t.Fatalf("Now = %d after Tick returned %d, want more", c.Now(), i)
+		}
+	}
+}
+
+func TestEpochTicksUnique(t *testing.T) {
+	c := NewEpoch()
+	uniqueAcrossThreads(t, c.Tick)
+	if c.Now() != 8*10000 {
+		t.Fatalf("Now = %d after %d ticks", c.Now(), 8*10000)
 	}
 }
 
