@@ -33,8 +33,8 @@ go test -race -count=3 -run 'Concurrent|Permanent|Reclaim|Reinsert' -timeout 300
 echo "== go test -race -count=3 (optimistic AVL tree: concurrent updates, splice/rebalance lock order) =="
 go test -race -count=3 -run 'Concurrent|Deadlock' -timeout 120s ./internal/opttree
 
-echo "== go test -race -count=3 (the two engine kernels: five flavors' safety argument in two functions) =="
-go test -race -count=3 -run 'TestConformance|TestTorture|TestWaitReadsClockOnlyForCoveredSection|TestEpochTicksOnlyForCoveredSection|TestEpochReentryDoesNotBlockWait|TestFrozenClockWaitSemantics|TestWaitBookkeepingExact' -timeout 300s ./internal/core .
+echo "== go test -race -count=3 (the two engine kernels: five flavors' safety argument in two functions, and D-PRCU's wide-wait switch) =="
+go test -race -count=3 -run 'TestConformance|TestTorture|TestWaitReadsClockOnlyForCoveredSection|TestEpochTicksOnlyForCoveredSection|TestEpochReentryDoesNotBlockWait|TestFrozenClockWaitSemantics|TestWaitBookkeepingExact|TestWideWait' -timeout 300s ./internal/core .
 
 echo "== go test -race (reclaimer backlog/backpressure stress) =="
 go test -race -timeout 300s ./internal/reclaim

@@ -47,6 +47,38 @@ func TestExpandEmptyTable(t *testing.T) {
 	}
 }
 
+// TestUnzipWaitsOncePerRunBoundary scripts old chains as runs of the two
+// destinations and pins the expansion's waits: one per cut, and a chain
+// of k runs needs k-1 cuts, whichever destination it starts with and
+// however long its runs are.
+func TestUnzipWaitsOncePerRunBoundary(t *testing.T) {
+	for _, c := range []struct {
+		dests string // destination parity of each node, head first: 0 or 2 mod 4
+		waits int64
+	}{
+		{"0", 0}, {"0000", 0}, {"2222", 0}, {"02", 1}, {"20", 1},
+		{"0022200", 2}, {"2002", 2}, {"02020202", 7}, {"00200022202", 5},
+	} {
+		m := NewModulo(prcu.NewEER(prcu.Options{}), 2)
+		// Inserts push at the head: insert the chain tail first. Keys are
+		// even, all in bucket 0 of the 2-bucket table.
+		for i := len(c.dests) - 1; i >= 0; i-- {
+			k := uint64(4*i) + uint64(c.dests[i]-'0')
+			m.Insert(k, k)
+		}
+		m.Expand()
+		if got := m.ExpansionWaits(); got != c.waits {
+			t.Errorf("chain %s: %d waits, want %d", c.dests, got, c.waits)
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("chain %s: %v", c.dests, err)
+		}
+		if m.Size() != len(c.dests) {
+			t.Errorf("chain %s: Size %d, want %d", c.dests, m.Size(), len(c.dests))
+		}
+	}
+}
+
 // TestAlternatingRunsUnzip builds a chain that strictly alternates
 // destinations — the worst case for unzip (one wait per node).
 func TestAlternatingRunsUnzip(t *testing.T) {

@@ -431,13 +431,17 @@ func (m *Map[K, V]) Expand() {
 	}
 
 	// Build the new array: each new bucket points at the first node of its
-	// old chain that belongs to it (Figure 3a).
+	// old chain that belongs to it (Figure 3a). Expansions are serialised
+	// and updates blocked, so old chain b holds exactly the nodes of new
+	// buckets b and b+oldSize: the scan stops once both heads are set.
 	nt := newTable[K, V](int(oldSize * 2))
 	for b := uint64(0); b < oldSize; b++ {
-		for n := old.heads[b].LoadLocked(); n != nil; n = n.next.LoadLocked() {
+		set := 0
+		for n := old.heads[b].LoadLocked(); n != nil && set < 2; n = n.next.LoadLocked() {
 			d := m.hash(n.key) & nt.mask
 			if nt.heads[d].LoadLocked() == nil {
 				nt.heads[d].Store(n)
+				set++
 			}
 		}
 	}
@@ -457,25 +461,27 @@ func (m *Map[K, V]) Expand() {
 // unzip separates old bucket b's chain into the two new chains, calling
 // WaitForReaders before every pointer change so no traversal that might
 // still rely on the old link can be stranded. It returns the number of
-// waits it made.
+// waits it made. Each node is visited, and hashed, once: the chain is a
+// sequence of runs alternating between the two destinations, and the
+// foreign run's last node, found while searching past it, is where the
+// next cut is made from.
 func (m *Map[K, V]) unzip(old, nt *table[K, V], b uint64, pred prcu.Predicate) (waits int64) {
 	cur := old.heads[b].LoadLocked()
-	for cur != nil {
-		d := m.hash(cur.key) & nt.mask
-		// Advance to the end of the current run of destination d.
-		next := cur.next.LoadLocked()
-		for next != nil && m.hash(next.key)&nt.mask == d {
-			cur = next
-			next = cur.next.LoadLocked()
-		}
-		if next == nil {
-			break // fully split
-		}
-		// next begins a run of the other destination; find the first
-		// node after it that belongs to d again.
-		q := next
+	if cur == nil {
+		return 0
+	}
+	// Advance to the end of the first run, of destination d.
+	d := m.hash(cur.key) & nt.mask
+	next := cur.next.LoadLocked()
+	for next != nil && m.hash(next.key)&nt.mask == d {
+		cur, next = next, next.next.LoadLocked()
+	}
+	for next != nil {
+		// next begins a run of the other destination; find its last node
+		// and the first node after it that belongs to d again.
+		last, q := next, next.next.LoadLocked()
 		for q != nil && m.hash(q.key)&nt.mask != d {
-			q = q.next.LoadLocked()
+			last, q = q, q.next.LoadLocked()
 		}
 		// Pre-existing readers of bucket d may be traversing the foreign
 		// run to reach their nodes beyond it; let them finish before
@@ -483,7 +489,9 @@ func (m *Map[K, V]) unzip(old, nt *table[K, V], b uint64, pred prcu.Predicate) (
 		waits++
 		m.Engine().WaitForReaders(pred)
 		cur.next.Store(q)
-		cur = next
+		// The foreign run ends at last, and q begins a run of d after it:
+		// the next cut is last's, with the destinations swapped.
+		cur, next, d = last, q, d^uint64(len(old.heads))
 	}
 	return waits
 }

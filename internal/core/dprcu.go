@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"prcu/internal/obs"
 	"prcu/internal/pad"
@@ -57,6 +58,18 @@ func newDTable(size int) *dTable {
 	return &dTable{nodes: make([]dNode, size), mask: uint64(size - 1)}
 }
 
+// indexOf returns n's index in t, or -1 when n is not one of t's nodes.
+// It is computed from n's address, so that building a table does not
+// touch its nodes: writing an index into each would fault in all of a
+// fresh 1024-node table's pages at construction.
+func (t *dTable) indexOf(n *dNode) int {
+	i := (uintptr(unsafe.Pointer(n)) - uintptr(unsafe.Pointer(&t.nodes[0]))) / unsafe.Sizeof(dNode{})
+	if i < uintptr(len(t.nodes)) {
+		return int(i)
+	}
+	return -1
+}
+
 // index is h_rcu(v) masked; a one-entry table (SRCU) skips the hash.
 func (t *dTable) index(v Value) uint64 {
 	if t.mask == 0 {
@@ -71,7 +84,10 @@ func (t *dTable) index(v Value) uint64 {
 // wait-for-readers drains only the nodes covered by an enumerable
 // predicate, making its cost O(|P⁻¹|) — independent of the number of
 // threads. General (non-enumerable) predicates fall back to draining the
-// whole table, as described in §4.2.
+// whole table, as described in §4.2 — until the first such wait has
+// completed one; from then on they drain only the nodes that registered
+// readers publish in their slots (DESIGN.md §5, "Wide waits visit the
+// readers").
 //
 // NewSRCU builds it as McKenney's Sleepable RCU (§7), the origin of
 // D-PRCU's two-counter protocol. Each SRCU instance is an isolated
@@ -80,11 +96,15 @@ func (t *dTable) index(v Value) uint64 {
 // D-PRCU with a single counter node and no predicate; in the harness it
 // behaves like a plain RCU whose readers pay one atomic RMW.
 type D struct {
-	// D-PRCU readers carry no scanned per-slot state — the counter table
-	// is the shared state — but slots still bound and account for the
-	// reader population.
-	base[struct{}]
+	// A reader's slot is the line it publishes its latest section's node
+	// on, once the engine has seen a wide wait; the counter table is the
+	// shared state every wait drains.
+	base[dSlot]
 	tbl atomic.Pointer[dTable]
+	// mode is the wide-wait switch (dOff, dPublishing, dReady). Every Enter
+	// loads it, from the line it loads tbl from; it changes at most twice
+	// in the engine's life.
+	mode atomic.Uint32
 	// old holds the previous table generation while a Resize drains it;
 	// concurrent waits drain it conservatively until it clears.
 	old      atomic.Pointer[dTable]
@@ -94,10 +114,28 @@ type D struct {
 	optBudget int
 	// values is false for SRCU: every wait drains the whole table.
 	values bool
-	// Every Enter reads tbl. The pad makes the struct exactly two cache
-	// lines, a line-aligned size class, so that no neighbouring allocation
-	// shares a line with it.
-	_ [40]byte
+	// Every Enter reads tbl and mode. The pad makes the struct exactly two
+	// cache lines, a line-aligned size class, so that no neighbouring
+	// allocation shares a line with them.
+	_ [32]byte
+}
+
+// The states of D.mode. A wide wait — a general predicate on a table of
+// more than one node — drains the whole table until one has completed a
+// full walk that began after readers started publishing; from then on it
+// drains only the nodes published in the readers' slots.
+const (
+	dOff        = iota // readers publish nothing; wide waits walk the table
+	dPublishing        // readers publish; wide waits still walk the table
+	dReady             // readers publish; wide waits visit the readers
+)
+
+// dSlot is a D reader's registry slot: the node its latest section was
+// counted in, published while mode is not dOff, on a line of its own —
+// the reader writes it and wide waits read it.
+type dSlot struct {
+	node atomic.Pointer[dNode]
+	_    [pad.CacheLineSize - 8]byte
 }
 
 // NewD returns a D-PRCU engine. tableSize is the counter-table size |C|
@@ -115,7 +153,7 @@ func NewSRCU() *D { return newCounter("SRCU", 1, false) }
 
 func newCounter(name string, tableSize int, values bool) *D {
 	d := &D{optBudget: optimisticBudget, values: values}
-	d.setup(name, 1, zeroSeg[struct{}])
+	d.setup(name, 1, zeroSeg[dSlot])
 	d.tbl.Store(newDTable(tableSize))
 	return d
 }
@@ -141,25 +179,32 @@ func hashValue(v Value) uint64 {
 	return v
 }
 
+// dReader is 64 bytes, a line-aligned size class, so that no two readers'
+// per-section words share a line: the bools and the gate bit share a word.
 type dReader struct {
 	readerGuard
-	d    *D
-	lane *obs.ReaderLane
-	slot int
 	// node and b record the counter cell and gate bit chosen at Enter, so
 	// Exit decrements exactly the counter Enter incremented (Algorithm
 	// 2's thread-local b). tbl pins the table generation for the
 	// Exit-value consistency check. inCS guards the no-nesting contract.
+	inCS bool
+	b    uint32
+	d    *D
+	lane *obs.ReaderLane
+	slot int
 	node *dNode
 	tbl  *dTable
-	b    uint64
-	inCS bool
+	// pub is the reader's slot and last the node in it: only its owner
+	// writes a slot, and a recycled slot keeps the node its previous owner
+	// left, so last is read from it at Register.
+	pub  *dSlot
+	last *dNode
 }
 
 // Register implements RCU.
 func (d *D) Register() (Reader, error) {
-	slot, _ := d.reg.acquire()
-	return &dReader{d: d, lane: d.lane(slot), slot: slot}, nil
+	slot, pub := d.reg.acquire()
+	return &dReader{d: d, lane: d.lane(slot), slot: slot, pub: pub, last: pub.node.Load()}, nil
 }
 
 // Enter implements Reader (Algorithm 2 lines 4–7; srcu_read_lock). The
@@ -167,7 +212,9 @@ func (d *D) Register() (Reader, error) {
 // notes TSO gets for free from the atomic operation. The table pointer is
 // re-validated after the increment so an Enter racing a Resize can never
 // count itself in a generation that has already been drained and
-// abandoned.
+// abandoned. Once a wide wait has switched publishing on, the node is
+// published in the reader's slot after the increment, unless the slot
+// holds it already; Exit publishes nothing.
 func (r *dReader) Enter(v Value) {
 	r.check()
 	if r.inCS {
@@ -176,9 +223,13 @@ func (r *dReader) Enter(v Value) {
 	for {
 		t := r.d.tbl.Load()
 		n := &t.nodes[t.index(v)]
-		b := n.gate.Load() & 1
+		b := uint32(n.gate.Load()) & 1
 		n.readers[b].Add(1)
 		if r.d.tbl.Load() == t {
+			if r.d.mode.Load() != dOff && n != r.last {
+				r.pub.node.Store(n)
+				r.last = n
+			}
 			r.node, r.tbl, r.b, r.inCS = n, t, b, true
 			if r.lane != nil {
 				r.lane.OnEnter()
@@ -227,35 +278,63 @@ func (d *D) WaitForReaders(p Predicate) { d.WaitForReadersCtx(nil, p) }
 // enumerable predicates it drains only the covered nodes, deduplicating
 // indices so hash collisions within P⁻¹ never drain a node twice (§4.2
 // footnote 2), and stops enumerating once every node has been drained.
-// For general predicates, a one-entry table and SRCU (whose predicate only
-// feeds stall reports) it drains every node, the fallback §4.2 describes,
-// hashing and enumerating nothing. If a table resize is in flight, the
-// previous generation is drained in full — readers counted there may hold
-// any value, so only a global drain of that generation is conservative
-// enough.
+// A one-entry table and SRCU (whose predicate only feeds stall reports)
+// drain their every node, hashing and enumerating nothing. If a table
+// resize is in flight, these waits drain the previous generation in full —
+// readers counted there may hold any value, so only a global drain of that
+// generation is conservative enough.
+//
+// A wide wait — a general predicate on a larger table — drains every node
+// too, the fallback §4.2 describes, until one such wait has completed that
+// walk after switching readers' publishing on; from then on it drains only
+// the nodes published in the active readers' slots, whatever their
+// generation (DESIGN.md §5 gives the safety argument).
 //
 // The "readers scanned / waited for" selectivity is counted over counter
-// nodes — the unit D-PRCU's waits actually visit and block on — and blame
-// and stall reports name node indices, in the generation being drained,
-// for the same reason.
+// nodes — the unit D-PRCU's waits actually visit and block on — except
+// that a wide wait visiting the readers counts the slots it visits. Blame
+// and stall reports name node indices, in the generation being drained.
 func (d *D) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	s := waitSession{e: &d.hooks}
 	if err := s.begin(ctx, &p); err != nil {
 		return err
 	}
-	// The updater's prior writes are ordered before the counter loads in
-	// drainNode by SC atomics (the paper's line 11 fence).
+	// The updater's prior writes are ordered before the counter and slot
+	// loads in the drains by SC atomics (the paper's line 11 fence).
 	t := d.tbl.Load()
-	var ok bool
-	if d.values && t.mask != 0 && p.Enumerable() {
-		ok = d.drainCovered(&s, t, p)
-	} else {
-		ok = d.drainAll(&s, t)
-	}
-	if o := d.old.Load(); ok && o != nil && o != t {
-		d.drainAll(&s, o)
+	switch {
+	case !d.values || t.mask == 0:
+		d.drainWhole(&s, t)
+	case p.Enumerable():
+		if d.drainCovered(&s, t, p) {
+			d.drainOld(&s, t)
+		}
+	case d.mode.Load() == dReady:
+		d.drainPublished(&s)
+	default:
+		// The walk must start after the switch: a section that read dOff
+		// did so before it, and so is counted in a node the walk drains.
+		d.mode.CompareAndSwap(dOff, dPublishing)
+		if d.drainWhole(&s, d.tbl.Load()) {
+			d.mode.CompareAndSwap(dPublishing, dReady)
+		}
 	}
 	return s.end()
+}
+
+// drainWhole drains every node of t and then, while a resize is in
+// flight, of the previous generation; it returns false if cancelled.
+func (d *D) drainWhole(s *waitSession, t *dTable) bool {
+	return d.drainAll(s, t) && d.drainOld(s, t)
+}
+
+// drainOld drains the previous generation in full while a resize that
+// replaced it (t being the generation the wait drained) is in flight.
+func (d *D) drainOld(s *waitSession, t *dTable) bool {
+	if o := d.old.Load(); o != nil && o != t {
+		return d.drainAll(s, o)
+	}
+	return true
 }
 
 // drainAll drains every node of t, stopping early on cancellation. Its
@@ -263,11 +342,40 @@ func (d *D) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 func (d *D) drainAll(s *waitSession, t *dTable) bool {
 	s.hasVal = false
 	for j := range t.nodes {
+		s.scanned++
 		if !drainNode(s, &t.nodes[j], j, d.optBudget) {
 			return false
 		}
 	}
 	return true
+}
+
+// drainPublished drains the node published in each active reader's slot,
+// stopping early on cancellation. A node a quiescent reader left behind
+// costs the drain's first look; one from an older generation is still
+// the node that reader's section was counted in. Each slot visited counts
+// as scanned.
+func (d *D) drainPublished(s *waitSession) {
+	s.hasVal = false
+	d.reg.forEachActive(func(sl *dSlot, _ int) bool {
+		s.scanned++
+		n := sl.node.Load()
+		return n == nil || drainNode(s, n, d.nodeIndex(n), d.optBudget)
+	})
+}
+
+// nodeIndex names a published node for blame and stall reports: its index
+// in the current generation, or in the previous one while a resize drains
+// it; -1 for a node of a generation already retired, which holds no
+// section — the resize that retired it waited for every one.
+func (d *D) nodeIndex(n *dNode) int {
+	if i := d.tbl.Load().indexOf(n); i >= 0 {
+		return i
+	}
+	if o := d.old.Load(); o != nil {
+		return o.indexOf(n)
+	}
+	return -1
 }
 
 // drainCovered drains the nodes of t that p's values hash to, each once,
@@ -307,6 +415,7 @@ func (d *D) drainCovered(s *waitSession, t *dTable, p Predicate) bool {
 			bitmap[idx/64] |= 1 << (idx % 64)
 		}
 		s.val = v
+		s.scanned++
 		ok = drainNode(s, &t.nodes[idx], int(idx), d.optBudget)
 		drained++
 		return ok && drained < len(t.nodes)
@@ -354,7 +463,6 @@ const (
 // restartable, and a mid-protocol gate toggle only means the next drain
 // starts from the other phase.
 func drainNode(s *waitSession, n *dNode, idx, budget int) bool {
-	s.scanned++
 	if budget > 0 && n.readers[0].Load() == 0 && n.readers[1].Load() == 0 {
 		s.drains[obs.DrainOptimistic]++ // clean: no readers present on first look
 		return true

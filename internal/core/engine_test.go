@@ -271,14 +271,23 @@ func TestDEERNodesPerReaderValidation(t *testing.T) {
 	NewDEER(64, nil) // the largest table one word covers
 }
 
-// TestKernelEnginesFillLines pins both kernels' engine structs to whole
-// cache lines: every Enter reads them, and a size class that is not
-// line-aligned would let a neighbouring allocation share their lines.
+// TestKernelEnginesFillLines pins both kernels' engine structs, and the
+// counter kernel's reader, to whole cache lines: every Enter reads them,
+// and a size class that is not line-aligned would let a neighbouring
+// allocation share their lines.
 func TestKernelEnginesFillLines(t *testing.T) {
 	for name, n := range map[string]uintptr{"DEER": unsafe.Sizeof(DEER{}), "D": unsafe.Sizeof(D{})} {
 		if n%pad.CacheLineSize != 0 {
 			t.Errorf("sizeof(%s) = %d, want a multiple of %d", name, n, pad.CacheLineSize)
 		}
+	}
+	// Enter loads the wide-wait switch from the line it loads tbl from.
+	var d D
+	if unsafe.Offsetof(d.mode)/pad.CacheLineSize != unsafe.Offsetof(d.tbl)/pad.CacheLineSize {
+		t.Errorf("D.mode at offset %d is off D.tbl's line (offset %d)", unsafe.Offsetof(d.mode), unsafe.Offsetof(d.tbl))
+	}
+	if n := unsafe.Sizeof(dReader{}); n != pad.CacheLineSize {
+		t.Errorf("sizeof(dReader) = %d, want %d", n, pad.CacheLineSize)
 	}
 }
 

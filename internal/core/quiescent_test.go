@@ -268,6 +268,10 @@ func TestFrozenClockWaitSemantics(t *testing.T) {
 // every flavor: with no reader registered, with one quiescent reader, and
 // (predicate-aware flavors, selective predicates) with one reader inside a
 // section the predicate does not cover. Such a wait must not allocate.
+// D1024 is D-PRCU at the paper's table size, for its wide waits (All,
+// Func), switched by one wide wait before its reader registers: the
+// timed waits visit the readers rather than the 1024 nodes, and a
+// quiescent reader has left its node in its slot.
 func BenchmarkWaitQuiescent(b *testing.B) {
 	const v, w = Value(5), Value(6)
 	// Uncovered, and on neither covered value's DEER node — hence on
@@ -282,6 +286,27 @@ func BenchmarkWaitQuiescent(b *testing.B) {
 		{"Singleton", Singleton(v)},
 		{"Iterable2", twoValues(v, w)},
 	}
+	run := func(name string, mk func() RCU, readers string, p Predicate) {
+		b.Run(name, func(b *testing.B) {
+			r := mk()
+			if readers != "none" {
+				rd := mustRegister(b, r)
+				rd.Enter(v)
+				rd.Exit(v)
+				if readers == "uncovered" {
+					rd.Enter(far)
+					defer rd.Exit(far)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, func() { r.WaitForReaders(p) }); allocs != 0 {
+				b.Fatalf("%v allocs per wait, want 0", allocs)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				r.WaitForReaders(p)
+			}
+		})
+	}
 	for _, name := range flavorOrder {
 		for _, readers := range []string{"none", "quiescent", "uncovered"} {
 			for _, pc := range preds {
@@ -291,27 +316,17 @@ func BenchmarkWaitQuiescent(b *testing.B) {
 						continue // the reader would block the wait
 					}
 				}
-				b.Run(fmt.Sprintf("%s/%s/%s", name, readers, pc.name), func(b *testing.B) {
-					r := engines()[name]()
-					if readers != "none" {
-						rd := mustRegister(b, r)
-						rd.Enter(v)
-						rd.Exit(v)
-						if readers == "uncovered" {
-							rd.Enter(far)
-							defer rd.Exit(far)
-						}
-					}
-					p := pc.p
-					if allocs := testing.AllocsPerRun(100, func() { r.WaitForReaders(p) }); allocs != 0 {
-						b.Fatalf("%v allocs per wait, want 0", allocs)
-					}
-					b.ReportAllocs()
-					for b.Loop() {
-						r.WaitForReaders(p)
-					}
-				})
+				run(fmt.Sprintf("%s/%s/%s", name, readers, pc.name), engines()[name], readers, pc.p)
 			}
+		}
+	}
+	for _, readers := range []string{"none", "quiescent"} {
+		for _, pc := range preds[:2] {
+			run("D1024/"+readers+"/"+pc.name, func() RCU {
+				d := NewD(0)
+				d.WaitForReaders(All())
+				return d
+			}, readers, pc.p)
 		}
 	}
 }

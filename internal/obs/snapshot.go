@@ -45,7 +45,10 @@ type Snapshot struct {
 
 	// ReadersScanned / ReadersWaited are the raw selectivity inputs:
 	// slots or counter nodes examined by wait scans, and those with an
-	// open covered critical section the wait actually blocked on.
+	// open covered critical section the wait actually blocked on. The
+	// counter kernel (D-PRCU, SRCU) counts counter nodes, except that a
+	// D-PRCU wait on a general predicate that visits the readers instead
+	// of the table counts the reader slots it visits.
 	ReadersScanned uint64
 	ReadersWaited  uint64
 	// Selectivity = ReadersWaited / ReadersScanned (0 when nothing was
