@@ -33,8 +33,8 @@ go test -race -count=3 -run 'Concurrent|Permanent|Reclaim|Reinsert' -timeout 300
 echo "== go test -race -count=3 (optimistic AVL tree: concurrent updates, splice/rebalance lock order) =="
 go test -race -count=3 -run 'Concurrent|Deadlock' -timeout 120s ./internal/opttree
 
-echo "== go test -race -count=3 (the two engine kernels: five flavors' safety argument in two functions, and D-PRCU's wide-wait switch) =="
-go test -race -count=3 -run 'TestConformance|TestTorture|TestWaitReadsClockOnlyForCoveredSection|TestEpochTicksOnlyForCoveredSection|TestEpochReentryDoesNotBlockWait|TestFrozenClockWaitSemantics|TestWaitBookkeepingExact|TestWideWait' -timeout 300s ./internal/core .
+echo "== go test -race -count=3 (the four engine kernels: nine flavors' safety argument in four functions, D-PRCU's wide-wait switch, the packed litmus tests and URCU's writer lock) =="
+go test -race -count=3 -run 'TestConformance|TestTorture|TestWaitReadsClockOnlyForCoveredSection|TestEpochTicksOnlyForCoveredSection|TestEpochReentryDoesNotBlockWait|TestFrozenClockWaitSemantics|TestWaitBookkeepingExact|TestWideWait|TestPacked|TestURCU|TestTreeRCU' -timeout 300s ./internal/core .
 
 echo "== go test -race (reclaimer backlog/backpressure stress) =="
 go test -race -timeout 300s ./internal/reclaim
@@ -48,9 +48,6 @@ go test -race -run 'TestReaderChurnConcurrentWaits|TestUncappedRegisterNeverFail
 
 echo "== go test -race (chaos torture: fault injection over every engine) =="
 go test -race -short -timeout 300s ./internal/chaos
-
-echo "== go test -race (packed engine: litmus + conformance over all flavors) =="
-go test -race -run 'TestPacked|TestConformance' -timeout 300s ./internal/core .
 
 echo "== fuzz seed corpora replay =="
 go test -run 'Fuzz' -timeout 120s ./internal/core ./hashtable ./internal/reclaim

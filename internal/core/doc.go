@@ -4,7 +4,7 @@
 //	Maya Arbel and Adam Morrison.
 //	"Predicate RCU: An RCU for Scalable Concurrent Updates." PPoPP 2015.
 //
-// The package provides seven interchangeable engines behind one interface:
+// The package provides nine interchangeable engines behind one interface:
 //
 //   - EER-PRCU (§4.1): wait-for-readers evaluates the predicate for each
 //     reader and waits only for readers it holds for.
@@ -20,9 +20,14 @@
 //     as in the paper's evaluation to treat the states between data
 //     structure operations as quiescent.
 //   - Dist RCU (§2.2): Arbel–Attiya distributed per-reader counters.
+//   - SRCU (§7): McKenney's Sleepable RCU, the origin of D-PRCU's
+//     two-counter protocol.
+//   - Packed RCU: the active bit and entry epoch packed in one reader word,
+//     with lock-free two-flip waits.
 //
-// EER-PRCU, DEER-PRCU and Time RCU run on one timestamp kernel (deer.go),
-// D-PRCU and SRCU on one counter kernel (dprcu.go); see those files.
+// They run on four kernels: timestamp (deer.go: EER, DEER, Time), counter
+// (dprcu.go: D, SRCU), tree (treercu.go: Tree, and Dist with no levels)
+// and epoch (packed.go: Packed, and URCU with a writer lock).
 //
 // All engines accept the full PRCU interface; the plain-RCU baselines ignore
 // the value and predicate arguments, which makes them drop-in comparators.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -67,6 +69,64 @@ func TestWideWaitSecondWaitBlocksDuringWalk(t *testing.T) {
 	if m := d.mode.Load(); m != dReady {
 		t.Fatalf("mode = %d after two completed wide waits, want %d", m, dReady)
 	}
+}
+
+// TestWideWaitCancelledFirstWalkKeepsWalking: a first wide wait cancelled
+// while an unpublished section blocks its walk has not covered that
+// section, so it must not switch the engine to visiting the readers — the
+// section must still block the next wide wait.
+func TestWideWaitCancelledFirstWalkKeepsWalking(t *testing.T) {
+	const v = Value(5)
+	d := NewD(0)
+	release := parkReader(t, d, v) // enters before the switch: publishes nothing
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := d.WaitForReadersCtx(ctx, All()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first wide wait returned %v with the section open, want %v", err, context.DeadlineExceeded)
+	}
+	if m := d.mode.Load(); m == dReady {
+		t.Fatalf("mode = %d after a cancelled first walk, want short of %d", m, dReady)
+	}
+	waitBlocks(t, d, All(), release)
+}
+
+// TestWideWaitLateEntrantPublishes: a section entered while the first
+// walk is blocked, on a node the walk has already passed, is not covered
+// by that walk; it must publish its node, so that once the walk completes
+// and switches the engine, a wide wait that visits the readers blocks on it.
+func TestWideWaitLateEntrantPublishes(t *testing.T) {
+	d := NewD(0)
+	tbl := d.tbl.Load()
+	var blocker, late Value
+	for tbl.index(blocker) < uint64(len(tbl.nodes))/2 {
+		blocker++
+	}
+	for tbl.index(late) >= tbl.index(blocker) {
+		late++
+	}
+	releaseBlocker := parkReader(t, d, blocker)
+	first := make(chan struct{})
+	go func() { d.WaitForReaders(All()); close(first) }()
+	// The walk drains nodes in index order and toggles the blocker's gate
+	// once it has reached the blocker's node and gone to the gate protocol:
+	// by then it has passed late's node.
+	gate := &tbl.nodes[tbl.index(blocker)].gate
+	for deadline := time.Now().Add(10 * time.Second); gate.Load() == 0; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first wide walk never reached the blocker's node")
+		}
+	}
+	releaseLate := parkReader(t, d, late)
+	releaseBlocker()
+	select {
+	case <-first:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first wide wait did not return after release")
+	}
+	if m := d.mode.Load(); m != dReady {
+		t.Fatalf("mode = %d after a completed wide wait, want %d", m, dReady)
+	}
+	waitBlocks(t, d, All(), releaseLate)
 }
 
 // TestWideWaitVisitsPublishedReader: after the switch a section publishes

@@ -271,23 +271,52 @@ func TestDEERNodesPerReaderValidation(t *testing.T) {
 	NewDEER(64, nil) // the largest table one word covers
 }
 
-// TestKernelEnginesFillLines pins both kernels' engine structs, and the
-// counter kernel's reader, to whole cache lines: every Enter reads them,
-// and a size class that is not line-aligned would let a neighbouring
-// allocation share their lines.
+// TestKernelEnginesFillLines pins the four kernels' engine structs, and
+// the readers whose per-section words they guard, to whole cache lines or
+// to the size they have: every Enter reads the engines, and a size class
+// that is not line-aligned would let a neighbouring allocation share their
+// lines. It also pins which hot and cold fields share a line.
 func TestKernelEnginesFillLines(t *testing.T) {
-	for name, n := range map[string]uintptr{"DEER": unsafe.Sizeof(DEER{}), "D": unsafe.Sizeof(D{})} {
+	for name, n := range map[string]uintptr{
+		"DEER": unsafe.Sizeof(DEER{}), "D": unsafe.Sizeof(D{}),
+		"Packed": unsafe.Sizeof(Packed{}), "TreeRCU": unsafe.Sizeof(TreeRCU{}),
+	} {
 		if n%pad.CacheLineSize != 0 {
 			t.Errorf("sizeof(%s) = %d, want a multiple of %d", name, n, pad.CacheLineSize)
 		}
 	}
+	line := func(off uintptr) uintptr { return off / pad.CacheLineSize }
 	// Enter loads the wide-wait switch from the line it loads tbl from.
 	var d D
-	if unsafe.Offsetof(d.mode)/pad.CacheLineSize != unsafe.Offsetof(d.tbl)/pad.CacheLineSize {
+	if line(unsafe.Offsetof(d.mode)) != line(unsafe.Offsetof(d.tbl)) {
 		t.Errorf("D.mode at offset %d is off D.tbl's line (offset %d)", unsafe.Offsetof(d.mode), unsafe.Offsetof(d.tbl))
 	}
-	if n := unsafe.Sizeof(dReader{}); n != pad.CacheLineSize {
-		t.Errorf("sizeof(dReader) = %d, want %d", n, pad.CacheLineSize)
+	// Every epoch-kernel Enter loads gp, and nothing else of the engine:
+	// gp has the engine's last line to itself, off the mutex URCU's waiters
+	// write.
+	var p Packed
+	if off := unsafe.Offsetof(p.gp); off%pad.CacheLineSize != 0 || unsafe.Sizeof(p)-off != pad.CacheLineSize {
+		t.Errorf("Packed.gp at offset %d of %d, want the last line to itself", off, unsafe.Sizeof(p))
+	}
+	if line(unsafe.Offsetof(p.mu)) == line(unsafe.Offsetof(p.gp)) {
+		t.Errorf("Packed.mu at offset %d is on the line of gp's value (offset %d)", unsafe.Offsetof(p.mu), unsafe.Offsetof(p.gp))
+	}
+	// Every Tree RCU Exit loads tree; every Tree RCU wait writes mu.
+	var tr TreeRCU
+	if line(unsafe.Offsetof(tr.tree)) == line(unsafe.Offsetof(tr.mu)) {
+		t.Errorf("TreeRCU.tree at offset %d shares TreeRCU.mu's line (offset %d)", unsafe.Offsetof(tr.tree), unsafe.Offsetof(tr.mu))
+	}
+	if tail := unsafe.Sizeof(tr) - unsafe.Offsetof(tr.tree); tail < pad.CacheLineSize {
+		t.Errorf("TreeRCU.tree is %d bytes from the struct's end, want a line's padding", tail)
+	}
+	for name, c := range map[string]struct{ got, want uintptr }{
+		"dReader":      {unsafe.Sizeof(dReader{}), pad.CacheLineSize},
+		"packedReader": {unsafe.Sizeof(packedReader{}), 40},
+		"treeReader":   {unsafe.Sizeof(treeReader{}), 40},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", name, c.got, c.want)
+		}
 	}
 }
 
@@ -382,50 +411,6 @@ func TestUnregisterInsideCSPanics(t *testing.T) {
 			rd.Exit(1)
 			rd.Unregister()
 		})
-	}
-}
-
-func TestURCUPhaseFlip(t *testing.T) {
-	u := NewURCU()
-	g0 := u.gp.Load()
-	if g0&urcuCount == 0 {
-		t.Fatal("global counter must carry the online (count) bit")
-	}
-	u.WaitForReaders(All())
-	g1 := u.gp.Load()
-	// A wait flips the phase twice, so the counter returns to its original
-	// value; what matters is that the count bit survives and no other bits
-	// get disturbed.
-	if g1 != g0 {
-		t.Fatalf("counter after two flips = %#x, want %#x", g1, g0)
-	}
-	// A reader entering mid-wait must observe a flipped phase: emulate the
-	// first half of the wait by hand.
-	u.gp.Store(g0 ^ urcuPhase)
-	rd, _ := u.Register()
-	rd.Enter(0)
-	if c := rd.(*urcuReader).ctr.Load(); (c^g0)&urcuPhase == 0 {
-		t.Fatal("reader snapshot did not pick up the flipped phase")
-	}
-	rd.Exit(0)
-	rd.Unregister()
-	u.gp.Store(g0)
-}
-
-func TestURCUOngoing(t *testing.T) {
-	gp := urcuCount | urcuPhase
-	cases := []struct {
-		c    uint64
-		want bool
-	}{
-		{0, false},                     // offline
-		{urcuCount, true},              // online, old phase
-		{urcuCount | urcuPhase, false}, // online, current phase
-	}
-	for _, c := range cases {
-		if got := ongoing(c.c, gp); got != c.want {
-			t.Errorf("ongoing(%#x, %#x) = %v, want %v", c.c, gp, got, c.want)
-		}
 	}
 }
 

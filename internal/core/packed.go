@@ -2,17 +2,18 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"prcu/internal/obs"
 	"prcu/internal/pad"
 )
 
-// Packed implements the packed-state epoch RCU: the yanet2-style variant
-// of the classic epoch scheme in which each reader's entire wait-visible
-// state — the in-critical-section flag and the grace-period epoch it
-// entered under — lives in one 32-bit atomic word. Enter is one load of
-// the global epoch and one store of the packed word; Exit is a single
-// store of zero (no global access at all); neither performs a
+// Packed is the epoch kernel: the packed-state epoch RCU, the yanet2-style
+// variant of the classic epoch scheme in which each reader's entire
+// wait-visible state — the in-critical-section flag and the grace-period
+// epoch it entered under — lives in one 32-bit atomic word. Enter is one
+// load of the global epoch and one store of the packed word; Exit is a
+// single store of zero (no global access at all); neither performs a
 // read-modify-write. Wait-for-readers advances the epoch with a
 // fetch-and-add — the flip and the seq-cst fence the protocol needs are
 // the same instruction — and then scans reader words, skipping any slot
@@ -27,31 +28,38 @@ import (
 // packedEpochInc), so Enter composes the word with a single OR and the
 // wait-side comparison needs no shifting.
 //
-// Differences from URCU, the closest sibling:
+// As NewURCU builds it, the kernel is the userspace RCU of Desnoyers et
+// al. (§2.2): the same reader, with waiters serialized behind a global
+// writer lock. That lock is the scalability bottleneck the paper measures,
+// and it is reproduced faithfully (Go's sync.Mutex hands off roughly FIFO
+// under contention, standing in for URCU's waiter queue). URCU's original
+// phase is one bit, which is what forces its mutex and its second flip;
+// here the epoch is a 31-bit monotone counter compared with
+// wraparound-safe signed arithmetic (packedOngoing), so Packed's
+// concurrent waiters need no mutex: each fetch-and-adds its own flip and
+// drains everything older.
 //
-//   - URCU's phase is one bit, so a waiter must serialize behind a global
-//     writer mutex and flip/drain twice to disambiguate stale snapshots.
-//     Packed's epoch is a 31-bit monotone counter compared with
-//     wraparound-safe signed arithmetic (packedOngoing), so concurrent
-//     waiters need no mutex: each fetch-and-adds its own flip and drains
-//     everything older. This removes the wait-side scalability bottleneck
-//     the paper measures in URCU.
-//   - A quiescent reader costs the scan one load of its packed word
-//     (bit 0 clear ⇒ skip); URCU's scan must also decode the phase.
-//
-// The wait still performs a two-phase flip (two fetch-and-adds, each
+// Every wait still performs the two-phase flip (two fetch-and-adds, each
 // followed by a drain). With a monotone epoch the first drain alone
 // already covers every pre-existing reader; the second phase is retained
-// deliberately: it mirrors the yanet2/URCU protocol shape, and it means a
-// reader's stale epoch must survive 2^30 grace periods *within one
-// critical section* before signed comparison could alias — twice the
-// single-phase margin. See DESIGN.md, "Packed reader word", for the full
-// happens-before argument (why acquire/release pairing suffices for the
-// reader word in the C11 model, where the seq-cst fence at the flip is
-// still mandatory, and why Go's all-seq-cst sync/atomic discharges both
-// obligations).
+// deliberately: it is the cost the paper measures for URCU, it mirrors the
+// yanet2 protocol shape, and it means a reader's stale epoch must survive
+// 2^30 grace periods *within one critical section* before signed
+// comparison could alias — twice the single-phase margin. See DESIGN.md,
+// "Packed reader word", for the full happens-before argument (why
+// acquire/release pairing suffices for the reader word in the C11 model,
+// where the seq-cst fence at the flip is still mandatory, and why Go's
+// all-seq-cst sync/atomic discharges both obligations).
 type Packed struct {
 	base[pad.Uint32]
+	// mu serializes URCU's waiters; Packed's never take it.
+	mu        sync.Mutex
+	serialize bool
+	// The pad starts gp on the second of the struct's two cache lines (a
+	// line-aligned size class), the one line Enter touches: away from the
+	// mutex URCU's waiters write and from the fields every wait reads
+	// (measured: Packed's busy-wait p50 +20 % with gp on the first line).
+	_ [7]byte
 	// gp is the global epoch, pre-shifted into bits 1..31 (always even).
 	// It only ever advances, via Add — the RMW doubles as the seq-cst
 	// fence between a waiter's prior stores and its reader-word scan.
@@ -65,10 +73,17 @@ const (
 	packedEpochInc uint32 = 2
 )
 
-// NewPacked returns a packed-state epoch engine.
-func NewPacked() *Packed {
-	p := &Packed{}
-	p.setup("Packed RCU", 1, zeroSeg[pad.Uint32])
+// NewPacked returns a packed-state epoch engine: the epoch kernel with
+// lock-free waiters.
+func NewPacked() *Packed { return newEpoch("Packed RCU", false) }
+
+// NewURCU returns a URCU engine: the epoch kernel with waiters serialized
+// behind a global writer lock.
+func NewURCU() *Packed { return newEpoch("URCU", true) }
+
+func newEpoch(name string, serialize bool) *Packed {
+	p := &Packed{serialize: serialize}
+	p.setup(name, 1, zeroSeg[pad.Uint32])
 	return p
 }
 
@@ -88,12 +103,13 @@ func (p *Packed) Register() (Reader, error) {
 }
 
 // Enter implements Reader: publish active-with-current-epoch in one
-// store. The value is ignored — Packed is a plain RCU. Because the flag
-// and the epoch travel in the same word, a scan can never observe the
-// active bit without the epoch it belongs to (no torn state); because
-// the store is a Go atomic (seq-cst), it cannot sink below the reads
-// inside the critical section, and a waiter that flipped the epoch
-// before this store is guaranteed to observe it during its drain.
+// store. The value is ignored — the epoch kernel is a plain RCU. Because
+// the flag and the epoch travel in the same word, a scan can never
+// observe the active bit without the epoch it belongs to (no torn state);
+// because the store is a Go atomic (seq-cst), it cannot sink below the
+// reads inside the critical section, and a waiter that flipped the epoch
+// before this store is guaranteed to observe it during its drain. The
+// SC store is also the memory fence URCU issues in rcu_read_lock.
 func (r *packedReader) Enter(v Value) {
 	r.check()
 	r.word.Store(r.p.gp.Load() | packedActive)
@@ -141,10 +157,11 @@ func (p *Packed) WaitForReaders(pred Predicate) { p.WaitForReadersCtx(nil, pred)
 
 // WaitForReadersCtx implements RCU: wait-for-readers, bounded by ctx when
 // it is non-nil. The predicate is ignored. Each phase advances the epoch
-// with one fetch-and-add (no writer mutex — see the type comment) and
-// drains every active reader older than the new epoch; readers entering
-// during the drain adopt the new epoch and are skipped. One load decides a
-// quiescent slot.
+// with one fetch-and-add and drains every active reader older than the
+// new epoch; readers entering during the drain adopt the new epoch and
+// are skipped. One load decides a quiescent slot. URCU's waiters hold the
+// writer lock across both phases; Packed's take none (see the type
+// comment).
 //
 // Cancellation mid-protocol is safe: an abandoned flip just leaves the
 // monotone epoch advanced, and the next wait fetch-and-adds past it and
@@ -154,12 +171,18 @@ func (p *Packed) WaitForReadersCtx(ctx context.Context, pred Predicate) error {
 	if err := s.begin(ctx, &pred); err != nil {
 		return err
 	}
+	if p.serialize {
+		p.mu.Lock()
+	}
 	for phase := 0; phase < 2 && s.err == nil; phase++ {
 		g := p.gp.Add(packedEpochInc)
 		p.reg.forEachActive(func(c *pad.Uint32, slot int) bool {
 			s.scanned++
 			return !packedOngoing(c.Load(), g) || s.await(slot, func() bool { return packedOngoing(c.Load(), g) })
 		})
+	}
+	if p.serialize {
+		p.mu.Unlock()
 	}
 	return s.end()
 }

@@ -31,41 +31,62 @@ func TestPackedOngoing(t *testing.T) {
 	}
 }
 
+// epochKernels are the epoch kernel's two flavors: Packed's waiters run
+// lock-free, URCU's behind the writer lock. Their readers are one code
+// path, and each runs the same two-phase wait.
+var epochKernels = []struct {
+	name string
+	new  func() *Packed
+}{{"Packed", NewPacked}, {"URCU", NewURCU}}
+
+// forEachEpochKernel runs fn as a subtest on a fresh engine of each
+// epoch-kernel flavor.
+func forEachEpochKernel(t *testing.T, fn func(t *testing.T, p *Packed)) {
+	for _, k := range epochKernels {
+		t.Run(k.name, func(t *testing.T) { fn(t, k.new()) })
+	}
+}
+
 func TestPackedEnterPublishesEpoch(t *testing.T) {
-	p := NewPacked()
-	rd, err := p.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := p.gp.Load()
-	if g&packedActive != 0 {
-		t.Fatalf("global epoch %#x carries the active bit", g)
-	}
-	rd.Enter(9)
-	if w := rd.(*packedReader).word.Load(); w != g|packedActive {
-		t.Fatalf("word after Enter = %#x, want %#x", w, g|packedActive)
-	}
-	rd.Exit(9)
-	if w := rd.(*packedReader).word.Load(); w != 0 {
-		t.Fatalf("word after Exit = %#x, want 0", w)
-	}
-	rd.Unregister()
+	forEachEpochKernel(t, func(t *testing.T, p *Packed) {
+		rd, err := p.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := p.gp.Load()
+		if g&packedActive != 0 {
+			t.Fatalf("global epoch %#x carries the active bit", g)
+		}
+		rd.Enter(9)
+		if w := rd.(*packedReader).word.Load(); w != g|packedActive {
+			t.Fatalf("word after Enter = %#x, want %#x", w, g|packedActive)
+		}
+		rd.Exit(9)
+		if w := rd.(*packedReader).word.Load(); w != 0 {
+			t.Fatalf("word after Exit = %#x, want 0", w)
+		}
+		rd.Unregister()
+	})
 }
 
 func TestPackedWaitAdvancesEpochTwice(t *testing.T) {
-	p := NewPacked()
-	g0 := p.gp.Load()
-	p.WaitForReaders(All())
-	if g1 := p.gp.Load(); g1 != g0+2*packedEpochInc {
-		t.Fatalf("epoch after wait = %#x, want %#x (two flips)", g1, g0+2*packedEpochInc)
-	}
+	forEachEpochKernel(t, func(t *testing.T, p *Packed) {
+		g0 := p.gp.Load()
+		p.WaitForReaders(All())
+		if g1 := p.gp.Load(); g1 != g0+2*packedEpochInc {
+			t.Fatalf("epoch after wait = %#x, want %#x (two flips)", g1, g0+2*packedEpochInc)
+		}
+	})
 }
 
 // TestPackedWaitSkipsQuiescentSlots checks the active-flag gating via the
 // wait metrics: registered-but-quiescent readers are scanned (one load
 // each, both phases) but never waited on.
 func TestPackedWaitSkipsQuiescentSlots(t *testing.T) {
-	p := NewPacked()
+	forEachEpochKernel(t, testWaitSkipsQuiescentSlots)
+}
+
+func testWaitSkipsQuiescentSlots(t *testing.T, p *Packed) {
 	p.SetMetrics(obs.New())
 	var rds []Reader
 	for i := 0; i < 3; i++ {
@@ -88,7 +109,7 @@ func TestPackedWaitSkipsQuiescentSlots(t *testing.T) {
 }
 
 // TestPackedConcurrentWaitersNoMutex drives many concurrent waiters with
-// reader churn: unlike URCU there is no writer lock, so every waiter
+// reader churn: unlike URCU's there is no writer lock, so every waiter
 // flips and drains independently — the test asserts they all terminate
 // and the safety property holds throughout (the harness checks exits).
 func TestPackedConcurrentWaitersNoMutex(t *testing.T) {
@@ -109,7 +130,10 @@ func TestPackedConcurrentWaitersNoMutex(t *testing.T) {
 // pre-wrap reader blocks a post-wrap wait, and post-wrap quiescent
 // readers do not.
 func TestPackedEpochWraparound(t *testing.T) {
-	p := NewPacked()
+	forEachEpochKernel(t, testEpochWraparound)
+}
+
+func testEpochWraparound(t *testing.T, p *Packed) {
 	p.gp.Store(^uint32(1) - 4*packedEpochInc) // even, 4 flips below wrap
 	rd, err := p.Register()
 	if err != nil {
@@ -143,7 +167,10 @@ func TestPackedEpochWraparound(t *testing.T) {
 // TestPackedStalledReaders checks the watchdog names exactly the slot a
 // wedged wait is blocked on, and not a quiescent bystander's.
 func TestPackedStalledReaders(t *testing.T) {
-	p := NewPacked()
+	forEachEpochKernel(t, testStalledReaders)
+}
+
+func testStalledReaders(t *testing.T, p *Packed) {
 	clk := tsc.NewManual(0)
 	reports := make(chan StallReport, 1)
 	p.SetStallConfig(StallConfig{
@@ -186,4 +213,55 @@ func TestPackedStalledReaders(t *testing.T) {
 	<-released
 	blocker.Unregister()
 	bystander.Unregister()
+}
+
+// TestURCUWaitersSerialize: while one wait is blocked on a parked reader,
+// URCU's writer lock holds a second wait off the epoch, and Packed's
+// second wait flips it on its own.
+func TestURCUWaitersSerialize(t *testing.T) {
+	for _, k := range epochKernels {
+		t.Run(k.name, func(t *testing.T) {
+			p := k.new()
+			release := parkReader(t, p, 1)
+			waitFlip := func(from uint32) uint32 {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); p.gp.Load() == from; time.Sleep(50 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("epoch never advanced past %#x", from)
+					}
+				}
+				return p.gp.Load()
+			}
+			start := func() (started, done chan struct{}) {
+				started, done = make(chan struct{}), make(chan struct{})
+				go func() {
+					close(started)
+					p.WaitForReaders(All())
+					close(done)
+				}()
+				return started, done
+			}
+			g0 := p.gp.Load()
+			_, first := start()
+			g1 := waitFlip(g0) // the first wait's first flip; it is blocked now
+			started, second := start()
+			<-started
+			if k.name == "URCU" {
+				time.Sleep(30 * time.Millisecond)
+				if g := p.gp.Load(); g != g1 {
+					t.Fatalf("a second URCU wait moved the epoch %#x -> %#x while the first was blocked", g1, g)
+				}
+			} else {
+				waitFlip(g1)
+			}
+			release()
+			for _, done := range []chan struct{}{first, second} {
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("a wait did not return after release")
+				}
+			}
+		})
+	}
 }

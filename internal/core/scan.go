@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the one wait path shared by every engine. The nine flavors
-// run on six wait-for-readers algorithms — the timestamp kernel (deer.go),
-// the counter kernel (dprcu.go), URCU, Tree, Dist and Packed — which differ
-// only in their pre-scan step (epoch flip, tree seeding, node selection)
-// and in the test that says "this slot still blocks me"; everything else a
+// run on four kernels — timestamp (deer.go), counter (dprcu.go), tree
+// (treercu.go) and epoch (packed.go) — whose waits differ only in their
+// pre-scan step (epoch flip, tree seeding, node selection) and in the
+// test that says "this slot still blocks me"; everything else a
 // wait does — the back-off ladder, cancellation, the stall watchdog, blame
 // sampling, the scanned/waited/parked counters and the WaitBegin/WaitEnd
 // bracket — lives in waitSession, once.

@@ -57,22 +57,31 @@ func buildTree(slots int) *treeLevels {
 	return tl
 }
 
-// TreeRCU implements the Linux-kernel hierarchical RCU algorithm (§2.2)
-// under the paper's userspace restriction: the states between data
-// structure operations are treated as quiescent, so a reader reports
-// quiescence when it exits its critical section rather than at context
-// switches. (As the paper notes, this gives far shorter grace periods than
-// the in-kernel original; it is the only way to apply Tree RCU to general
-// userspace code.)
+// TreeRCU is the tree kernel. As NewTreeRCU builds it, it implements the
+// Linux-kernel hierarchical RCU algorithm (§2.2) under the paper's
+// userspace restriction: the states between data structure operations are
+// treated as quiescent, so a reader reports quiescence when it exits its
+// critical section rather than at context switches. (As the paper notes,
+// this gives far shorter grace periods than the in-kernel original; it is
+// the only way to apply Tree RCU to general userspace code.)
 //
 // Conceptually there is a bit per reader; wait-for-readers sets the bits of
 // readers currently inside critical sections and a reader's exit clears its
 // bit, propagating up the tree whenever it clears the last bit of a word.
 // The waiter polls only the root. Waiters are serialized, as in Linux.
 //
+// As NewDistRCU builds it, with no tree at all, it is the
+// distributed-counters RCU of Arbel and Attiya (§2.2), the RCU the
+// original CITRUS tree used (the paper's Time RCU is its TSC-optimized
+// successor): a waiter snapshots each reader's generation and waits for
+// the reader either to advance it or to be outside a critical section.
+// Those waits are read-only, so — like the PRCU engines — concurrent waits
+// scale without synchronizing with each other.
+//
 // Reader cost is the algorithm's selling point: Enter and Exit touch only
-// the reader's own padded generation counter (plus the leaf bit on exit
-// when a grace period is in flight), so the read-side is contention free.
+// the reader's own padded generation counter (plus, on Tree RCU, the leaf
+// bit on exit when a grace period is in flight), so the read-side is
+// contention free.
 type TreeRCU struct {
 	// Per-reader state is a generation counter: even = quiescent, odd =
 	// inside a critical section; the waiter snapshots generations to
@@ -84,11 +93,12 @@ type TreeRCU struct {
 	// and whatever the allocator places after the engine — on separate
 	// cache lines (measured: Tree sections 280 → 212 ns in engine_sweep).
 	_ [pad.CacheLineSize]byte
-	// tree is the current combining-tree generation. Swapped only under mu
-	// and only while all-zero; readers load it on Exit. SC atomics order a
-	// reader's post-Enter tree load after the swap that preceded the
-	// waiter's snapshot of that reader, so a seeded reader always clears
-	// its bit in the generation it was seeded into (see WaitForReadersCtx).
+	// tree is the current combining-tree generation, nil for Dist RCU.
+	// Swapped only under mu and only while all-zero; readers load it on
+	// Exit. SC atomics order a reader's post-Enter tree load after the swap
+	// that preceded the waiter's snapshot of that reader, so a seeded
+	// reader always clears its bit in the generation it was seeded into
+	// (see WaitForReadersCtx).
 	tree atomic.Pointer[treeLevels]
 	_    [pad.CacheLineSize]byte
 }
@@ -101,11 +111,22 @@ func NewTreeRCU() *TreeRCU {
 	return t
 }
 
-// Levels returns the height of the combining tree (for tests).
+// NewDistRCU returns a distributed-counters RCU engine: the tree kernel
+// with no levels.
+func NewDistRCU() *TreeRCU {
+	t := &TreeRCU{}
+	t.setup("Dist RCU", 1, zeroSeg[pad.Uint64])
+	return t
+}
+
+// Levels returns the height of Tree RCU's combining tree (for tests).
 func (t *TreeRCU) Levels() int { return len(t.tree.Load().levels) }
 
 type treeReader struct {
 	readerGuard
+	// tree is whether the engine has levels, copied at Register so that
+	// Dist RCU's Exit loads nothing of the engine.
+	tree  bool
 	t     *TreeRCU
 	state *pad.Uint64
 	lane  *obs.ReaderLane
@@ -119,11 +140,12 @@ func (t *TreeRCU) Register() (Reader, error) {
 		// A previous owner must have left the slot quiescent.
 		panic("prcu: reader slot reused while marked in-CS")
 	}
-	return &treeReader{t: t, state: s, lane: t.lane(slot), slot: slot}, nil
+	return &treeReader{tree: t.tree.Load() != nil, t: t, state: s, lane: t.lane(slot), slot: slot}, nil
 }
 
 // Enter implements Reader: flip the generation to odd. No shared-global
-// work — this is the (near) zero-overhead read side of Tree RCU.
+// work — this is the (near) zero-overhead read side of both flavors. The
+// value is ignored — the tree kernel is a plain RCU.
 func (r *treeReader) Enter(v Value) {
 	r.check()
 	r.state.Add(1)
@@ -132,16 +154,17 @@ func (r *treeReader) Enter(v Value) {
 	}
 }
 
-// Exit implements Reader: flip the generation to even and report
-// quiescence by clearing our leaf bit if a waiter seeded it.
+// Exit implements Reader: flip the generation to even and, on Tree RCU,
+// report quiescence by clearing our leaf bit if a waiter seeded it.
 func (r *treeReader) Exit(v Value) {
 	r.check()
 	if r.lane != nil {
 		r.lane.OnExit()
 	}
 	r.state.Add(1)
-	tl := r.t.tree.Load()
-	clearBit(tl, 0, r.slot/treeFanout, uint64(1)<<(r.slot%treeFanout))
+	if r.tree {
+		clearBit(r.t.tree.Load(), 0, r.slot/treeFanout, uint64(1)<<(r.slot%treeFanout))
+	}
 }
 
 // Do implements Reader.
@@ -191,16 +214,20 @@ func (t *TreeRCU) WaitForReaders(p Predicate) { t.WaitForReadersCtx(nil, p) }
 // WaitForReadersCtx implements RCU: wait-for-readers, bounded by ctx when
 // it is non-nil. The predicate is ignored.
 //
-// Protocol: under the waiter lock, grow the tree generation if the
-// registry outgrew it (safe: the swap is ordered before every snapshot
-// read below, so any reader we seed observes the new generation on exit,
-// and a swapped-out generation — even one with bits a cancelled wait
-// abandoned — is discarded whole); snapshot every reader's generation and
-// collect those currently inside a critical section; publish their bits
-// top-down (ancestors before leaves) so an exit can never propagate a
-// clear past an unset ancestor; re-check each collected generation and
-// clear the bits of readers that exited while we were seeding; then poll
-// the root.
+// With no tree (Dist RCU) the wait takes no lock: a reader found inside a
+// section (odd generation) is waited for until its generation moves. The
+// scan is read-only, so an abandoned wait leaves nothing behind.
+//
+// With a tree, the protocol is: under the waiter lock, grow the tree
+// generation if the registry outgrew it (safe: the swap is ordered before
+// every snapshot read below, so any reader we seed observes the new
+// generation on exit, and a swapped-out generation — even one with bits a
+// cancelled wait abandoned — is discarded whole); snapshot every reader's
+// generation and collect those currently inside a critical section; publish
+// their bits top-down (ancestors before leaves) so an exit can never
+// propagate a clear past an unset ancestor; re-check each collected
+// generation and clear the bits of readers that exited while we were
+// seeding; then poll the root.
 //
 // Readers in slots beyond the generation's span registered after the span
 // was fixed — i.e. after this wait began — so their critical sections are
@@ -213,6 +240,14 @@ func (t *TreeRCU) WaitForReadersCtx(ctx context.Context, p Predicate) error {
 	s := waitSession{e: &t.hooks}
 	if err := s.begin(ctx, &p); err != nil {
 		return err
+	}
+	if t.tree.Load() == nil {
+		t.reg.forEachActive(func(g *pad.Uint64, slot int) bool {
+			s.scanned++
+			gen := g.Load()
+			return gen&1 == 0 || s.await(slot, func() bool { return g.Load() == gen })
+		})
+		return s.end()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

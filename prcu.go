@@ -30,6 +30,11 @@
 // The plain-RCU engines ignore values and predicates, so algorithms can be
 // written once against the PRCU interface and benchmarked over any engine.
 //
+// The nine run on four kernels: EER, DEER and Time RCU on the timestamp
+// kernel; D-PRCU and SRCU on the counter kernel; Tree RCU and Dist RCU
+// (Tree RCU without the tree) on the tree kernel; Packed and URCU (Packed
+// with a writer lock) on the epoch kernel.
+//
 // # Usage
 //
 //	r := prcu.MustNew(prcu.FlavorD, prcu.Options{})
@@ -342,7 +347,9 @@ func NewTimeRCU(opt Options) RCU {
 	return opt.attach(core.NewTimeRCU(opt.Clock))
 }
 
-// NewURCU returns the userspace-RCU baseline of Desnoyers et al.
+// NewURCU returns the userspace-RCU baseline of Desnoyers et al.: the
+// packed engine's reader and two-flip wait, with waiters serialized
+// behind a global writer lock.
 func NewURCU(opt Options) RCU {
 	return opt.attach(core.NewURCU())
 }
@@ -353,7 +360,9 @@ func NewTreeRCU(opt Options) RCU {
 	return opt.attach(core.NewTreeRCU())
 }
 
-// NewDistRCU returns the Arbel–Attiya distributed-counters RCU baseline.
+// NewDistRCU returns the Arbel–Attiya distributed-counters RCU baseline:
+// Tree RCU's per-reader generation counters with no combining tree, and
+// lock-free waits that poll each reader found inside a section.
 func NewDistRCU(opt Options) RCU {
 	return opt.attach(core.NewDistRCU())
 }
